@@ -38,7 +38,6 @@ from .processor import (
     QuditShiftNetwork,
     TensorQubitArray,
     apply_processor,
-    general_diagonal_apply,
     processor_matrix,
     qubit_network_matches_shift_network,
     tensor_array_apply,
@@ -50,12 +49,9 @@ from .programs import (
     MeasurementVector,
     ProgramVector,
     example1_operator,
-    example1_program,
     example2_operator,
-    example2_program,
     exchange_operator,
     family_operator,
-    family_program,
     hs_expand,
     measurement_for_labels,
     measurement_full,
@@ -65,7 +61,6 @@ from .programs import (
     prepare_reflection_program,
     program_from_expansion,
     reflection_operator,
-    reflection_program,
     reflection_program_factored,
     synthesize_program,
 )

@@ -14,7 +14,6 @@ from .harness import (
     describe_operator,
     load_bundled_config,
     load_config_file,
-    matrix_from_json,
     report_csv,
     report_json,
     run_config,
@@ -71,7 +70,7 @@ def _parse_params(pairs) -> dict:
         key, raw = pair.split("=", 1)
         try:
             params[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             params[key] = raw
     return params
 
@@ -116,21 +115,13 @@ def _cmd_describe(args) -> int:
             try:
                 with open(raw[1:], "r", encoding="utf-8") as fh:
                     raw = fh.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read matrix file: {exc}") from exc
         try:
             params["matrix"] = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--matrix is not valid JSON: {exc}") from exc
-    dim = args.dim
-    if dim is None:
-        if "matrix" in params:
-            dim = matrix_from_json(params["matrix"]).shape[0]
-        elif "l" in params:
-            dim = 2 ** int(params["l"])
-        else:
-            raise ConfigError("--dim is required for this operator")
-    doc = describe_operator(args.name, int(dim), params)
+    doc = describe_operator(args.name, args.dim, params)
     _write_output(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 

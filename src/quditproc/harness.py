@@ -1,4 +1,4 @@
-"""Scenario configs, experiment sweeps, and report serialization for the CLI.
+"""Operator catalog, scenario configs, experiment sweeps and reports for the CLI.
 
 Config files are JSON with a top-level "schema": 1. Complex numbers are
 [re, im] pairs; matrices are nested row-major lists of such pairs. Scenario
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -34,54 +35,200 @@ DEFAULT_TOLERANCE = 1e-10
 PROCESSOR_NAMES = ("qudit-shift", "qubit-cnot")
 MEASUREMENT_KINDS = ("full", "support")
 
-# Operator names usable in scenario configs and `describe`. Maps to whether
-# the entry needs a random generator when its parameters say "random".
-CATALOG_NAMES = (
-    "identity",
-    "u_mn",
-    "reflection",
-    "exchange",
-    "example1",
-    "family",
-    "example2",
-    "random_unitary",
-    "random_operator",
-    "inline",
-)
+# Largest qudit dimension a config or `describe` may ask for. Program
+# synthesis builds a dense N^2 x N^2 complex Bell matrix, 16 N^4 bytes
+# (268 MB at N = 64); N = 90 is the largest N that keeps it within 1 GiB.
+MAX_DIM = 90
 
 
 class ConfigError(ValueError):
     """Unreadable, unparsable, or inconsistent scenario configuration."""
 
 
+# --- typed JSON fields --------------------------------------------------------
+# Each kind takes (what, JSON value) and returns the typed value or raises
+# ConfigError; nothing is coerced.
+
+
+def _int(what: str, value, low=-np.inf, high=np.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(f"{what} must be in [{low}, {high}], got {value}")
+    return value
+
+
+def _real(what: str, value) -> float:
+    # abs() <= max rejects NaN, infinities and integers beyond the float range.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= np.finfo(float).max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(what: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def check_dim(dim) -> int:
+    return _int("dim", dim, 2, MAX_DIM)
+
+
 def complex_from_pair(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ConfigError(f"complex numbers are [re, im] pairs, got {pair!r}")
-    re, im = pair
-    return complex(float(re), float(im))
+    return complex(_real("real part", pair[0]), _real("imaginary part", pair[1]))
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError("matrix must be a non-empty list of rows")
-    mat = np.array([[complex_from_pair(cell) for cell in row] for row in rows])
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"matrix must be square, got shape {mat.shape}")
-    return mat
+    square = isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(rows) for r in rows)
+    if not (square and rows):
+        raise ConfigError("matrix must be a non-empty square list of rows")
+    return np.array([[complex_from_pair(cell) for cell in row] for row in rows])
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(cell.real), float(cell.imag)] for cell in row] for row in mat]
 
 
-def vector_from_json(pairs, dim: int) -> QuditRegisterState:
-    amps = np.array([complex_from_pair(p) for p in pairs])
-    if amps.size != dim:
-        raise ConfigError(f"state vector has length {amps.size}, expected {dim}")
-    norm = np.linalg.norm(amps)
-    if norm <= 1e-12:
-        raise ConfigError("state vector is numerically zero")
-    return QuditRegisterState(dim, 1, amps / norm)
+def _matrix(what: str, rows) -> np.ndarray:
+    """A square matrix with finite, nonzero Tr(A†A): anything else has no program."""
+    mat = matrix_from_json(rows)
+    with np.errstate(over="ignore", under="ignore"):
+        gram = float(np.sum(np.abs(mat) ** 2))
+    if not np.finfo(float).tiny <= gram < np.inf:
+        raise ConfigError(f"{what}: Tr(A†A) is {gram!r}; it must be finite and nonzero")
+    return mat
+
+
+def _state(what: str, value):
+    """"random" (drawn per trial) or [re, im] amplitudes, normalized here."""
+    if value == "random":
+        return value
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be \"random\" or a list of [re, im] pairs")
+    amps = np.array([complex_from_pair(p) for p in value])
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not 1e-12 < norm < np.inf:
+        raise ConfigError(f"{what} has norm {norm!r}; it must be finite and nonzero")
+    return amps / norm
+
+
+# --- operator catalog -----------------------------------------------------------
+
+
+def _draw(rng: np.random.Generator | None) -> np.random.Generator:
+    if rng is None:
+        raise ConfigError("this operator draws random numbers; give explicit parameters")
+    return rng
+
+
+def _phi(params: dict, dim: int, rng) -> QuditRegisterState:
+    if isinstance(params["phi"], str):  # "random"
+        return random_state(dim, 1, _draw(rng))
+    return QuditRegisterState(dim, 1, params["phi"])
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One named operator: typed parameters, dimension rule, builder.
+
+    `params` maps required parameters to kinds, `optional` maps the rest to
+    (kind, default); `dim` is the one dim the typed parameters allow (None: any).
+    `build(typed params, dim, rng)` asks for the rng only when it draws.
+    """
+
+    build: Callable[[dict, int, np.random.Generator | None], DenseOperator]
+    params: dict = field(default_factory=dict)
+    optional: dict = field(default_factory=dict)
+    dim: Callable[[dict], int] | None = None
+    even_dim: bool = False
+
+
+CATALOG = {
+    "identity": CatalogEntry(lambda p, dim, rng: DenseOperator(dim, np.eye(dim), label="identity")),
+    "u_mn": CatalogEntry(
+        lambda p, dim, rng: u_mn(dim, (p["m"], p["n"])), params={"m": _int, "n": _int}
+    ),
+    "reflection": CatalogEntry(
+        lambda p, dim, rng: reflection_operator(_phi(p, dim, rng)),
+        optional={"phi": (_state, "random")},
+    ),
+    "exchange": CatalogEntry(
+        lambda p, dim, rng: exchange_operator(_phi(p, dim, rng)),
+        optional={"phi": (_state, "random")},
+        dim=lambda p: 2,
+    ),
+    "example1": CatalogEntry(
+        lambda p, dim, rng: example1_operator(p["phi"]), params={"phi": _real}, dim=lambda p: 4
+    ),
+    "family": CatalogEntry(
+        lambda p, dim, rng: family_operator(p["l"], p["phi"]),
+        # l is bounded before the dim rule computes 2 ** l.
+        params={"l": lambda what, l: _int(what, l, 1, MAX_DIM.bit_length() - 1), "phi": _real},
+        dim=lambda p: 2 ** p["l"],
+    ),
+    "example2": CatalogEntry(
+        lambda p, dim, rng: example2_operator(p["theta"], dim),
+        params={"theta": _real},
+        even_dim=True,
+    ),
+    "random_unitary": CatalogEntry(lambda p, dim, rng: random_unitary(dim, _draw(rng))),
+    "random_operator": CatalogEntry(lambda p, dim, rng: random_operator(dim, _draw(rng))),
+    "inline": CatalogEntry(
+        lambda p, dim, rng: DenseOperator(dim, p["matrix"], label=p["label"]),
+        params={"matrix": _matrix},
+        optional={"label": (_str, "inline")},
+        dim=lambda p: len(p["matrix"]),
+    ),
+}
+
+
+def check_operator(name, params: dict, dim: int | None = None) -> tuple[dict, int]:
+    """Type an operator spec against its catalog entry; returns (typed params, dim).
+
+    A "dim" parameter must agree with `dim`; with neither given, the entry's
+    dimension rule supplies it.
+    """
+    entry = CATALOG.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ConfigError(f"unknown operator name: {name!r}")
+    unknown = sorted(params.keys() - entry.params.keys() - entry.optional.keys() - {"dim"})
+    if unknown:
+        raise ConfigError(f"operator {name!r} takes no parameter {unknown[0]!r}")
+    typed = {}
+    for key, kind in entry.params.items():
+        if key not in params:
+            raise ConfigError(f"operator {name!r} needs parameter {key!r}")
+        typed[key] = kind(f"{name} parameter {key!r}", params[key])
+    for key, (kind, default) in entry.optional.items():
+        typed[key] = kind(f"{name} parameter {key!r}", params[key]) if key in params else default
+    own = _int(f"{name} parameter 'dim'", params["dim"]) if "dim" in params else None
+    for implied in (own, entry.dim(typed) if entry.dim else None):
+        if dim is None:
+            dim = implied
+        elif implied is not None and implied != dim:
+            raise ConfigError(f"operator {name!r} needs dim {implied}, got {dim}")
+    if dim is None:
+        raise ConfigError(f"operator {name!r} needs an explicit dim")
+    dim = check_dim(dim)
+    if entry.even_dim and dim % 2:
+        raise ConfigError(f"operator {name!r} needs an even dim, got {dim}")
+    for key, value in typed.items():
+        if isinstance(value, np.ndarray) and len(value) != dim:
+            raise ConfigError(f"{name} parameter {key!r} has size {len(value)}, dim is {dim}")
+    return typed, dim
+
+
+def build_operator(name: str, params: dict, dim: int, rng: np.random.Generator | None) -> DenseOperator:
+    """Build a checked catalog entry from its typed parameters (one per trial).
+
+    Entries that draw need an rng; `describe` passes None and so rejects them.
+    """
+    return CATALOG[name].build(params, dim, rng)
 
 
 @dataclass(frozen=True)
@@ -90,7 +237,7 @@ class Scenario:
     dim: int
     processor: str
     operator_name: str
-    operator_params: dict
+    operator_params: dict  # typed, from check_operator
     data_state: object  # "random" or QuditRegisterState
     measurement: str
     trials: int
@@ -116,91 +263,45 @@ class ReportRow:
     wall_time_ms: float
 
 
-def build_operator(name: str, params: dict, dim: int, rng: np.random.Generator | None) -> DenseOperator:
-    """Resolve a catalog entry (or inline matrix) to a concrete operator.
-
-    Entries whose parameters call for randomness need an rng; `describe` passes
-    None and rejects those.
-    """
-
-    def need_rng() -> np.random.Generator:
-        if rng is None:
-            raise ConfigError(f"operator '{name}' needs randomness; give explicit parameters")
-        return rng
-
-    if name == "identity":
-        return DenseOperator(dim, np.eye(dim), label="identity")
-    if name == "u_mn":
-        return u_mn(dim, (int(params["m"]), int(params["n"])))
-    if name == "reflection":
-        phi_spec = params.get("phi", "random")
-        phi = (
-            random_state(dim, 1, need_rng())
-            if phi_spec == "random"
-            else vector_from_json(phi_spec, dim)
-        )
-        return reflection_operator(phi)
-    if name == "exchange":
-        phi_spec = params.get("phi", "random")
-        phi = (
-            random_state(2, 1, need_rng())
-            if phi_spec == "random"
-            else vector_from_json(phi_spec, 2)
-        )
-        return exchange_operator(phi)
-    if name == "example1":
-        return example1_operator(float(params["phi"]))
-    if name == "family":
-        return family_operator(int(params["l"]), float(params["phi"]))
-    if name == "example2":
-        return example2_operator(float(params["theta"]), dim)
-    if name == "random_unitary":
-        return random_unitary(dim, need_rng())
-    if name == "random_operator":
-        return random_operator(dim, need_rng())
-    if name == "inline":
-        mat = matrix_from_json(params["matrix"])
-        if mat.shape[0] != dim:
-            raise ConfigError(f"inline matrix side {mat.shape[0]} does not match dim {dim}")
-        return DenseOperator(dim, mat, label=str(params.get("label", "inline")))
-    raise ConfigError(f"unknown operator name: {name!r}")
-
-
-def _validate_operator_spec(sid: str, name: str, params: dict, dim: int) -> None:
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"scenario {sid!r}: unknown operator name {name!r}")
-    if "dim" in params and int(params["dim"]) != dim:
-        raise ConfigError(
-            f"scenario {sid!r}: operator dim {params['dim']} does not match scenario dim {dim}"
-        )
-    if name == "example1" and dim != 4:
-        raise ConfigError(f"scenario {sid!r}: example1 needs dim 4, got {dim}")
-    if name == "family":
-        try:
-            l = int(params["l"])
-        except KeyError:
-            raise ConfigError(f"scenario {sid!r}: family needs parameter 'l'") from None
-        if dim != 2**l:
-            raise ConfigError(f"scenario {sid!r}: family with l={l} needs dim {2**l}, got {dim}")
-        if "phi" not in params:
-            raise ConfigError(f"scenario {sid!r}: family needs parameter 'phi'")
-    if name == "example1" and "phi" not in params:
-        raise ConfigError(f"scenario {sid!r}: example1 needs parameter 'phi'")
-    if name == "example2":
-        if dim % 2 != 0:
-            raise ConfigError(f"scenario {sid!r}: example2 needs an even dim, got {dim}")
-        if "theta" not in params:
-            raise ConfigError(f"scenario {sid!r}: example2 needs parameter 'theta'")
-    if name == "exchange" and dim != 2:
-        raise ConfigError(f"scenario {sid!r}: exchange is a qubit operator, dim must be 2")
-    if name == "u_mn" and not {"m", "n"} <= params.keys():
-        raise ConfigError(f"scenario {sid!r}: u_mn needs parameters 'm' and 'n'")
-    if name == "inline":
-        mat = matrix_from_json(params.get("matrix"))
-        if mat.shape[0] != dim:
-            raise ConfigError(
-                f"scenario {sid!r}: inline matrix side {mat.shape[0]} does not match dim {dim}"
-            )
+def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenario:
+    dim = check_dim(raw.get("dim"))
+    processor = raw.get("processor", "qudit-shift")
+    if processor not in PROCESSOR_NAMES:
+        raise ConfigError(f"unknown processor {processor!r}")
+    if processor == "qubit-cnot" and dim != 2:
+        raise ConfigError(f"qubit-cnot processor needs dim 2, got {dim}")
+    op_spec = raw.get("operator")
+    if not isinstance(op_spec, dict):
+        raise ConfigError("'operator' must be an object")
+    name = op_spec.get("name", "inline")
+    params, _ = check_operator(name, {k: v for k, v in op_spec.items() if k != "name"}, dim)
+    data_state = _state("data_state", raw.get("data_state", "random"))
+    if not isinstance(data_state, str):
+        if data_state.size != dim:
+            raise ConfigError(f"data_state has length {data_state.size}, expected {dim}")
+        data_state = QuditRegisterState(dim, 1, data_state)
+    measurement = raw.get("measurement", "full")
+    if measurement not in MEASUREMENT_KINDS:
+        raise ConfigError(f"unknown measurement {measurement!r}")
+    trials = _int("trials", raw.get("trials", 1) if trials_override is None else trials_override, 1)
+    expected = raw.get("expected_probability")
+    seed = raw.get("seed")
+    tolerance = _real("tolerance", raw.get("tolerance", DEFAULT_TOLERANCE))
+    if tolerance < 0:
+        raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
+    return Scenario(
+        id=sid,
+        dim=dim,
+        processor=processor,
+        operator_name=name,
+        operator_params=params,
+        data_state=data_state,
+        measurement=measurement,
+        trials=trials,
+        expected_probability=None if expected is None else _real("expected_probability", expected),
+        tolerance=tolerance,
+        seed=None if seed is None else _int("seed", seed, 0),
+    )
 
 
 def parse_config(doc, seed_override: int | None = None, trials_override: int | None = None):
@@ -211,11 +312,10 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema: {doc.get('schema')!r} (expected {SCHEMA_VERSION})")
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema: {schema!r} (expected {SCHEMA_VERSION})")
+    seed = _int("seed", doc.get("seed", 0) if seed_override is None else seed_override, 0)
     raw_scenarios = doc.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
         raise ConfigError("'scenarios' must be a list")
@@ -224,56 +324,14 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     for i, raw in enumerate(raw_scenarios):
         if not isinstance(raw, dict):
             raise ConfigError(f"scenario #{i} must be an object")
-        sid = str(raw.get("id", f"scenario-{i}"))
+        sid = _str(f"scenario #{i} id", raw.get("id", f"scenario-{i}"))
         if sid in seen_ids:
             raise ConfigError(f"duplicate scenario id {sid!r}")
         seen_ids.add(sid)
         try:
-            dim = int(raw["dim"])
-        except KeyError:
-            raise ConfigError(f"scenario {sid!r}: missing 'dim'") from None
-        if dim < 2:
-            raise ConfigError(f"scenario {sid!r}: dim must be >= 2")
-        processor = raw.get("processor", "qudit-shift")
-        if processor not in PROCESSOR_NAMES:
-            raise ConfigError(f"scenario {sid!r}: unknown processor {processor!r}")
-        if processor == "qubit-cnot" and dim != 2:
-            raise ConfigError(f"scenario {sid!r}: qubit-cnot processor needs dim 2, got {dim}")
-        op_spec = raw.get("operator")
-        if not isinstance(op_spec, dict):
-            raise ConfigError(f"scenario {sid!r}: 'operator' must be an object")
-        name = str(op_spec.get("name", "inline"))
-        params = {k: v for k, v in op_spec.items() if k != "name"}
-        _validate_operator_spec(sid, name, params, dim)
-        params.pop("dim", None)
-        data_spec = raw.get("data_state", "random")
-        data_state = "random" if data_spec == "random" else vector_from_json(data_spec, dim)
-        measurement = raw.get("measurement", "full")
-        if measurement not in MEASUREMENT_KINDS:
-            raise ConfigError(f"scenario {sid!r}: unknown measurement {measurement!r}")
-        trials = trials_override if trials_override is not None else int(raw.get("trials", 1))
-        if trials < 1:
-            raise ConfigError(f"scenario {sid!r}: trials must be >= 1")
-        expected = raw.get("expected_probability")
-        expected = None if expected is None else float(expected)
-        tolerance = float(raw.get("tolerance", DEFAULT_TOLERANCE))
-        scn_seed = raw.get("seed")
-        scn_seed = None if scn_seed is None else int(scn_seed)
-        scenarios.append(
-            Scenario(
-                id=sid,
-                dim=dim,
-                processor=processor,
-                operator_name=name,
-                operator_params=params,
-                data_state=data_state,
-                measurement=measurement,
-                trials=trials,
-                expected_probability=expected,
-                tolerance=tolerance,
-                seed=scn_seed,
-            )
-        )
+            scenarios.append(_parse_scenario(raw, sid, trials_override))
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {sid!r}: {exc}") from None
     return seed, scenarios
 
 
@@ -281,11 +339,14 @@ def load_config_file(path) -> dict:
     """Read and parse a JSON config; every failure maps to ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
+    return doc
 
 
 def load_bundled_config(name: str) -> dict:
@@ -422,11 +483,13 @@ def report_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def describe_operator(name: str, dim: int, params: dict) -> dict:
-    """Matrix, coefficient table, support size, and probability predictions."""
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown operator name: {name!r}")
-    op = build_operator(name, params, dim, rng=None)
+def describe_operator(name: str, dim: int | None, params: dict) -> dict:
+    """Matrix, coefficient table, support size, and probability predictions.
+
+    Checked exactly as `run` checks a scenario; dim None takes the entry's rule.
+    """
+    typed, dim = check_operator(name, params, dim)
+    op = build_operator(name, typed, dim, rng=None)
     expansion = hs_expand(op)
     support = expansion.support()
     unitary = op.is_unitary(1e-10)

@@ -191,16 +191,6 @@ def _general_diagonal_span_apply(
     return UnnormalizedVector(data.dim, data.arity + program.arity, out).normalized()
 
 
-def general_diagonal_apply(operators, basis, data, program) -> QuditRegisterState:
-    """Apply sum_n <y_n|program> (V_n data) ⊗ |y_n> for explicit operator lists.
-
-    With the phase-and-shift operators paired to their Bell states this
-    reproduces the shift network exactly.
-    """
-    spec = GeneralDiagonal(tuple(operators), tuple(basis))
-    return apply_processor(spec, data, program)
-
-
 def tensor_array_apply(l: int, data: QuditRegisterState, programs) -> QuditRegisterState:
     """Run one single-qubit processor per data qubit.
 

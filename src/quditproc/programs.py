@@ -5,7 +5,7 @@ A = sum_mn q_mn u(m,n) with q_mn = Tr[u(m,n)† A] / N. The normalized vector of
 those coefficients over the Bell basis is the program state that makes the
 processor apply A (up to normalization) after a successful program-register
 measurement. This module provides the expansion, the program and measurement
-vectors, and the catalog of named operators used by the CLI and the tests.
+vectors, and the named operators that `harness.CATALOG` builds.
 """
 
 from __future__ import annotations
@@ -238,17 +238,13 @@ def example2_operator(theta: float, dim: int) -> DenseOperator:
 # --- named program constructors ---------------------------------------------
 
 
-def reflection_program(phi: QuditRegisterState) -> ProgramVector:
-    """Program for 1 - 2|phi><phi| via the general expansion path."""
-    return synthesize_program(reflection_operator(phi))
-
-
 def reflection_program_factored(phi: QuditRegisterState) -> QuditRegisterState:
     """Reflection program built by circuit instead of by expansion.
 
     Starts from |Xi_00> - (2/sqrt N)|phi*>|phi>, shifts the second qudit down
     twice under control of the first, then negates the first. Equivalent to
-    reflection_program(phi).state; the input state is simpler to prepare.
+    synthesize_program(reflection_operator(phi)).state; the input state is
+    simpler to prepare.
     """
     if phi.arity != 1:
         raise ValueError("reflection is defined for a single-qudit state")
@@ -288,18 +284,3 @@ def prepare_exchange_program(phi: QuditRegisterState) -> QuditRegisterState:
     ) / np.sqrt(2)
     staged = QuditRegisterState(2, 2, raw)
     return apply_to_register(u_init(), staged).normalized()
-
-
-def example1_program(phi_angle: float) -> ProgramVector:
-    """Program for the two-qubit family member (dimension 4, generic support 3)."""
-    return synthesize_program(example1_operator(phi_angle))
-
-
-def family_program(l: int, phi_angle: float) -> ProgramVector:
-    """Program for the l-qubit leading-z rotation (dimension 2^l)."""
-    return synthesize_program(family_operator(l, phi_angle))
-
-
-def example2_program(theta: float, dim: int) -> ProgramVector:
-    """Two-term program cos(theta)|Xi_00> + i sin(theta)|Xi_{0,N/2}>."""
-    return synthesize_program(example2_operator(theta, dim))

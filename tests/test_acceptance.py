@@ -34,9 +34,9 @@ from quditproc import (
     random_state,
     random_unitary,
     reflection_operator,
-    reflection_program,
     reflection_program_factored,
     run_experiment,
+    synthesize_program,
     tensor_array_apply,
     u_mn,
     TRACELESS_QUBIT_LABELS,
@@ -254,7 +254,7 @@ def test_c11_factored_reflection_program():
         for _ in range(20):
             phi = random_state(dim, 1, rng)
             a = reflection_program_factored(phi).amplitudes
-            b = reflection_program(phi).state.amplitudes
+            b = synthesize_program(reflection_operator(phi)).state.amplitudes
             worst = max(worst, float(np.max(np.abs(a - b))))
     _report(
         11,

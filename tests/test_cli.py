@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,9 +6,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditproc.cli import main
 from quditproc.harness import (
+    CATALOG,
+    MAX_DIM,
+    ConfigError,
     load_bundled_config,
     matrix_from_json,
     matrix_to_json,
@@ -312,3 +319,205 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["all_passed"] is True
+
+
+# --- config faults: exit 2, a "config error:" line, no report ------------------
+
+FLIP = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+ZERO = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+HUGE = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
+
+
+def one_scenario(root=None, **fields):
+    scenario = {"id": "s", "dim": 2, "operator": {"name": "identity"}, "trials": 1}
+    scenario.update(fields)
+    return {"schema": 1, "seed": 1, "scenarios": [scenario], **(root or {})}
+
+
+RUN_FAULTS = [
+    pytest.param(one_scenario(dim="two"), id="dim-string"),
+    pytest.param(one_scenario(trials="many"), id="trials-string"),
+    pytest.param(one_scenario(operator={"name": "u_mn", "m": "x", "n": 0}), id="m-string"),
+    pytest.param(one_scenario(dim=2.7), id="dim-float"),
+    pytest.param(one_scenario(trials=2.5), id="trials-float"),
+    pytest.param(one_scenario(root={"seed": -0.5}), id="seed-negative-float"),
+    pytest.param(one_scenario(seed=-3), id="scenario-seed-negative"),
+    pytest.param(one_scenario(dim=True), id="dim-bool"),
+    pytest.param(one_scenario(trials=True), id="trials-bool"),
+    pytest.param(one_scenario(root={"seed": True}), id="seed-bool"),
+    pytest.param(one_scenario(seed=1.0), id="scenario-seed-float"),
+    pytest.param(one_scenario(tolerance=float("nan")), id="tolerance-nan"),
+    pytest.param(one_scenario(tolerance=-1), id="tolerance-negative"),
+    pytest.param(one_scenario(expected_probability="half"), id="expected-string"),
+    pytest.param(one_scenario(dim=4, operator={"name": "example1", "phi": "nan"}), id="phi-nan-string"),
+    pytest.param(one_scenario(dim=4, operator={"name": "example1", "phi": float("inf")}), id="phi-inf"),
+    pytest.param(one_scenario(operator={"matrix": ZERO}), id="inline-zero"),
+    pytest.param(one_scenario(operator={"matrix": HUGE}), id="inline-overflow"),
+    pytest.param(one_scenario(operator={"name": "family", "l": -1, "phi": 0.1}), id="family-l-negative"),
+    pytest.param(one_scenario(dim=1000), id="dim-above-max"),
+    pytest.param(one_scenario(operator={"name": "family", "l": 100, "phi": 0.1}), id="family-l-above-max"),
+]
+
+
+@pytest.mark.parametrize("doc", RUN_FAULTS)
+def test_run_config_fault_exits_2(doc, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+DESCRIBE_FAULTS = [
+    pytest.param(["example1", "--dim", "3", "--param", "phi=0.1"], id="example1-dim-3"),
+    pytest.param(["family", "--dim", "2", "--param", "l=3", "--param", "phi=0.1"], id="family-dim-mismatch"),
+    pytest.param(["example1", "--param", "phi=nan"], id="phi-nan-string"),
+    pytest.param(["example1", "--param", "phi=NaN"], id="phi-nan"),
+    pytest.param(["inline", "--matrix", json.dumps(ZERO)], id="inline-zero"),
+    pytest.param(["inline", "--matrix", json.dumps(HUGE)], id="inline-overflow"),
+    pytest.param(["family", "--param", "l=-1", "--param", "phi=0.1"], id="family-l-negative"),
+    pytest.param(["identity", "--dim", "1000"], id="dim-above-max"),
+    pytest.param(["family", "--param", "l=100", "--param", "phi=0.1"], id="family-l-above-max"),
+    pytest.param(["identity"], id="no-dim"),
+]
+
+
+@pytest.mark.parametrize("argv", DESCRIBE_FAULTS)
+def test_describe_fault_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "description.json"
+    assert run_cli(["describe", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_max_dim_bounds_the_bell_matrix():
+    assert 16 * MAX_DIM**4 <= 2**30 < 16 * (MAX_DIM + 1) ** 4
+    doc = {"schema": 1, "scenarios": [{"dim": 64, "operator": {"name": "random_unitary"}}]}
+    assert parse_config(doc)[1][0].dim == 64
+
+
+def test_describe_implies_dim_from_the_catalog(capsys):
+    assert run_cli(["describe", "family", "--param", "l=3", "--param", "phi=0.4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim"] == 8
+    assert len(doc["coefficients"]) == 64
+    assert abs(doc["predicted_probability_full"] - 1 / 64) < 1e-15
+
+
+# One spec per catalog entry that `run` must reject; `describe` must too.
+REJECTED_SPECS = {
+    "identity": [(1, {}), (MAX_DIM + 1, {}), (2, {"theta": 0.1})],
+    "u_mn": [(3, {"m": 1}), (3, {"m": "x", "n": 0}), (3, {"m": 1.5, "n": 0})],
+    "reflection": [
+        (2, {"phi": [[1, 0], [0, 0], [0, 0]]}),
+        (2, {"phi": [[0, 0], [0, 0]]}),
+        (2, {"phi": "nan"}),
+    ],
+    "exchange": [(3, {}), (2, {"phi": [[1, 0]]})],
+    "example1": [(3, {"phi": 0.1}), (4, {}), (4, {"phi": "nan"})],
+    "family": [(2, {"l": 3, "phi": 0.1}), (2, {"l": -1, "phi": 0.1}), (128, {"l": 7, "phi": 0.1})],
+    "example2": [(5, {"theta": 0.3}), (4, {"theta": "x"}), (4, {})],
+    "random_unitary": [(1, {}), (1000, {})],
+    "random_operator": [(MAX_DIM + 1, {}), (2, {"seed": 1})],
+    "inline": [
+        (3, {"matrix": FLIP}),
+        (2, {"matrix": ZERO}),
+        (2, {"matrix": HUGE}),
+        (2, {"matrix": [[[1, 0]]]}),
+    ],
+}
+
+
+def test_rejected_specs_cover_the_catalog():
+    assert REJECTED_SPECS.keys() == CATALOG.keys()
+
+
+@pytest.mark.parametrize(
+    "name,dim,params",
+    [
+        pytest.param(name, dim, params, id=f"{name}-{i}")
+        for name, specs in REJECTED_SPECS.items()
+        for i, (dim, params) in enumerate(specs)
+    ],
+)
+def test_describe_rejects_what_run_rejects(name, dim, params, tmp_path, capsys):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(one_scenario(dim=dim, operator={"name": name, **params})))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 2
+    argv = ["describe", name, "--dim", str(dim)]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={json.dumps(value)}"]
+    assert run_cli(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+# --- property: parse_config returns or raises ConfigError, nothing else ---------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+DELETE = object()
+VALID_SCENARIOS = load_bundled_config("paper-claims")["scenarios"] + [
+    {"id": "flip", "dim": 2, "operator": {"matrix": FLIP, "label": "flip"}, "data_state": [[1, 0], [0, 0]]},
+    {"id": "axis", "dim": 2, "operator": {"name": "reflection", "phi": [[0.6, 0], [0.8, 0]]}, "seed": 4},
+    {"id": "basis", "dim": 3, "operator": {"name": "u_mn", "m": 1, "n": 2, "dim": 3}},
+]
+SCENARIO_KEYS = sorted({key for scn in VALID_SCENARIOS for key in scn} | {"seed"})
+OPERATOR_KEYS = sorted(
+    {key for scn in VALID_SCENARIOS for key in scn["operator"]} | {"name", "dim", "m", "n", "theta"}
+)
+
+
+def parses_or_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
+@st.composite
+def mutated_configs(draw):
+    scenario = copy.deepcopy(draw(st.sampled_from(VALID_SCENARIOS)))
+    doc = {"schema": 1, "seed": 3, "scenarios": [scenario]}
+    targets = [
+        (doc, ["schema", "seed", "scenarios"]),
+        (scenario, SCENARIO_KEYS),
+        (scenario["operator"], OPERATOR_KEYS),
+    ]
+    target, keys = draw(st.sampled_from(targets))
+    key = draw(st.sampled_from(keys))
+    value = draw(st.just(DELETE) | JSON_VALUES)
+    if value is DELETE:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(mutated_configs())
+def test_parse_config_mutations_raise_only_config_error(doc):
+    parses_or_config_error(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    JSON_VALUES
+    | st.dictionaries(st.sampled_from(["schema", "seed", "scenarios"]), JSON_VALUES)
+    | st.fixed_dictionaries(
+        {
+            "schema": st.just(1),
+            "scenarios": st.lists(st.dictionaries(st.sampled_from(SCENARIO_KEYS), JSON_VALUES)),
+        }
+    )
+)
+def test_parse_config_arbitrary_documents_raise_only_config_error(doc):
+    parses_or_config_error(doc)

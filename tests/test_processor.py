@@ -11,7 +11,6 @@ from quditproc import (
     apply_processor,
     basis_state,
     bell_state,
-    general_diagonal_apply,
     inner_product,
     partial_inner_product,
     pauli_s,
@@ -173,7 +172,9 @@ def test_tensor_array_rejects_wrong_program_count(rng):
 def test_general_diagonal_single_term(rng):
     dim = 3
     y = bell_state(dim, (0, 0))
-    out = general_diagonal_apply([DenseOperator(dim, np.eye(dim))], [y], random_state(dim, 1, rng), y)
+    out = apply_processor(
+        GeneralDiagonal((DenseOperator(dim, np.eye(dim)),), (y,)), random_state(dim, 1, rng), y
+    )
     # program was the basis vector itself: output is data tensor y
     data = partial_inner_product(y, out, (2, 3))
     assert abs(np.linalg.norm(data.amplitudes) - 1) < 1e-12
@@ -197,7 +198,7 @@ def test_general_diagonal_exact_basis_program(rng):
     ops = tuple(u_mn(dim, (m, n)) for m in range(dim) for n in range(dim))
     ys = tuple(bell_state(dim, (m, n)) for m in range(dim) for n in range(dim))
     data = random_state(dim, 1, rng)
-    out = general_diagonal_apply(ops, ys, data, ys[2])
+    out = apply_processor(GeneralDiagonal(ops, ys), data, ys[2])
     expected = np.kron(ops[2].entries @ data.amplitudes, ys[2].amplitudes)
     assert max_abs_diff(out.amplitudes, expected) < 1e-12
 
@@ -207,7 +208,7 @@ def test_general_diagonal_rejects_program_outside_span(rng):
     ops = (u_mn(dim, (0, 0)),)
     ys = (bell_state(dim, (0, 0)),)
     with pytest.raises(ValueError):
-        general_diagonal_apply(ops, ys, random_state(dim, 1, rng), bell_state(dim, (0, 1)))
+        apply_processor(GeneralDiagonal(ops, ys), random_state(dim, 1, rng), bell_state(dim, (0, 1)))
 
 
 def test_general_diagonal_rejects_non_orthonormal_basis():

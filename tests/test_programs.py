@@ -7,12 +7,9 @@ from quditproc import (
     basis_state,
     bell_state,
     example1_operator,
-    example1_program,
     example2_operator,
-    example2_program,
     exchange_operator,
     family_operator,
-    family_program,
     hs_expand,
     inner_product,
     measurement_for_labels,
@@ -24,7 +21,6 @@ from quditproc import (
     random_operator,
     random_state,
     reflection_operator,
-    reflection_program,
     reflection_program_factored,
     synthesize_program,
     u_mn,
@@ -100,7 +96,7 @@ def test_program_for_basis_operator_is_its_bell_state():
 def test_reflection_program_coefficient_vector(rng):
     phi = random_state(2, 1, rng)
     mu, nu = phi.amplitudes
-    prog = reflection_program(phi)
+    prog = synthesize_program(reflection_operator(phi))
     expected = (
         -(mu * np.conj(nu) + np.conj(mu) * nu) * bell_state(2, (0, 1)).amplitudes
         + (mu * np.conj(nu) - np.conj(mu) * nu) * bell_state(2, (1, 1)).amplitudes
@@ -111,7 +107,7 @@ def test_reflection_program_coefficient_vector(rng):
 
 def test_two_term_rotation_program():
     theta = 0.7
-    prog = example2_program(theta, 6)
+    prog = synthesize_program(example2_operator(theta, 6))
     expected = np.cos(theta) * bell_state(6, (0, 0)).amplitudes + 1j * np.sin(theta) * bell_state(
         6, (0, 3)
     ).amplitudes
@@ -185,7 +181,7 @@ def test_family_l2_equals_example1():
 
 
 def test_example1_program_at_zero_angle_is_shared_bell_state():
-    prog = example1_program(0.0)
+    prog = synthesize_program(example1_operator(0.0))
     assert max_abs_diff(prog.state.amplitudes, bell_state(4, (0, 0)).amplitudes) < 1e-12
     assert prog.support == ((0, 0),)
 
@@ -197,12 +193,13 @@ def test_example1_diagonal_form():
 
 
 def test_example1_generic_support_is_three():
-    assert len(example1_program(0.7).support) == 3
+    assert len(synthesize_program(example1_operator(0.7)).support) == 3
 
 
 def test_example2_program_limits():
-    assert max_abs_diff(example2_program(0.0, 4).state.amplitudes, bell_state(4, (0, 0)).amplitudes) < 1e-12
-    quarter = example2_program(np.pi / 2, 4)
+    zero = synthesize_program(example2_operator(0.0, 4))
+    assert max_abs_diff(zero.state.amplitudes, bell_state(4, (0, 0)).amplitudes) < 1e-12
+    quarter = synthesize_program(example2_operator(np.pi / 2, 4))
     assert max_abs_diff(quarter.state.amplitudes, 1j * bell_state(4, (0, 2)).amplitudes) < 1e-12
 
 
@@ -220,7 +217,7 @@ def test_example2_rejects_odd_dimension():
 def test_reflection_program_for_axis_state():
     # phi = |0>: operator diag(-1, 1), single support label with weight -1
     phi = basis_state(2, 1, [0])
-    prog = reflection_program(phi)
+    prog = synthesize_program(reflection_operator(phi))
     assert prog.support == ((1, 0),)
     assert max_abs_diff(prog.state.amplitudes, -bell_state(2, (1, 0)).amplitudes) < 1e-12
     q = hs_expand(reflection_operator(phi)).coeffs
@@ -240,7 +237,7 @@ def test_factored_reflection_program_matches_synthesis(dim, rng):
     for _ in range(5):
         phi = random_state(dim, 1, rng)
         a = reflection_program_factored(phi).amplitudes
-        b = reflection_program(phi).state.amplitudes
+        b = synthesize_program(reflection_operator(phi)).state.amplitudes
         assert max_abs_diff(a, b) < 1e-10
 
 
@@ -248,7 +245,7 @@ def test_prepared_reflection_program_matches_synthesis(rng):
     for _ in range(10):
         phi = random_state(2, 1, rng)
         a = prepare_reflection_program(phi).amplitudes
-        b = reflection_program(phi).state.amplitudes
+        b = synthesize_program(reflection_operator(phi)).state.amplitudes
         assert max_abs_diff(a, b) < 1e-12
 
 
@@ -268,10 +265,10 @@ def test_orthogonal_qubit_state_is_orthogonal(rng):
 def test_named_programs_match_generic_synthesis(rng):
     phi = random_state(3, 1, rng)
     pairs = [
-        (reflection_program(phi), reflection_operator(phi)),
-        (example1_program(0.7), example1_operator(0.7)),
-        (family_program(3, 0.43), family_operator(3, 0.43)),
-        (example2_program(0.3, 6), example2_operator(0.3, 6)),
+        (synthesize_program(reflection_operator(phi)), reflection_operator(phi)),
+        (synthesize_program(example1_operator(0.7)), example1_operator(0.7)),
+        (synthesize_program(family_operator(3, 0.43)), family_operator(3, 0.43)),
+        (synthesize_program(example2_operator(0.3, 6)), example2_operator(0.3, 6)),
     ]
     for prog, op in pairs:
         direct = synthesize_program(op)
