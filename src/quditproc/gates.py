@@ -4,6 +4,7 @@ auxiliary gates used to prepare program states."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -138,10 +139,30 @@ def conjugate_vector(v: QuditRegisterState) -> QuditRegisterState:
     return QuditRegisterState(v.dim, 1, v.amplitudes.conj())
 
 
-def bell_basis_matrix(dim: int) -> np.ndarray:
-    """Unitary whose column m*N + n holds the amplitudes of the (m, n) Bell state."""
-    cols = np.empty((dim * dim, dim * dim), dtype=complex)
-    for m in range(dim):
-        for n in range(dim):
-            cols[:, m * dim + n] = bell_state(dim, (m, n)).amplitudes
-    return cols
+@dataclass(frozen=True)
+class BellBasis:
+    """The Bell basis as a linear map from N^2 weights to two-qudit amplitudes.
+
+    `basis @ w` is sum_mn w[m*N + n] |Xi_mn>, the product with the unitary
+    whose column m*N + n is bell_state(N, (m, n)). Amplitude (k, (k - n) mod N)
+    of that sum is N^{-1/2} sum_m w_mn exp(2 pi i m k / N), which is
+    sqrt(N) ifft(w as N x N, axis=0)[k, n]: O(N^2 log N) time, O(N^2) memory,
+    with no N^2 x N^2 matrix.
+    """
+
+    dim: int
+
+    def __matmul__(self, weights) -> np.ndarray:
+        n = self.dim
+        w = np.asarray(weights, dtype=complex)
+        if w.shape != (n * n,):
+            raise ValueError(f"Bell weights must have shape ({n * n},), got {w.shape}")
+        cols = np.sqrt(n) * np.fft.ifft(w.reshape(n, n), axis=0)
+        k = np.arange(n)
+        # amps[k, j] holds column n = (k - j) mod N of row k.
+        return cols[k[:, None], (k[:, None] - k) % n].reshape(-1)
+
+
+def bell_basis_matrix(dim: int) -> BellBasis:
+    """The Bell basis map; `bell_basis_matrix(N) @ w` = sum_mn w[m*N + n] |Xi_mn>."""
+    return BellBasis(dim)

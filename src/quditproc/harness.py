@@ -35,10 +35,13 @@ DEFAULT_TOLERANCE = 1e-10
 PROCESSOR_NAMES = ("qudit-shift", "qubit-cnot")
 MEASUREMENT_KINDS = ("full", "support")
 
-# Largest qudit dimension a config or `describe` may ask for. Program
-# synthesis builds a dense N^2 x N^2 complex Bell matrix, 16 N^4 bytes
-# (268 MB at N = 64); N = 90 is the largest N that keeps it within 1 GiB.
-MAX_DIM = 90
+# Largest qudit dimension a config or `describe` may ask for. The largest
+# allocation is the network's N^3 complex joint state, 16 N^3 bytes, and a few
+# copies of it are alive at once; N = 256 is the largest N that keeps four
+# copies (64 N^3 bytes) within 1 GiB. One N = 256 Haar trial with the full
+# measurement took 3.4 s at a 1075 MB peak RSS (N = 128: 0.36 s, 169 MB) on a
+# 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+MAX_DIM = 256
 
 
 class ConfigError(ValueError):

@@ -96,7 +96,8 @@ def oracle_apply(op: DenseOperator, psi: QuditRegisterState) -> QuditRegisterSta
         )
     image = op.entries @ psi.amplitudes
     norm = float(np.linalg.norm(image))
-    if norm <= 1e-14:
+    # Relative to the operator's scale: ||A psi|| <= sqrt(Tr(A†A)) for a unit psi.
+    if norm <= 1e-14 * np.sqrt(op.gram_trace()):
         raise StateAnnihilatedError("operator annihilates this state")
     return QuditRegisterState(psi.dim, psi.arity, image / norm)
 

@@ -62,12 +62,8 @@ class HsExpansion:
         """Labels whose magnitude exceeds `threshold` relative to the largest."""
         mags = np.abs(self.coeffs)
         cut = threshold * float(mags.max())
-        return tuple(
-            BellLabel(m, n)
-            for m in range(self.dim)
-            for n in range(self.dim)
-            if mags[m, n] > cut
-        )
+        # argwhere walks row-major, so labels come in (m, n) order.
+        return tuple(map(BellLabel._make, np.argwhere(mags > cut).tolist()))
 
     def reconstruct(self) -> DenseOperator:
         """Rebuild sum_mn q_mn u(m,n); round-trip check for the expansion."""
@@ -81,21 +77,18 @@ class HsExpansion:
 def hs_expand(op: DenseOperator) -> HsExpansion:
     """Expansion coefficients q_mn = Tr[u(m,n)† A] / N.
 
-    Raises ValueError for the zero operator (or anything non-finite), which
-    has no program state.
+    Tr[u(m,n)† A] = sum_s exp(2 pi i s m / N) A[(s - n) mod N, s], so with
+    D[s, n] = A[(s - n) mod N, s] the table is q = ifft(D, axis=0): one FFT
+    per column, O(N^2 log N). Raises ValueError for the zero operator (or
+    anything non-finite), which has no program state.
     """
     n = op.dim
     if not np.all(np.isfinite(op.entries)):
         raise ValueError("operator entries must be finite")
     if np.max(np.abs(op.entries)) == 0.0:
         raise ValueError("cannot expand the zero operator")
-    coeffs = np.empty((n, n), dtype=complex)
     s = np.arange(n)
-    for m in range(n):
-        phases = np.exp(2j * np.pi * s * m / n)
-        for nn in range(n):
-            # Tr[u(m,nn)† A] = sum_s e^{+2 pi i s m / N} A[(s - nn) mod N, s]
-            coeffs[m, nn] = np.sum(phases * op.entries[(s - nn) % n, s]) / n
+    coeffs = np.fft.ifft(op.entries[(s[:, None] - s) % n, s[:, None]], axis=0)
     gram = float(np.sum(np.abs(coeffs) ** 2))
     return HsExpansion(n, coeffs, gram)
 

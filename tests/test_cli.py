@@ -396,9 +396,51 @@ def test_describe_fault_exits_2(argv, tmp_path, capsys):
 
 
 def test_max_dim_bounds_the_bell_matrix():
-    assert 16 * MAX_DIM**4 <= 2**30 < 16 * (MAX_DIM + 1) ** 4
+    # Four copies of the N^3 complex joint state fit in 1 GiB; the Bell basis
+    # is an FFT map, so nothing of size N^4 is allocated any more.
+    assert 64 * MAX_DIM**3 <= 2**30 < 64 * (MAX_DIM + 1) ** 3
     doc = {"schema": 1, "scenarios": [{"dim": 64, "operator": {"name": "random_unitary"}}]}
     assert parse_config(doc)[1][0].dim == 64
+
+
+def test_random_unitary_above_the_old_dim_bound_passes():
+    # N = 96 was above the bound the dense N^2 x N^2 Bell matrix set (90)
+    doc = one_scenario(
+        dim=96, operator={"name": "random_unitary"}, measurement="full", expected_probability=96**-2
+    )
+    _, (row,) = run_config(doc)
+    assert row.passed
+    assert abs(row.simulated_probability_mean - 96**-2) < 1e-12
+    assert row.min_oracle_fidelity > 1 - 1e-10
+
+
+def tiny_matrix(entries) -> list:
+    return [[[1e-100 * z.real, 1e-100 * z.imag] for z in row] for row in entries]
+
+
+def test_tiny_inline_identity_runs(tmp_path):
+    out = tmp_path / "report.json"
+    cfg = tmp_path / "tiny.json"
+    doc = one_scenario(dim=3, operator={"name": "inline", "matrix": tiny_matrix(np.eye(3))}, trials=3)
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["passed"] is True
+    assert row["min_oracle_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tiny_inline_haar_unitary_row_passes():
+    haar = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)) + 0j)[0]
+    doc = one_scenario(
+        dim=4,
+        operator={"name": "inline", "matrix": tiny_matrix(haar)},
+        measurement="full",
+        expected_probability=1 / 16,
+        trials=2,
+    )
+    _, (row,) = run_config(doc)
+    assert row.passed
+    assert row.min_oracle_fidelity > 1 - 1e-12
 
 
 def test_describe_implies_dim_from_the_catalog(capsys):
@@ -420,7 +462,7 @@ REJECTED_SPECS = {
     ],
     "exchange": [(3, {}), (2, {"phi": [[1, 0]]})],
     "example1": [(3, {"phi": 0.1}), (4, {}), (4, {"phi": "nan"})],
-    "family": [(2, {"l": 3, "phi": 0.1}), (2, {"l": -1, "phi": 0.1}), (128, {"l": 7, "phi": 0.1})],
+    "family": [(2, {"l": 3, "phi": 0.1}), (2, {"l": -1, "phi": 0.1}), (512, {"l": 9, "phi": 0.1})],
     "example2": [(5, {"theta": 0.3}), (4, {"theta": "x"}), (4, {})],
     "random_unitary": [(1, {}), (1000, {})],
     "random_operator": [(MAX_DIM + 1, {}), (2, {"seed": 1})],

@@ -95,9 +95,41 @@ def test_bell_state_qutrit_phase_winding():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_bell_basis_is_orthonormal(dim):
-    mat = bell_basis_matrix(dim)
+    basis = bell_basis_matrix(dim)
+    mat = np.column_stack([basis @ e for e in np.eye(dim * dim)])
     gram = mat.conj().T @ mat
     assert max_abs_diff(gram, np.eye(dim * dim)) < 1e-12
+
+
+def rel_diff(a, b) -> float:
+    return max_abs_diff(a, b) / float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+def test_bell_basis_map_matches_bell_state_sum(dim, rng):
+    # reference: the slow per-label construction, summed column by column
+    w = rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim)
+    expected = sum(
+        w[m * dim + n] * bell_state(dim, (m, n)).amplitudes
+        for m in range(dim)
+        for n in range(dim)
+    )
+    assert rel_diff(bell_basis_matrix(dim) @ w, expected) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_bell_basis_map_columns_are_bell_states(dim):
+    basis = bell_basis_matrix(dim)
+    for m, n in itertools.product(range(dim), repeat=2):
+        column = basis @ np.eye(dim * dim)[m * dim + n]
+        assert rel_diff(column, bell_state(dim, (m, n)).amplitudes) < 1e-12
+
+
+def test_bell_basis_map_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        bell_basis_matrix(3) @ np.ones(8)
+    with pytest.raises(ValueError):
+        bell_basis_matrix(3) @ np.ones((9, 2))
 
 
 def test_u_mn_identity_label():

@@ -93,6 +93,26 @@ def test_oracle_raises_on_annihilation():
         oracle_apply(proj, basis_state(2, 1, [1]))
 
 
+def test_oracle_cutoff_scales_with_the_operator(rng):
+    # a tiny but nonsingular operator still has an oracle state
+    dim = 4
+    u = random_unitary(dim, rng)
+    psi = random_state(dim, 1, rng)
+    tiny = DenseOperator(dim, 1e-100 * u.entries)
+    expected = oracle_apply(u, psi).amplitudes
+    assert max_abs_diff(oracle_apply(tiny, psi).amplitudes, expected) < 1e-12
+    outcome = run_experiment(QuditShiftNetwork(dim), tiny, psi, "full")
+    assert abs(outcome.probability - 1 / dim**2) < 1e-12
+    assert outcome.oracle_fidelity > 1 - 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_oracle_raises_on_null_vector_at_any_scale(scale):
+    proj = DenseOperator(3, scale * np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(StateAnnihilatedError):
+        oracle_apply(proj, basis_state(3, 1, [2]))
+
+
 def test_run_experiment_handles_annihilated_state():
     proj = DenseOperator(2, np.diag([1.0, 0.0]))
     outcome = run_experiment(QuditShiftNetwork(2), proj, basis_state(2, 1, [1]), "full")

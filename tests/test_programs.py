@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quditproc import (
+    BellLabel,
     DenseOperator,
     TRACELESS_QUBIT_LABELS,
     basis_state,
@@ -76,6 +77,36 @@ def test_expansion_round_trip_and_parseval(dim, rng):
         exp = hs_expand(op)
         assert max_abs_diff(exp.reconstruct().entries, op.entries) < 1e-10
         assert abs(exp.gram_norm - op.gram_trace() / dim) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_expansion_matches_trace_definition(dim, rng):
+    # reference: q_mn = Tr[u(m,n)† A] / N, one basis operator at a time
+    op = random_operator(dim, rng)
+    expected = np.array(
+        [
+            [np.trace(u_mn(dim, (m, n)).entries.conj().T @ op.entries) / dim for n in range(dim)]
+            for m in range(dim)
+        ]
+    )
+    coeffs = hs_expand(op).coeffs
+    assert max_abs_diff(coeffs, expected) / np.max(np.abs(expected)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_support_matches_label_loop(dim, rng):
+    # reference: the row-major comprehension over every label; N = 8 takes the
+    # l = 3 family for a sparse support, the others a dense random operator
+    exp = hs_expand(family_operator(3, 0.4) if dim == 8 else random_operator(dim, rng))
+    mags = np.abs(exp.coeffs)
+    cut = 1e-10 * mags.max()
+    expected = tuple(
+        (m, n) for m in range(dim) for n in range(dim) if mags[m, n] > cut
+    )
+    support = exp.support()
+    assert support == expected
+    assert all(type(m) is int and type(n) is int for m, n in support)
+    assert all(isinstance(label, BellLabel) for label in support)
 
 
 def test_expand_rejects_zero_operator():
