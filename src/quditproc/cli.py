@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
         print(f"{len(failures)} scenario(s) failed:", file=sys.stderr)
         for row in failures:
             print(
-                f"  {row.scenario_id}: simulated {row.simulated_probability_mean!r}, "
+                f"  {row.id}: simulated {row.simulated_probability_mean!r}, "
                 f"max deviation {row.max_probability_deviation!r}, "
                 f"tolerance {row.tolerance!r}",
                 file=sys.stderr,

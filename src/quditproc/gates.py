@@ -45,17 +45,16 @@ def conditional_shift(dim: int, control: int, target: int, direction: ShiftDirec
     for name, idx in (("control", control), ("target", target)):
         if not 1 <= idx <= state.arity:
             raise ValueError(f"{name} index {idx} out of range 1..{state.arity}")
-    k = state.arity
-    cube = state.amplitudes.reshape((dim,) * k).copy()
-    c_ax, t_ax = control - 1, target - 1
-    # Slicing out the control axis renumbers later axes.
-    t_in_slice = t_ax - 1 if t_ax > c_ax else t_ax
-    sel: list = [slice(None)] * k
-    for c in range(dim):
-        sel[c_ax] = c
-        shift = c if direction is ShiftDirection.FORWARD else -c
-        cube[tuple(sel)] = np.roll(cube[tuple(sel)], shift, axis=t_in_slice)
-    return type(state)(dim, k, cube.reshape(-1))
+    arity = state.arity
+    digits = np.arange(dim)
+    ctrl = digits.reshape([dim if ax == control - 1 else 1 for ax in range(arity)])
+    tgt = digits.reshape([dim if ax == target - 1 else 1 for ax in range(arity)])
+    sign = 1 if direction is ShiftDirection.FORWARD else -1
+    # Output digit m on the target reads input digit (m ∓ k) mod N, k the control digit.
+    cube = np.take_along_axis(
+        state.amplitudes.reshape((dim,) * arity), (tgt - sign * ctrl) % dim, axis=target - 1
+    )
+    return type(state)(dim, arity, cube.reshape(-1))
 
 
 def bell_state(dim: int, label) -> QuditRegisterState:

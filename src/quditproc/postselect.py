@@ -51,17 +51,18 @@ class PostSelectionOutcome:
     global_phase: complex | None
 
 
-def post_select(joint, meas, oracle_state: QuditRegisterState | None = None) -> PostSelectionOutcome:
+def post_select(
+    joint, meas: MeasurementVector, oracle_state: QuditRegisterState | None = None
+) -> PostSelectionOutcome:
     """Project the trailing subsystems of `joint` onto the measurement vector.
 
     The measurement lives on the program register (the last subsystems of the
     joint state); whatever leads it is the data register. A zero-probability
     outcome is reported, not raised.
     """
-    meas_state = meas.state if isinstance(meas, MeasurementVector) else meas
-    start = joint.arity - meas_state.arity + 1
+    start = joint.arity - meas.state.arity + 1
     subsystems = tuple(range(start, joint.arity + 1))
-    overlap = partial_inner_product(meas_state, joint, subsystems)
+    overlap = partial_inner_product(meas.state, joint, subsystems)
     probability = overlap.norm() ** 2
     data_state = overlap.normalized() if probability > ZERO_PROBABILITY_CUTOFF else None
     fidelity = 0.0
@@ -133,15 +134,11 @@ def run_experiment(
     """Synthesize the program for `op`, run the processor, post-select, compare.
 
     Supports the single-data-qudit networks; the tensor array and the general
-    diagonal processor need program encodings of their own.
+    diagonal processor need program encodings of their own. An operator or
+    state whose dimension does not fit the network is a ValueError from
+    `apply_processor`.
     """
-    if isinstance(proc, QubitCnotNetwork):
-        if op.dim != 2:
-            raise ValueError("qubit network needs a 2x2 operator")
-    elif isinstance(proc, QuditShiftNetwork):
-        if op.dim != proc.dim:
-            raise ValueError(f"operator dimension {op.dim} does not match processor {proc.dim}")
-    else:
+    if not isinstance(proc, (QuditShiftNetwork, QubitCnotNetwork)):
         raise TypeError("run_experiment supports the shift and CNOT networks only")
     if meas_kind not in ("full", "support"):
         raise ValueError(f"unknown measurement kind: {meas_kind!r}")

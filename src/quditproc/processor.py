@@ -1,7 +1,11 @@
 """The fixed processor circuits that route a program register onto data.
 
-All variants are applied gate by gate to the joint state vector; an optional
-debug path materializes the full joint-space matrix for small dimensions.
+Every shift network (the qudit network, the qubit CNOT network and the
+l-qubit tensor array) is declared once, in `_network`, as a list of
+conditional shifts on the joint register, and run by one path, each gate a
+single gather. The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied
+to programs in the span of its basis. `processor_matrix` materializes either
+as a joint-space matrix for cross-checks at small dimension.
 """
 
 from __future__ import annotations
@@ -99,44 +103,40 @@ def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
     )
 
 
-def _run_gates(joint, gates):
-    state = joint
-    for control, target, direction in gates:
-        state = conditional_shift(joint.dim, control, target, direction, state)
-    return state
+def _network(spec) -> tuple[int, int, tuple]:
+    """(qudit dimension, data qudits l, gate list) of a shift network.
 
-
-def _general_diagonal_raw(spec: GeneralDiagonal, joint) -> UnnormalizedVector:
-    """sum_n V_n ⊗ |y_n><y_n| applied to an arbitrary joint vector."""
-    n = joint.dim
-    prog_size = spec.basis[0].amplitudes.size
-    mat = joint.amplitudes.reshape(n, prog_size)
-    out = np.zeros_like(mat)
-    for op, y in zip(spec.operators, spec.basis):
-        overlap = mat @ y.amplitudes.conj()
-        out += np.outer(op.entries @ overlap, y.amplitudes)
-    return UnnormalizedVector(joint.dim, joint.arity, out.reshape(-1))
-
-
-def _apply_joint(spec: ProcessorSpec, joint):
+    The joint register is the l data qudits followed by the 2l program qudits.
+    """
     if isinstance(spec, QuditShiftNetwork):
-        return _run_gates(joint, _single_processor_gates(1, 2, 3, backward=True))
+        return spec.dim, 1, _single_processor_gates(1, 2, 3, backward=True)
     if isinstance(spec, QubitCnotNetwork):
-        return _run_gates(joint, _single_processor_gates(1, 2, 3, backward=False))
+        return 2, 1, _single_processor_gates(1, 2, 3, backward=False)
     if isinstance(spec, TensorQubitArray):
-        state = joint
-        for m in range(1, spec.l + 1):
-            gates = _single_processor_gates(m, spec.l + 2 * m - 1, spec.l + 2 * m, backward=False)
-            state = _run_gates(state, gates)
-        return state
-    if isinstance(spec, GeneralDiagonal):
-        return _general_diagonal_raw(spec, joint)
+        l = spec.l
+        gates = tuple(
+            gate
+            for m in range(1, l + 1)
+            for gate in _single_processor_gates(m, l + 2 * m - 1, l + 2 * m, backward=False)
+        )
+        return 2, l, gates
     raise TypeError(f"unknown processor spec: {spec!r}")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+def _run_gates(joint, gates):
+    for control, target, direction in gates:
+        joint = conditional_shift(joint.dim, control, target, direction, joint)
+    return joint
+
+
+def _source_index(dim: int, arity: int, gates) -> np.ndarray:
+    """Joint index that each output amplitude of the gate list is read from.
+
+    The gates only move amplitudes, so running them on 0, 1, ..., N^k - 1
+    (exact in float64 below 2^53) yields the permutation itself.
+    """
+    ramp = UnnormalizedVector(dim, arity, np.arange(dim**arity))
+    return _run_gates(ramp, gates).amplitudes.real.astype(np.int64)
 
 
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
@@ -146,41 +146,28 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
     qudits, then each program qudit shifts the data back (the first of those
     two in the subtracting direction for the qudit variant).
     """
-    if isinstance(spec, QuditShiftNetwork):
-        _require(data.arity == 1, "data register must be a single qudit")
-        _require(program.arity == 2, "program register must be two qudits")
-        _require(data.dim == program.dim == spec.dim, "dimension mismatch with processor")
-        return _apply_joint(spec, tensor(data, program))
-    if isinstance(spec, QubitCnotNetwork):
-        _require(data.dim == 2 and program.dim == 2, "qubit network needs dimension 2")
-        _require(data.arity == 1, "data register must be a single qubit")
-        _require(program.arity == 2, "program register must be two qubits")
-        return _apply_joint(spec, tensor(data, program))
-    if isinstance(spec, TensorQubitArray):
-        _require(data.dim == 2 and program.dim == 2, "tensor array works on qubits")
-        _require(data.arity == spec.l, f"data register must hold {spec.l} qubits")
-        _require(program.arity == 2 * spec.l, f"program register must hold {2 * spec.l} qubits")
-        return _apply_joint(spec, tensor(data, program))
     if isinstance(spec, GeneralDiagonal):
-        _require(data.arity == 1, "data register must be a single qudit")
-        _require(data.dim == spec.operators[0].dim, "data dimension mismatch with processor")
-        _require(
-            program.dim == spec.basis[0].dim and program.arity == spec.basis[0].arity,
-            "program register shape mismatch with processor basis",
+        return _general_diagonal_apply(spec, data, program)
+    dim, width, gates = _network(spec)
+    if not (data.dim == program.dim == dim and data.arity == width and program.arity == 2 * width):
+        raise ValueError(
+            f"processor needs {width} data and {2 * width} program qudit(s) of dimension {dim}, "
+            f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
-        return _general_diagonal_span_apply(spec, data, program)
-    raise TypeError(f"unknown processor spec: {spec!r}")
+    return _run_gates(tensor(data, program), gates)
 
 
-def _general_diagonal_span_apply(
-    spec: GeneralDiagonal,
-    data: QuditRegisterState,
-    program: QuditRegisterState,
-    span_tol: float = 1e-10,
+def _general_diagonal_apply(
+    spec: GeneralDiagonal, data: QuditRegisterState, program: QuditRegisterState
 ) -> QuditRegisterState:
+    y0 = spec.basis[0]
+    if data.arity != 1 or data.dim != spec.operators[0].dim:
+        raise ValueError(f"data register must be one qudit of dimension {spec.operators[0].dim}")
+    if (program.dim, program.arity) != (y0.dim, y0.arity):
+        raise ValueError("program register shape mismatch with processor basis")
     coeffs = np.array([inner_product(y, program) for y in spec.basis])
     outside = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-    if outside > span_tol:
+    if outside > 1e-10:
         raise ValueError(
             f"program has weight {outside:.3e} outside the processor's program basis"
         )
@@ -207,44 +194,28 @@ def tensor_array_apply(l: int, data: QuditRegisterState, programs) -> QuditRegis
     return apply_processor(TensorQubitArray(l), data, combined)
 
 
-def qubit_network_matches_shift_network(dim: int = 2, atol: float = 1e-12) -> bool:
-    """Whether the all-forward circuit agrees with the mixed-direction circuit.
+def qubit_network_matches_shift_network(dim: int = 2) -> bool:
+    """Whether the all-forward circuit is the same permutation as the mixed-direction one.
 
-    Compared on every basis triple (a spanning set, so agreement extends to all
-    states by linearity). True exactly at dim 2, where adding and subtracting
-    mod 2 coincide.
+    True exactly at dim 2, where adding and subtracting mod 2 coincide.
     """
-    for idx in range(dim**3):
-        amps = np.zeros(dim**3, dtype=complex)
-        amps[idx] = 1.0
-        joint = QuditRegisterState(dim, 3, amps)
-        forward = _run_gates(joint, _single_processor_gates(1, 2, 3, backward=False))
-        mixed = _run_gates(joint, _single_processor_gates(1, 2, 3, backward=True))
-        if np.max(np.abs(forward.amplitudes - mixed.amplitudes)) > atol:
-            return False
-    return True
+    forward = _source_index(dim, 3, _single_processor_gates(1, 2, 3, backward=False))
+    mixed = _source_index(dim, 3, _single_processor_gates(1, 2, 3, backward=True))
+    return bool(np.array_equal(forward, mixed))
 
 
 def processor_matrix(spec: ProcessorSpec) -> np.ndarray:
     """Materialize the processor as a joint-space matrix (debug path).
 
-    Intended for cross-checks at small dimension; the gate-by-gate path is the
-    production route.
+    A shift network is a permutation: the identity with its rows taken in
+    source-index order. The general diagonal form is built from its definition
+    sum_n V_n ⊗ |y_n><y_n|. Intended for cross-checks at small dimension.
     """
-    if isinstance(spec, QuditShiftNetwork):
-        dim, arity = spec.dim, 3
-    elif isinstance(spec, QubitCnotNetwork):
-        dim, arity = 2, 3
-    elif isinstance(spec, TensorQubitArray):
-        dim, arity = 2, 3 * spec.l
-    elif isinstance(spec, GeneralDiagonal):
-        dim, arity = spec.operators[0].dim, 1 + spec.basis[0].arity
-    else:
-        raise TypeError(f"unknown processor spec: {spec!r}")
-    size = dim**arity
-    mat = np.empty((size, size), dtype=complex)
-    for j in range(size):
-        e = np.zeros(size, dtype=complex)
-        e[j] = 1.0
-        mat[:, j] = _apply_joint(spec, UnnormalizedVector(dim, arity, e)).amplitudes
-    return mat
+    if isinstance(spec, GeneralDiagonal):
+        return sum(
+            np.kron(op.entries, np.outer(y.amplitudes, y.amplitudes.conj()))
+            for op, y in zip(spec.operators, spec.basis)
+        )
+    dim, width, gates = _network(spec)
+    source = _source_index(dim, 3 * width, gates)
+    return np.eye(source.size, dtype=complex)[source]

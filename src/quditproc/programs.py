@@ -95,11 +95,10 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
 
 @dataclass(frozen=True)
 class ProgramVector:
-    """Normalized two-qudit program state for one operator, with its support."""
+    """Normalized two-qudit program state for one operator."""
 
     dim: int
     state: QuditRegisterState
-    support: tuple[BellLabel, ...]
 
 
 def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
@@ -107,11 +106,7 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
     scale = 1.0 / np.sqrt(expansion.gram_norm)
     weights = (expansion.coeffs * scale).reshape(-1)
     amps = bell_basis_matrix(expansion.dim) @ weights
-    return ProgramVector(
-        expansion.dim,
-        QuditRegisterState(expansion.dim, 2, amps),
-        expansion.support(),
-    )
+    return ProgramVector(expansion.dim, QuditRegisterState(expansion.dim, 2, amps))
 
 
 def synthesize_program(op: DenseOperator) -> ProgramVector:

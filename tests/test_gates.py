@@ -11,6 +11,8 @@ from quditproc import (
     bell_state,
     conditional_shift,
     conjugate_vector,
+    digits_to_index,
+    index_to_digits,
     apply_to_subsystem,
     apply_to_register,
     negation_w,
@@ -56,6 +58,22 @@ def test_shift_rejects_equal_control_target():
 def test_shift_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         conditional_shift(2, 1, 3, F, basis_state(2, 2, [0, 0]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_conditional_shift_follows_digit_rule(arity, dim):
+    # |..k_c..m_t..> -> |..k_c..(m ± k) mod N_t..> on every basis state, for
+    # every ordered (control, target) pair and both directions
+    for control, target in itertools.permutations(range(1, arity + 1), 2):
+        for direction, sign in ((F, 1), (B, -1)):
+            for index in range(dim**arity):
+                digits = list(index_to_digits(index, dim, arity))
+                out = conditional_shift(dim, control, target, direction, basis_state(dim, arity, digits))
+                digits[target - 1] = (digits[target - 1] + sign * digits[control - 1]) % dim
+                expected = np.zeros(dim**arity)
+                expected[digits_to_index(digits, dim)] = 1.0
+                assert np.array_equal(out.amplitudes, expected), (control, target, direction, index)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])

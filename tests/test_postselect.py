@@ -3,8 +3,10 @@ import pytest
 
 from quditproc import (
     DenseOperator,
+    GeneralDiagonal,
     QubitCnotNetwork,
     QuditShiftNetwork,
+    TensorQubitArray,
     StateAnnihilatedError,
     TRACELESS_QUBIT_LABELS,
     apply_processor,
@@ -194,6 +196,17 @@ def test_run_experiment_validates_processor(rng):
         run_experiment(QuditShiftNetwork(3), random_unitary(2, rng), random_state(2, 1, rng))
     with pytest.raises(ValueError):
         run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), random_state(2, 1, rng), "typo")
+
+
+def test_run_experiment_leaves_dimension_checks_to_the_processor(rng):
+    diagonal = GeneralDiagonal((u_mn(2, (0, 0)),), (bell_state(2, (0, 0)),))
+    for proc in (TensorQubitArray(1), diagonal):
+        with pytest.raises(TypeError):
+            run_experiment(proc, random_unitary(2, rng), random_state(2, 1, rng))
+    with pytest.raises(ValueError):
+        run_experiment(QuditShiftNetwork(3), random_unitary(4, rng), random_state(4, 1, rng))
+    with pytest.raises(ValueError):
+        run_experiment(QubitCnotNetwork(), random_unitary(3, rng), random_state(3, 1, rng))
 
 
 def test_post_select_zero_probability_reports_not_raises(rng):

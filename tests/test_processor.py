@@ -7,7 +7,9 @@ from quditproc import (
     DenseOperator,
     GeneralDiagonal,
     QubitCnotNetwork,
+    QuditRegisterState,
     QuditShiftNetwork,
+    TensorQubitArray,
     apply_processor,
     basis_state,
     bell_state,
@@ -17,6 +19,7 @@ from quditproc import (
     processor_matrix,
     qubit_network_matches_shift_network,
     random_state,
+    random_unitary,
     tensor,
     tensor_array_apply,
     u_mn,
@@ -224,15 +227,43 @@ def test_general_diagonal_rejects_count_mismatch():
         GeneralDiagonal((u_mn(dim, (0, 0)),), (bell_state(dim, (0, 0)), bell_state(dim, (0, 1))))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_processor_matrix_matches_gatewise_path(dim, rng):
-    mat = processor_matrix(QuditShiftNetwork(dim))
-    assert max_abs_diff(mat.conj().T @ mat, np.eye(dim**3)) < 1e-12
-    data = random_state(dim, 1, rng)
-    prog = random_state(dim, 2, rng)
-    gatewise = apply_processor(QuditShiftNetwork(dim), data, prog)
+@pytest.mark.parametrize(
+    "spec, dim, width",
+    [
+        pytest.param(QuditShiftNetwork(2), 2, 1, id="2"),
+        pytest.param(QuditShiftNetwork(3), 3, 1, id="3"),
+        pytest.param(QubitCnotNetwork(), 2, 1, id="qubit-cnot"),
+        pytest.param(TensorQubitArray(1), 2, 1, id="tensor-1"),
+        pytest.param(TensorQubitArray(2), 2, 2, id="tensor-2"),
+    ],
+)
+def test_processor_matrix_matches_gatewise_path(spec, dim, width, rng):
+    mat = processor_matrix(spec)
+    size = dim ** (3 * width)
+    assert max_abs_diff(mat.conj().T @ mat, np.eye(size)) < 1e-12
+    # every shift network is a permutation: 0/1 entries, one 1 per row and column
+    assert np.isin(mat, (0, 1)).all()
+    assert (mat.sum(axis=0) == 1).all() and (mat.sum(axis=1) == 1).all()
+    data = random_state(dim, width, rng)
+    prog = random_state(dim, 2 * width, rng)
+    gatewise = apply_processor(spec, data, prog)
     direct = mat @ tensor(data, prog).amplitudes
     assert max_abs_diff(gatewise.amplitudes, direct) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_processor_matrix_general_diagonal_matches_span_path(dim, rng):
+    # a partial Bell basis with arbitrary unitaries; programs drawn in its span
+    labels = [(0, 0), (1, 1), (0, dim - 1)]
+    ys = tuple(bell_state(dim, lab) for lab in labels)
+    spec = GeneralDiagonal(tuple(random_unitary(dim, rng) for _ in labels), ys)
+    mat = processor_matrix(spec)
+    for _ in range(5):
+        weights = random_state(len(labels), 1, rng).amplitudes
+        prog = QuditRegisterState(dim, 2, sum(w * y.amplitudes for w, y in zip(weights, ys)))
+        data = random_state(dim, 1, rng)
+        direct = mat @ tensor(data, prog).amplitudes
+        assert max_abs_diff(apply_processor(spec, data, prog).amplitudes, direct) < 1e-12
 
 
 def test_processor_matrix_general_diagonal_full_basis_is_unitary():
