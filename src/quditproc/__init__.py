@@ -29,7 +29,6 @@ from .postselect import (
     post_select,
     predicted_probability,
     run_experiment,
-    sample_post_selection,
 )
 from .processor import (
     GeneralDiagonal,

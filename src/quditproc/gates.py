@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .registers import DenseOperator, QuditRegisterState
+from .registers import DenseOperator, QuditRegisterState, _adopt
 
 
 class ShiftDirection(Enum):
@@ -36,8 +36,10 @@ def conditional_shift(dim: int, control: int, target: int, direction: ShiftDirec
     The qudit generalization of controlled-NOT: FORWARD adds the control digit
     to the target digit, BACKWARD subtracts it. At dim 2 the two directions
     coincide. The gate is a permutation, so the input register type (normalized
-    or not) is preserved in the output.
+    or not) is preserved in the output. `direction` must be a ShiftDirection.
     """
+    if not isinstance(direction, ShiftDirection):
+        raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
     if dim != state.dim:
         raise ValueError(f"gate dimension {dim} does not match state dimension {state.dim}")
     if control == target:
@@ -54,7 +56,7 @@ def conditional_shift(dim: int, control: int, target: int, direction: ShiftDirec
     cube = np.take_along_axis(
         state.amplitudes.reshape((dim,) * arity), (tgt - sign * ctrl) % dim, axis=target - 1
     )
-    return type(state)(dim, arity, cube.reshape(-1))
+    return _adopt(type(state), dim, arity, cube.reshape(-1))
 
 
 def bell_state(dim: int, label) -> QuditRegisterState:

@@ -36,11 +36,13 @@ PROCESSOR_NAMES = ("qudit-shift", "qubit-cnot")
 MEASUREMENT_KINDS = ("full", "support")
 
 # Largest qudit dimension a config or `describe` may ask for. The largest
-# allocation is the network's N^3 complex joint state, 16 N^3 bytes, and a few
-# copies of it are alive at once; N = 256 is the largest N that keeps four
-# copies (64 N^3 bytes) within 1 GiB. One N = 256 Haar trial with the full
-# measurement took 2.3 s at an 813 MB peak RSS (N = 128: 0.25 s, 134 MB) on a
-# 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# allocation is the network's N^3 complex joint state, 16 N^3 bytes. Gate
+# outputs are wrapped without a copy, so at most two joint states are alive at
+# once: a gate's input and its output. N = 256 is the largest N for which four
+# joint states (64 N^3 bytes) fit in 1 GiB; the two live ones take half of
+# that. One N = 256 Haar trial with the full measurement took 1.3-1.4 s at a
+# 557 MB peak RSS (N = 128: 0.13-0.18 s, 102 MB) on a 2-core Xeon with
+# Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 
 

@@ -75,20 +75,6 @@ def post_select(
     return PostSelectionOutcome(float(probability), data_state, float(fidelity), phase)
 
 
-def sample_post_selection(joint, meas, rng: np.random.Generator, oracle_state=None):
-    """Demonstration mode: draw the measurement outcome instead of projecting.
-
-    Returns (accepted, outcome). The accepted branch carries the same outcome a
-    deterministic run reports; a rejected run is discarded, so its outcome
-    keeps the probability but no data state. Not used by any verification
-    path, which relies on the deterministic post_select.
-    """
-    outcome = post_select(joint, meas, oracle_state)
-    if rng.random() < outcome.probability:
-        return True, outcome
-    return False, PostSelectionOutcome(outcome.probability, None, 0.0, None)
-
-
 def oracle_apply(op: DenseOperator, psi: QuditRegisterState) -> QuditRegisterState:
     """Ground truth: |psi> -> A|psi> / ||A psi||, by direct matrix application."""
     if op.dim != psi.amplitudes.size:

@@ -58,20 +58,12 @@ class HsExpansion:
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
 
-    def support(self, threshold: float = SUPPORT_THRESHOLD) -> tuple[BellLabel, ...]:
-        """Labels whose magnitude exceeds `threshold` relative to the largest."""
+    def support(self) -> tuple[BellLabel, ...]:
+        """Labels whose magnitude exceeds SUPPORT_THRESHOLD relative to the largest."""
         mags = np.abs(self.coeffs)
-        cut = threshold * float(mags.max())
+        cut = SUPPORT_THRESHOLD * float(mags.max())
         # argwhere walks row-major, so labels come in (m, n) order.
         return tuple(map(BellLabel._make, np.argwhere(mags > cut).tolist()))
-
-    def reconstruct(self) -> DenseOperator:
-        """Rebuild sum_mn q_mn u(m,n); round-trip check for the expansion."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in range(self.dim):
-            for n in range(self.dim):
-                total += self.coeffs[m, n] * u_mn(self.dim, (m, n)).entries
-        return DenseOperator(self.dim, total, label="reconstructed")
 
 
 def hs_expand(op: DenseOperator) -> HsExpansion:
@@ -97,7 +89,6 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
 class ProgramVector:
     """Normalized two-qudit program state for one operator."""
 
-    dim: int
     state: QuditRegisterState
 
 
@@ -106,7 +97,7 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
     scale = 1.0 / np.sqrt(expansion.gram_norm)
     weights = (expansion.coeffs * scale).reshape(-1)
     amps = bell_basis_matrix(expansion.dim) @ weights
-    return ProgramVector(expansion.dim, QuditRegisterState(expansion.dim, 2, amps))
+    return ProgramVector(QuditRegisterState(expansion.dim, 2, amps))
 
 
 def synthesize_program(op: DenseOperator) -> ProgramVector:
@@ -118,17 +109,14 @@ def synthesize_program(op: DenseOperator) -> ProgramVector:
 class MeasurementVector:
     """Program-register measurement direction: full basis or a support subset."""
 
-    dim: int
     state: QuditRegisterState
-    kind: str  # "full" | "support"
-    support: tuple[BellLabel, ...] | None = None
 
 
 def measurement_full(dim: int) -> MeasurementVector:
     """Uniform superposition of all N^2 Bell states, weight 1/N each."""
     weights = np.full(dim * dim, 1.0 / dim, dtype=complex)
     amps = bell_basis_matrix(dim) @ weights
-    return MeasurementVector(dim, QuditRegisterState(dim, 2, amps), "full", None)
+    return MeasurementVector(QuditRegisterState(dim, 2, amps))
 
 
 def measurement_for_labels(dim: int, labels) -> MeasurementVector:
@@ -142,7 +130,7 @@ def measurement_for_labels(dim: int, labels) -> MeasurementVector:
     for m, n in labels:
         weights[m * dim + n] = 1.0 / np.sqrt(len(labels))
     amps = bell_basis_matrix(dim) @ weights
-    return MeasurementVector(dim, QuditRegisterState(dim, 2, amps), "support", labels)
+    return MeasurementVector(QuditRegisterState(dim, 2, amps))
 
 
 def measurement_restricted(expansion: HsExpansion) -> MeasurementVector:

@@ -5,7 +5,10 @@ digit, so the basis state |n>_1 |m>_2 |k>_3 sits at flat index (n*N + m)*N + k.
 Subsystem indices in the public API are 1-based throughout.
 
 Every value is immutable once constructed and every function here is pure, so
-everything is safe to share across threads or processes.
+everything is safe to share across threads or processes. The public
+constructors copy their amplitudes and check them; `_adopt` wraps, without a
+copy or a check, only a fresh vector that a norm-preserving operation (a
+permutation of amplitudes, or the product of two states) has just made.
 """
 
 from __future__ import annotations
@@ -50,6 +53,20 @@ def _checked_amplitudes(dim: int, arity: int, amplitudes) -> np.ndarray:
     return amps
 
 
+def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
+    """Wrap a fresh complex128 vector of length dim**arity as a `cls` value.
+
+    No copy and no norm check: the caller made `amps` by a norm-preserving
+    operation on checked values and holds no other reference to it.
+    """
+    amps.setflags(write=False)
+    value = object.__new__(cls)
+    object.__setattr__(value, "dim", dim)
+    object.__setattr__(value, "arity", arity)
+    object.__setattr__(value, "amplitudes", amps)
+    return value
+
+
 @dataclass(frozen=True)
 class QuditRegisterState:
     """Normalized pure state of `arity` qudits, each of dimension `dim`."""
@@ -68,17 +85,6 @@ class QuditRegisterState:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def digits(self) -> tuple[int, ...]:
-        """Digits of the single occupied basis state.
-
-        Only meaningful for computational basis states; raises ValueError when
-        the amplitude is spread over more than one index.
-        """
-        hot = np.flatnonzero(np.abs(self.amplitudes) > 0.5)
-        if hot.size != 1:
-            raise ValueError("state is not a computational basis state")
-        return index_to_digits(int(hot[0]), self.dim, self.arity)
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,9 @@ class UnnormalizedVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self, min_norm: float = 1e-14) -> QuditRegisterState:
+    def normalized(self) -> QuditRegisterState:
         n = self.norm()
-        if n <= min_norm:
+        if n <= 1e-14:
             raise ValueError("cannot normalize a numerically zero vector")
         return QuditRegisterState(self.dim, self.arity, self.amplitudes / n)
 
@@ -128,10 +134,6 @@ class DenseOperator:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-
-    def adjoint(self) -> "DenseOperator":
-        lab = None if self.label is None else f"{self.label}^dag"
-        return DenseOperator(self.dim, self.entries.conj().T, lab)
 
     def gram_trace(self) -> float:
         """Tr(A†A), the squared Hilbert-Schmidt norm of the matrix."""
@@ -159,7 +161,7 @@ def tensor(a: QuditRegisterState, b: QuditRegisterState) -> QuditRegisterState:
     """Kronecker product with `a`'s qudits most significant; arities add."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return QuditRegisterState(a.dim, a.arity + b.arity, np.kron(a.amplitudes, b.amplitudes))
+    return _adopt(QuditRegisterState, a.dim, a.arity + b.arity, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_to_subsystem(op: DenseOperator, target: int, state) -> UnnormalizedVector:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from quditproc import u_mn
+
 
 @pytest.fixture
 def rng():
@@ -9,3 +11,13 @@ def rng():
 
 def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def reconstruct(expansion) -> np.ndarray:
+    """Reference inverse of hs_expand: sum_mn q_mn u(m,n), one basis operator at a time."""
+    dim = expansion.dim
+    total = np.zeros((dim, dim), dtype=complex)
+    for m in range(dim):
+        for n in range(dim):
+            total += expansion.coeffs[m, n] * u_mn(dim, (m, n)).entries
+    return total

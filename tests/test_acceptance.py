@@ -43,6 +43,8 @@ from quditproc import (
 )
 from quditproc.cli import main as cli_main
 
+from conftest import reconstruct
+
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -231,7 +233,7 @@ def test_c10_expansion_round_trip_parseval_orthogonality():
         for _ in range(200):
             op = random_operator(dim, rng)
             exp = hs_expand(op)
-            worst_rt = max(worst_rt, float(np.max(np.abs(exp.reconstruct().entries - op.entries))))
+            worst_rt = max(worst_rt, float(np.max(np.abs(reconstruct(exp) - op.entries))))
             worst_pv = max(worst_pv, abs(exp.gram_norm - op.gram_trace() / dim))
         ops = [u_mn(dim, (m, n)).entries for m in range(dim) for n in range(dim)]
         for i, a in enumerate(ops):

@@ -60,6 +60,12 @@ def test_shift_rejects_out_of_range_index():
         conditional_shift(2, 1, 3, F, basis_state(2, 2, [0, 0]))
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward", 1, -1, None])
+def test_shift_rejects_direction_that_is_not_a_shift_direction(direction):
+    with pytest.raises(TypeError):
+        conditional_shift(3, 1, 2, direction, basis_state(3, 2, [1, 0]))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("arity", [2, 3, 4])
 def test_conditional_shift_follows_digit_rule(arity, dim):

@@ -1,0 +1,62 @@
+"""`quditproc run --config paper-claims --seed 2024` against committed reports.
+
+tests/data holds that run's JSON and CSV reports. Strings, ints, bools
+and nulls must match exactly; floats may differ by 1e-12, so that another
+LAPACK build or a change that moves a last ulp still passes. A change that
+means to alter a report replaces these files and says why.
+"""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+from quditproc.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+FLOAT_TOL = 1e-12
+
+
+def _assert_matches(new, ref, where="report"):
+    assert type(new) is type(ref), f"{where}: {new!r} vs {ref!r}"
+    if isinstance(ref, dict):
+        assert list(new) == list(ref), where
+        for key in ref:
+            _assert_matches(new[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert len(new) == len(ref), where
+        for i, (a, b) in enumerate(zip(new, ref)):
+            _assert_matches(a, b, f"{where}[{i}]")
+    elif isinstance(ref, float):
+        assert abs(new - ref) <= FLOAT_TOL, f"{where}: {new!r} vs {ref!r}"
+    else:
+        assert new == ref, where
+
+
+def _run(tmp_path, fmt) -> str:
+    out = tmp_path / f"report.{fmt}"
+    argv = ["run", "--config", "paper-claims", "--seed", "2024", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_json_report_matches_golden(tmp_path):
+    ref = json.loads((DATA / "paper-claims-seed2024.json").read_text(encoding="utf-8"))
+    _assert_matches(json.loads(_run(tmp_path, "json")), ref)
+
+
+def test_csv_report_matches_golden(tmp_path):
+    # The CSV is text; its float columns are those the JSON report types as floats.
+    ref_rows = json.loads((DATA / "paper-claims-seed2024.json").read_text(encoding="utf-8"))["rows"]
+    float_cols = {k for row in ref_rows for k, v in row.items() if isinstance(v, float)}
+    ref = list(csv.reader(io.StringIO((DATA / "paper-claims-seed2024.csv").read_text(encoding="utf-8"))))
+    new = list(csv.reader(io.StringIO(_run(tmp_path, "csv"))))
+    assert new[0] == ref[0]
+    assert len(new) == len(ref)
+    for line, (new_row, ref_row) in enumerate(zip(new[1:], ref[1:]), start=2):
+        assert len(new_row) == len(ref_row), f"line {line}"
+        for col, a, b in zip(ref[0], new_row, ref_row):
+            if col in float_cols and a and b:
+                assert abs(float(a) - float(b)) <= FLOAT_TOL, f"line {line}, {col}: {a} vs {b}"
+            else:
+                assert a == b, f"line {line}, {col}: {a} vs {b}"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -234,10 +236,12 @@ def test_global_phase_relates_data_to_oracle(rng):
 
 def test_full_vs_restricted_measurement_objects():
     exp = hs_expand(example1_operator(0.7))
-    assert measurement_full(4).kind == "full"
+    every_label = measurement_for_labels(4, itertools.product(range(4), repeat=2))
+    assert max_abs_diff(measurement_full(4).state.amplitudes, every_label.state.amplitudes) < 1e-15
     restricted = measurement_restricted(exp)
-    assert restricted.kind == "support"
-    assert len(restricted.support) == 3
+    assert len(exp.support()) == 3
+    by_labels = measurement_for_labels(4, exp.support())
+    assert max_abs_diff(restricted.state.amplitudes, by_labels.state.amplitudes) == 0.0
 
 
 def test_fixed_measurement_independent_of_reflection_axis():
@@ -251,42 +255,3 @@ def test_fixed_measurement_independent_of_reflection_axis():
     outcome = post_select(joint, meas, oracle_apply(op, psi))
     assert abs(outcome.probability - 1 / 3) < 1e-12
     assert outcome.oracle_fidelity >= 1 - 1e-12
-
-
-def test_sampled_post_selection_acceptance_rate(rng):
-    from quditproc import sample_post_selection
-
-    dim = 2
-    op = reflection_operator(random_state(dim, 1, rng))
-    psi = random_state(dim, 1, rng)
-    program = synthesize_program(op).state
-    joint = apply_processor(QuditShiftNetwork(dim), psi, program)
-    meas = measurement_for_labels(dim, TRACELESS_QUBIT_LABELS)
-    oracle = oracle_apply(op, psi)
-    accepted = 0
-    trials = 3000
-    for _ in range(trials):
-        ok, outcome = sample_post_selection(joint, meas, rng, oracle)
-        if ok:
-            accepted += 1
-            assert outcome.data_state is not None
-            assert outcome.oracle_fidelity >= 1 - 1e-10
-        else:
-            assert outcome.data_state is None
-    # loose statistical check on the demonstration mode (p = 1/3)
-    assert abs(accepted / trials - 1 / 3) < 0.05
-
-
-def test_sampled_post_selection_deterministic_per_seed(rng):
-    from quditproc import sample_post_selection
-
-    dim = 2
-    op = reflection_operator(random_state(dim, 1, rng))
-    psi = random_state(dim, 1, rng)
-    joint = apply_processor(QuditShiftNetwork(dim), psi, synthesize_program(op).state)
-    meas = measurement_for_labels(dim, TRACELESS_QUBIT_LABELS)
-    rng1 = np.random.default_rng(5)
-    rng2 = np.random.default_rng(5)
-    seq1 = [sample_post_selection(joint, meas, rng1)[0] for _ in range(50)]
-    seq2 = [sample_post_selection(joint, meas, rng2)[0] for _ in range(50)]
-    assert seq1 == seq2 and len(set(seq1)) == 2

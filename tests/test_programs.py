@@ -27,7 +27,7 @@ from quditproc import (
     u_mn,
 )
 
-from conftest import max_abs_diff
+from conftest import max_abs_diff, reconstruct
 
 
 def reflection_coeffs_closed_form(phi):
@@ -75,7 +75,7 @@ def test_expansion_round_trip_and_parseval(dim, rng):
     for _ in range(20):
         op = random_operator(dim, rng)
         exp = hs_expand(op)
-        assert max_abs_diff(exp.reconstruct().entries, op.entries) < 1e-10
+        assert max_abs_diff(reconstruct(exp), op.entries) < 1e-10
         assert abs(exp.gram_norm - op.gram_trace() / dim) < 1e-10
 
 
@@ -172,14 +172,18 @@ def test_three_label_measurement_matches_qubit_recipe():
 def test_restricted_measurement_single_support_is_bell_state():
     exp = hs_expand(u_mn(3, (2, 1)))
     m = measurement_restricted(exp)
-    assert m.support == ((2, 1),)
+    assert exp.support() == ((2, 1),)
+    by_labels = measurement_for_labels(3, exp.support())
+    assert max_abs_diff(m.state.amplitudes, by_labels.state.amplitudes) == 0.0
     assert max_abs_diff(np.abs(m.state.amplitudes), np.abs(bell_state(3, (2, 1)).amplitudes)) < 1e-12
 
 
 def test_restricted_measurement_two_term_rotation():
     exp = hs_expand(example2_operator(0.3, 6))
     m = measurement_restricted(exp)
-    assert set(m.support) == {(0, 0), (0, 3)}
+    assert set(exp.support()) == {(0, 0), (0, 3)}
+    by_labels = measurement_for_labels(6, exp.support())
+    assert max_abs_diff(m.state.amplitudes, by_labels.state.amplitudes) == 0.0
     expected = (bell_state(6, (0, 0)).amplitudes + bell_state(6, (0, 3)).amplitudes) / np.sqrt(2)
     assert max_abs_diff(m.state.amplitudes, expected) < 1e-12
 

@@ -6,11 +6,13 @@ import pytest
 from quditproc import (
     DenseOperator,
     QuditRegisterState,
+    ShiftDirection,
     UnnormalizedVector,
     apply_to_register,
     apply_to_subsystem,
     basis_state,
     bell_state,
+    conditional_shift,
     index_to_digits,
     inner_product,
     negation_w,
@@ -90,6 +92,38 @@ def test_tensor_preserves_norm(rng):
     a = random_state(3, 1, rng)
     b = random_state(3, 2, rng)
     assert abs(np.linalg.norm(tensor(a, b).amplitudes) - 1) < 1e-12
+
+
+def _assert_fresh_and_read_only(out, *inputs):
+    assert not out.amplitudes.flags.writeable
+    for value in inputs:
+        assert not np.shares_memory(out.amplitudes, value.amplitudes)
+
+
+def test_tensor_output_is_fresh_and_read_only(rng):
+    a = random_state(3, 1, rng)
+    b = random_state(3, 2, rng)
+    out = tensor(a, b)
+    assert type(out) is QuditRegisterState
+    _assert_fresh_and_read_only(out, a, b)
+
+
+@pytest.mark.parametrize("kind, scale", [(QuditRegisterState, 1.0), (UnnormalizedVector, 2.0)])
+def test_conditional_shift_output_is_fresh_read_only_and_keeps_type(kind, scale, rng):
+    state = kind(3, 3, scale * random_state(3, 3, rng).amplitudes)
+    for direction in ShiftDirection:
+        out = conditional_shift(3, 2, 1, direction, state)
+        assert type(out) is kind
+        _assert_fresh_and_read_only(out, state)
+
+
+@pytest.mark.parametrize("kind", [QuditRegisterState, UnnormalizedVector])
+def test_public_constructors_copy_their_input(kind):
+    source = np.array([0.6, 0.8j], dtype=complex)
+    value = kind(2, 1, source)
+    source[:] = [1.0, 0.0]
+    assert value.amplitudes.tolist() == [0.6, 0.8j]
+    assert not value.amplitudes.flags.writeable
 
 
 def test_apply_identity_leaves_state(rng):
@@ -186,7 +220,7 @@ def test_basis_state_digit_round_trip():
         for arity in (1, 2, 3):
             for idx in range(dim**arity):
                 digits = index_to_digits(idx, dim, arity)
-                assert basis_state(dim, arity, digits).digits() == digits
+                assert np.flatnonzero(basis_state(dim, arity, digits).amplitudes).tolist() == [idx]
 
 
 def test_partial_inner_product_recovers_factor(rng):
