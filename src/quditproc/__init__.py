@@ -39,13 +39,11 @@ from .processor import (
     apply_processor,
     processor_matrix,
     qubit_network_matches_shift_network,
-    tensor_array_apply,
 )
 from .programs import (
     SUPPORT_THRESHOLD,
     TRACELESS_QUBIT_LABELS,
     HsExpansion,
-    MeasurementVector,
     ProgramVector,
     example1_operator,
     example2_operator,
@@ -61,7 +59,6 @@ from .programs import (
     program_from_expansion,
     reflection_operator,
     reflection_program_factored,
-    synthesize_program,
 )
 from .registers import (
     DenseOperator,
@@ -71,7 +68,6 @@ from .registers import (
     apply_to_subsystem,
     basis_state,
     digits_to_index,
-    index_to_digits,
     inner_product,
     partial_inner_product,
     tensor,

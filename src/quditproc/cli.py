@@ -78,9 +78,12 @@ def _parse_params(pairs) -> dict:
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file: {exc}") from exc
 
 
 def _cmd_run(args) -> int:

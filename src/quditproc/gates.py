@@ -4,7 +4,6 @@ auxiliary gates used to prepare program states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -140,30 +139,19 @@ def conjugate_vector(v: QuditRegisterState) -> QuditRegisterState:
     return QuditRegisterState(v.dim, 1, v.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class BellBasis:
-    """The Bell basis as a linear map from N^2 weights to two-qudit amplitudes.
+def bell_basis_matrix(dim: int, weights) -> np.ndarray:
+    """Amplitudes of sum_mn w[m*N + n] |Xi_mn>, the Bell basis applied to N^2 weights.
 
-    `basis @ w` is sum_mn w[m*N + n] |Xi_mn>, the product with the unitary
-    whose column m*N + n is bell_state(N, (m, n)). Amplitude (k, (k - n) mod N)
-    of that sum is N^{-1/2} sum_m w_mn exp(2 pi i m k / N), which is
+    That is the product with the unitary whose column m*N + n is
+    bell_state(N, (m, n)). Amplitude (k, (k - n) mod N) of the sum is
+    N^{-1/2} sum_m w_mn exp(2 pi i m k / N), which is
     sqrt(N) ifft(w as N x N, axis=0)[k, n]: O(N^2 log N) time, O(N^2) memory,
     with no N^2 x N^2 matrix.
     """
-
-    dim: int
-
-    def __matmul__(self, weights) -> np.ndarray:
-        n = self.dim
-        w = np.asarray(weights, dtype=complex)
-        if w.shape != (n * n,):
-            raise ValueError(f"Bell weights must have shape ({n * n},), got {w.shape}")
-        cols = np.sqrt(n) * np.fft.ifft(w.reshape(n, n), axis=0)
-        k = np.arange(n)
-        # amps[k, j] holds column n = (k - j) mod N of row k.
-        return cols[k[:, None], (k[:, None] - k) % n].reshape(-1)
-
-
-def bell_basis_matrix(dim: int) -> BellBasis:
-    """The Bell basis map; `bell_basis_matrix(N) @ w` = sum_mn w[m*N + n] |Xi_mn>."""
-    return BellBasis(dim)
+    w = np.asarray(weights, dtype=complex)
+    if w.shape != (dim * dim,):
+        raise ValueError(f"Bell weights must have shape ({dim * dim},), got {w.shape}")
+    cols = np.sqrt(dim) * np.fft.ifft(w.reshape(dim, dim), axis=0)
+    k = np.arange(dim)
+    # amps[k, j] holds column n = (k - j) mod N of row k.
+    return cols[k[:, None], (k[:, None] - k) % dim].reshape(-1)

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processor import ProcessorSpec, QubitCnotNetwork, QuditShiftNetwork, apply_processor
-from .programs import (
-    MeasurementVector,
-    hs_expand,
-    measurement_full,
-    measurement_restricted,
-    program_from_expansion,
-)
+from .programs import hs_expand, measurement_full, measurement_restricted, program_from_expansion
 from .registers import (
     DenseOperator,
     QuditRegisterState,
@@ -52,7 +46,7 @@ class PostSelectionOutcome:
 
 
 def post_select(
-    joint, meas: MeasurementVector, oracle_state: QuditRegisterState | None = None
+    joint, meas: QuditRegisterState, oracle_state: QuditRegisterState | None = None
 ) -> PostSelectionOutcome:
     """Project the trailing subsystems of `joint` onto the measurement vector.
 
@@ -60,9 +54,9 @@ def post_select(
     joint state); whatever leads it is the data register. A zero-probability
     outcome is reported, not raised.
     """
-    start = joint.arity - meas.state.arity + 1
+    start = joint.arity - meas.arity + 1
     subsystems = tuple(range(start, joint.arity + 1))
-    overlap = partial_inner_product(meas.state, joint, subsystems)
+    overlap = partial_inner_product(meas, joint, subsystems)
     probability = overlap.norm() ** 2
     data_state = overlap.normalized() if probability > ZERO_PROBABILITY_CUTOFF else None
     fidelity = 0.0

@@ -178,22 +178,6 @@ def _general_diagonal_apply(
     return UnnormalizedVector(data.dim, data.arity + program.arity, out).normalized()
 
 
-def tensor_array_apply(l: int, data: QuditRegisterState, programs) -> QuditRegisterState:
-    """Run one single-qubit processor per data qubit.
-
-    programs[i] is the two-qubit program state controlling data qubit i+1.
-    The joint output keeps registers in order: data qubits 1..l, then the
-    program pairs in the same order.
-    """
-    programs = list(programs)
-    if len(programs) != l:
-        raise ValueError(f"expected {l} program states, got {len(programs)}")
-    combined = programs[0]
-    for p in programs[1:]:
-        combined = tensor(combined, p)
-    return apply_processor(TensorQubitArray(l), data, combined)
-
-
 def qubit_network_matches_shift_network(dim: int = 2) -> bool:
     """Whether the all-forward circuit is the same permutation as the mixed-direction one.
 

@@ -85,6 +85,7 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
     return HsExpansion(n, coeffs, gram)
 
 
+# Kept as a wrapper because quditbench/workload.py reads `.state` from it.
 @dataclass(frozen=True)
 class ProgramVector:
     """Normalized two-qudit program state for one operator."""
@@ -96,30 +97,17 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
     """Program state sqrt(N / Tr(A†A)) sum_mn q_mn |Xi_mn>."""
     scale = 1.0 / np.sqrt(expansion.gram_norm)
     weights = (expansion.coeffs * scale).reshape(-1)
-    amps = bell_basis_matrix(expansion.dim) @ weights
+    amps = bell_basis_matrix(expansion.dim, weights)
     return ProgramVector(QuditRegisterState(expansion.dim, 2, amps))
 
 
-def synthesize_program(op: DenseOperator) -> ProgramVector:
-    """Program state implementing `op`, via the general expansion path."""
-    return program_from_expansion(hs_expand(op))
-
-
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Program-register measurement direction: full basis or a support subset."""
-
-    state: QuditRegisterState
-
-
-def measurement_full(dim: int) -> MeasurementVector:
+def measurement_full(dim: int) -> QuditRegisterState:
     """Uniform superposition of all N^2 Bell states, weight 1/N each."""
     weights = np.full(dim * dim, 1.0 / dim, dtype=complex)
-    amps = bell_basis_matrix(dim) @ weights
-    return MeasurementVector(QuditRegisterState(dim, 2, amps))
+    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, weights))
 
 
-def measurement_for_labels(dim: int, labels) -> MeasurementVector:
+def measurement_for_labels(dim: int, labels) -> QuditRegisterState:
     """Uniform superposition of the named Bell states."""
     labels = tuple(BellLabel(*lab).reduced(dim) for lab in labels)
     if not labels:
@@ -129,11 +117,10 @@ def measurement_for_labels(dim: int, labels) -> MeasurementVector:
     weights = np.zeros(dim * dim, dtype=complex)
     for m, n in labels:
         weights[m * dim + n] = 1.0 / np.sqrt(len(labels))
-    amps = bell_basis_matrix(dim) @ weights
-    return MeasurementVector(QuditRegisterState(dim, 2, amps))
+    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, weights))
 
 
-def measurement_restricted(expansion: HsExpansion) -> MeasurementVector:
+def measurement_restricted(expansion: HsExpansion) -> QuditRegisterState:
     """Measurement restricted to the expansion's support labels.
 
     For a unitary operator this boosts the success probability from 1/N^2 to
@@ -219,8 +206,8 @@ def reflection_program_factored(phi: QuditRegisterState) -> QuditRegisterState:
 
     Starts from |Xi_00> - (2/sqrt N)|phi*>|phi>, shifts the second qudit down
     twice under control of the first, then negates the first. Equivalent to
-    synthesize_program(reflection_operator(phi)).state; the input state is
-    simpler to prepare.
+    program_from_expansion(hs_expand(reflection_operator(phi))).state; the
+    input state is simpler to prepare.
     """
     if phi.arity != 1:
         raise ValueError("reflection is defined for a single-qudit state")
@@ -235,28 +222,31 @@ def reflection_program_factored(phi: QuditRegisterState) -> QuditRegisterState:
     return apply_to_subsystem(negation_w(n), 1, vec).normalized()
 
 
+def _prepare_pair_program(pair: np.ndarray) -> QuditRegisterState:
+    """The preparation gate applied to the two-qubit pair state `pair` / sqrt 2."""
+    staged = QuditRegisterState(2, 2, pair / np.sqrt(2))
+    return apply_to_register(u_init(), staged).normalized()
+
+
 def prepare_reflection_program(phi: QuditRegisterState) -> QuditRegisterState:
     """Qubit reflection program prepared from the symmetric pair state.
 
     Applies the preparation gate to (|phi>|phi_perp> + |phi_perp>|phi>)/sqrt 2;
-    equals synthesize_program(reflection_operator(phi)).state.
+    equals program_from_expansion(hs_expand(reflection_operator(phi))).state.
     """
     perp = orthogonal_qubit_state(phi)
-    raw = (
+    return _prepare_pair_program(
         np.kron(phi.amplitudes, perp.amplitudes) + np.kron(perp.amplitudes, phi.amplitudes)
-    ) / np.sqrt(2)
-    staged = QuditRegisterState(2, 2, raw)
-    return apply_to_register(u_init(), staged).normalized()
+    )
 
 
 def prepare_exchange_program(phi: QuditRegisterState) -> QuditRegisterState:
     """Qubit exchange program prepared from the difference pair state.
 
-    Same preparation gate applied to (|phi>|phi> - |phi_perp>|phi_perp>)/sqrt 2.
+    Same preparation gate applied to (|phi>|phi> - |phi_perp>|phi_perp>)/sqrt 2;
+    equals program_from_expansion(hs_expand(exchange_operator(phi))).state.
     """
     perp = orthogonal_qubit_state(phi)
-    raw = (
+    return _prepare_pair_program(
         np.kron(phi.amplitudes, phi.amplitudes) - np.kron(perp.amplitudes, perp.amplitudes)
-    ) / np.sqrt(2)
-    staged = QuditRegisterState(2, 2, raw)
-    return apply_to_register(u_init(), staged).normalized()
+    )

@@ -30,15 +30,6 @@ def digits_to_index(digits, dim: int) -> int:
     return index
 
 
-def index_to_digits(index: int, dim: int, arity: int) -> tuple[int, ...]:
-    """Big-endian base-`dim` digits of a flat index, `arity` digits long."""
-    digits = []
-    for _ in range(arity):
-        index, d = divmod(index, dim)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def _checked_amplitudes(dim: int, arity: int, amplitudes) -> np.ndarray:
     if dim < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {dim}")

@@ -14,6 +14,7 @@ from quditproc import (
     GeneralDiagonal,
     QubitCnotNetwork,
     QuditShiftNetwork,
+    TensorQubitArray,
     apply_processor,
     basis_state,
     bell_state,
@@ -29,6 +30,7 @@ from quditproc import (
     prepare_exchange_program,
     prepare_reflection_program,
     predicted_probability,
+    program_from_expansion,
     qubit_network_matches_shift_network,
     random_operator,
     random_state,
@@ -36,8 +38,7 @@ from quditproc import (
     reflection_operator,
     reflection_program_factored,
     run_experiment,
-    synthesize_program,
-    tensor_array_apply,
+    tensor,
     u_mn,
     TRACELESS_QUBIT_LABELS,
 )
@@ -256,7 +257,7 @@ def test_c11_factored_reflection_program():
         for _ in range(20):
             phi = random_state(dim, 1, rng)
             a = reflection_program_factored(phi).amplitudes
-            b = synthesize_program(reflection_operator(phi)).state.amplitudes
+            b = program_from_expansion(hs_expand(reflection_operator(phi))).state.amplitudes
             worst = max(worst, float(np.max(np.abs(a - b))))
     _report(
         11,
@@ -297,7 +298,7 @@ def test_c13_tensor_array_and_general_diagonal():
     for j1, k1, j2, k2 in itertools.product((0, 1), repeat=4):
         data = random_state(2, 2, rng)
         p1, p2 = bell_state(2, (j1, k1)), bell_state(2, (j2, k2))
-        out = tensor_array_apply(2, data, [p1, p2])
+        out = apply_processor(TensorQubitArray(2), data, tensor(p1, p2))
         u_jk = np.kron(u_mn(2, (j1, k1)).entries, u_mn(2, (j2, k2)).entries)
         expected = np.kron(np.kron(u_jk @ data.amplitudes, p1.amplitudes), p2.amplitudes)
         worst_arr = max(worst_arr, float(np.max(np.abs(out.amplitudes - expected))))

@@ -84,6 +84,21 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--config", "paper-claims", "--trials", "1"], ["describe", "identity", "--dim", "2"]],
+    ids=["run", "describe"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+    assert run_cli([*command, "--out", str(out)]) == 2
+    # `run` logs one progress line per row before it writes the report.
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("config error: cannot write --out file")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_invalid_json_config_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -21,7 +21,6 @@ from quditproc import (
     random_state,
     random_unitary,
     tensor,
-    tensor_array_apply,
     u_mn,
 )
 
@@ -142,14 +141,15 @@ def test_apply_processor_shape_validation(rng):
 def test_tensor_array_single_processor_reduces_to_qubit_network(rng):
     data = random_state(2, 1, rng)
     prog = random_state(2, 2, rng)
-    a = tensor_array_apply(1, data, [prog])
+    a = apply_processor(TensorQubitArray(1), data, prog)
     b = apply_processor(QubitCnotNetwork(), data, prog)
     assert max_abs_diff(a.amplitudes, b.amplitudes) < 1e-12
 
 
 def test_tensor_array_two_qubits_identity_then_flip(rng):
     data = random_state(2, 2, rng)
-    out = tensor_array_apply(2, data, [bell_state(2, (0, 0)), bell_state(2, (0, 1))])
+    program = tensor(bell_state(2, (0, 0)), bell_state(2, (0, 1)))
+    out = apply_processor(TensorQubitArray(2), data, program)
     applied = np.kron(np.eye(2), pauli_s(0, 1).entries) @ data.amplitudes
     expected = np.kron(
         np.kron(applied, bell_state(2, (0, 0)).amplitudes), bell_state(2, (0, 1)).amplitudes
@@ -159,7 +159,8 @@ def test_tensor_array_two_qubits_identity_then_flip(rng):
 
 def test_tensor_array_two_qubits_double_phase(rng):
     data = random_state(2, 2, rng)
-    out = tensor_array_apply(2, data, [bell_state(2, (1, 0)), bell_state(2, (1, 0))])
+    program = tensor(bell_state(2, (1, 0)), bell_state(2, (1, 0)))
+    out = apply_processor(TensorQubitArray(2), data, program)
     applied = np.kron(pauli_s(1, 0).entries, pauli_s(1, 0).entries) @ data.amplitudes
     expected = np.kron(
         np.kron(applied, bell_state(2, (1, 0)).amplitudes), bell_state(2, (1, 0)).amplitudes
@@ -169,7 +170,7 @@ def test_tensor_array_two_qubits_double_phase(rng):
 
 def test_tensor_array_rejects_wrong_program_count(rng):
     with pytest.raises(ValueError):
-        tensor_array_apply(2, random_state(2, 2, rng), [bell_state(2, (0, 0))])
+        apply_processor(TensorQubitArray(2), random_state(2, 2, rng), bell_state(2, (0, 0)))
 
 
 def test_general_diagonal_single_term(rng):

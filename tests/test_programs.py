@@ -19,11 +19,11 @@ from quditproc import (
     orthogonal_qubit_state,
     prepare_exchange_program,
     prepare_reflection_program,
+    program_from_expansion,
     random_operator,
     random_state,
     reflection_operator,
     reflection_program_factored,
-    synthesize_program,
     u_mn,
 )
 
@@ -116,7 +116,7 @@ def test_expand_rejects_zero_operator():
 
 def test_program_for_basis_operator_is_its_bell_state():
     for dim in (2, 3, 4):
-        prog = synthesize_program(u_mn(dim, (1, dim - 1)))
+        prog = program_from_expansion(hs_expand(u_mn(dim, (1, dim - 1))))
         assert hs_expand(u_mn(dim, (1, dim - 1))).support() == ((1, dim - 1),)
         expected = bell_state(dim, (1, dim - 1)).amplitudes
         # a basis operator's program is its own Bell state up to the
@@ -127,7 +127,7 @@ def test_program_for_basis_operator_is_its_bell_state():
 def test_reflection_program_coefficient_vector(rng):
     phi = random_state(2, 1, rng)
     mu, nu = phi.amplitudes
-    prog = synthesize_program(reflection_operator(phi))
+    prog = program_from_expansion(hs_expand(reflection_operator(phi)))
     expected = (
         -(mu * np.conj(nu) + np.conj(mu) * nu) * bell_state(2, (0, 1)).amplitudes
         + (mu * np.conj(nu) - np.conj(mu) * nu) * bell_state(2, (1, 1)).amplitudes
@@ -138,7 +138,7 @@ def test_reflection_program_coefficient_vector(rng):
 
 def test_two_term_rotation_program():
     theta = 0.7
-    prog = synthesize_program(example2_operator(theta, 6))
+    prog = program_from_expansion(hs_expand(example2_operator(theta, 6)))
     expected = np.cos(theta) * bell_state(6, (0, 0)).amplitudes + 1j * np.sin(theta) * bell_state(
         6, (0, 3)
     ).amplitudes
@@ -148,7 +148,7 @@ def test_two_term_rotation_program():
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_full_measurement_is_normalized(dim):
     m = measurement_full(dim)
-    assert abs(np.linalg.norm(m.state.amplitudes) - 1) < 1e-12
+    assert abs(np.linalg.norm(m.amplitudes) - 1) < 1e-12
 
 
 def test_full_measurement_overlap_with_each_bell():
@@ -156,7 +156,7 @@ def test_full_measurement_overlap_with_each_bell():
     m = measurement_full(dim)
     for mm in range(dim):
         for nn in range(dim):
-            assert abs(inner_product(m.state, bell_state(dim, (mm, nn))) - 1 / dim) < 1e-12
+            assert abs(inner_product(m, bell_state(dim, (mm, nn))) - 1 / dim) < 1e-12
 
 
 def test_three_label_measurement_matches_qubit_recipe():
@@ -166,7 +166,7 @@ def test_three_label_measurement_matches_qubit_recipe():
         + bell_state(2, (1, 1)).amplitudes
         + bell_state(2, (1, 0)).amplitudes
     ) / np.sqrt(3)
-    assert max_abs_diff(m.state.amplitudes, expected) < 1e-15
+    assert max_abs_diff(m.amplitudes, expected) < 1e-15
 
 
 def test_restricted_measurement_single_support_is_bell_state():
@@ -174,8 +174,8 @@ def test_restricted_measurement_single_support_is_bell_state():
     m = measurement_restricted(exp)
     assert exp.support() == ((2, 1),)
     by_labels = measurement_for_labels(3, exp.support())
-    assert max_abs_diff(m.state.amplitudes, by_labels.state.amplitudes) == 0.0
-    assert max_abs_diff(np.abs(m.state.amplitudes), np.abs(bell_state(3, (2, 1)).amplitudes)) < 1e-12
+    assert max_abs_diff(m.amplitudes, by_labels.amplitudes) == 0.0
+    assert max_abs_diff(np.abs(m.amplitudes), np.abs(bell_state(3, (2, 1)).amplitudes)) < 1e-12
 
 
 def test_restricted_measurement_two_term_rotation():
@@ -183,9 +183,9 @@ def test_restricted_measurement_two_term_rotation():
     m = measurement_restricted(exp)
     assert set(exp.support()) == {(0, 0), (0, 3)}
     by_labels = measurement_for_labels(6, exp.support())
-    assert max_abs_diff(m.state.amplitudes, by_labels.state.amplitudes) == 0.0
+    assert max_abs_diff(m.amplitudes, by_labels.amplitudes) == 0.0
     expected = (bell_state(6, (0, 0)).amplitudes + bell_state(6, (0, 3)).amplitudes) / np.sqrt(2)
-    assert max_abs_diff(m.state.amplitudes, expected) < 1e-12
+    assert max_abs_diff(m.amplitudes, expected) < 1e-12
 
 
 def test_measurement_rejects_empty_labels():
@@ -216,7 +216,7 @@ def test_family_l2_equals_example1():
 
 
 def test_example1_program_at_zero_angle_is_shared_bell_state():
-    prog = synthesize_program(example1_operator(0.0))
+    prog = program_from_expansion(hs_expand(example1_operator(0.0)))
     assert max_abs_diff(prog.state.amplitudes, bell_state(4, (0, 0)).amplitudes) < 1e-12
     assert hs_expand(example1_operator(0.0)).support() == ((0, 0),)
 
@@ -232,9 +232,9 @@ def test_example1_generic_support_is_three():
 
 
 def test_example2_program_limits():
-    zero = synthesize_program(example2_operator(0.0, 4))
+    zero = program_from_expansion(hs_expand(example2_operator(0.0, 4)))
     assert max_abs_diff(zero.state.amplitudes, bell_state(4, (0, 0)).amplitudes) < 1e-12
-    quarter = synthesize_program(example2_operator(np.pi / 2, 4))
+    quarter = program_from_expansion(hs_expand(example2_operator(np.pi / 2, 4)))
     assert max_abs_diff(quarter.state.amplitudes, 1j * bell_state(4, (0, 2)).amplitudes) < 1e-12
 
 
@@ -252,7 +252,7 @@ def test_example2_rejects_odd_dimension():
 def test_reflection_program_for_axis_state():
     # phi = |0>: operator diag(-1, 1), single support label with weight -1
     phi = basis_state(2, 1, [0])
-    prog = synthesize_program(reflection_operator(phi))
+    prog = program_from_expansion(hs_expand(reflection_operator(phi)))
     assert hs_expand(reflection_operator(phi)).support() == ((1, 0),)
     assert max_abs_diff(prog.state.amplitudes, -bell_state(2, (1, 0)).amplitudes) < 1e-12
     q = hs_expand(reflection_operator(phi)).coeffs
@@ -272,7 +272,7 @@ def test_factored_reflection_program_matches_synthesis(dim, rng):
     for _ in range(5):
         phi = random_state(dim, 1, rng)
         a = reflection_program_factored(phi).amplitudes
-        b = synthesize_program(reflection_operator(phi)).state.amplitudes
+        b = program_from_expansion(hs_expand(reflection_operator(phi))).state.amplitudes
         assert max_abs_diff(a, b) < 1e-10
 
 
@@ -280,7 +280,7 @@ def test_prepared_reflection_program_matches_synthesis(rng):
     for _ in range(10):
         phi = random_state(2, 1, rng)
         a = prepare_reflection_program(phi).amplitudes
-        b = synthesize_program(reflection_operator(phi)).state.amplitudes
+        b = program_from_expansion(hs_expand(reflection_operator(phi))).state.amplitudes
         assert max_abs_diff(a, b) < 1e-12
 
 
@@ -288,7 +288,7 @@ def test_prepared_exchange_program_matches_synthesis(rng):
     for _ in range(10):
         phi = random_state(2, 1, rng)
         a = prepare_exchange_program(phi).amplitudes
-        b = synthesize_program(exchange_operator(phi)).state.amplitudes
+        b = program_from_expansion(hs_expand(exchange_operator(phi))).state.amplitudes
         assert max_abs_diff(a, b) < 1e-12
 
 
@@ -300,13 +300,13 @@ def test_orthogonal_qubit_state_is_orthogonal(rng):
 def test_named_programs_match_generic_synthesis(rng):
     phi = random_state(3, 1, rng)
     pairs = [
-        (synthesize_program(reflection_operator(phi)), reflection_operator(phi)),
-        (synthesize_program(example1_operator(0.7)), example1_operator(0.7)),
-        (synthesize_program(family_operator(3, 0.43)), family_operator(3, 0.43)),
-        (synthesize_program(example2_operator(0.3, 6)), example2_operator(0.3, 6)),
+        (program_from_expansion(hs_expand(reflection_operator(phi))), reflection_operator(phi)),
+        (program_from_expansion(hs_expand(example1_operator(0.7))), example1_operator(0.7)),
+        (program_from_expansion(hs_expand(family_operator(3, 0.43))), family_operator(3, 0.43)),
+        (program_from_expansion(hs_expand(example2_operator(0.3, 6))), example2_operator(0.3, 6)),
     ]
     for prog, op in pairs:
-        direct = synthesize_program(op)
+        direct = program_from_expansion(hs_expand(op))
         assert max_abs_diff(prog.state.amplitudes, direct.state.amplitudes) < 1e-12
         assert abs(np.linalg.norm(prog.state.amplitudes) - 1) < 1e-12
 
@@ -317,7 +317,7 @@ def test_unitary_program_norm_and_support_count(rng):
     for dim in (2, 3, 4):
         op = random_unitary(dim, rng)
         exp = hs_expand(op)
-        prog = synthesize_program(op)
+        prog = program_from_expansion(hs_expand(op))
         assert abs(np.linalg.norm(prog.state.amplitudes) - 1) < 1e-12
         above = np.count_nonzero(np.abs(exp.coeffs) > 1e-10 * np.abs(exp.coeffs).max())
         assert len(exp.support()) == above

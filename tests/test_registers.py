@@ -13,7 +13,6 @@ from quditproc import (
     basis_state,
     bell_state,
     conditional_shift,
-    index_to_digits,
     inner_product,
     negation_w,
     partial_inner_product,
@@ -24,7 +23,7 @@ from quditproc import (
     u_init,
 )
 
-from conftest import max_abs_diff
+from conftest import index_to_digits, max_abs_diff
 
 
 def test_basis_state_qubit_zero():
