@@ -31,6 +31,7 @@ from .postselect import (
     run_experiment,
 )
 from .processor import (
+    GateArray,
     GeneralDiagonal,
     ProcessorSpec,
     QubitCnotNetwork,

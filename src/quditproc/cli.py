@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a report row failed its tolerance, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -14,6 +15,7 @@ from .harness import (
     describe_operator,
     load_bundled_config,
     load_config_file,
+    parse_config,
     report_csv,
     report_json,
     run_config,
@@ -75,13 +77,18 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The stream the output goes to: stdout, or the --out file opened on entry.
+
+    An --out file that cannot be opened or written is a ConfigError.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write --out file: {exc}") from exc
 
@@ -92,10 +99,12 @@ def _cmd_run(args) -> int:
         config_name = args.config
     else:
         doc = load_config_file(args.config)
-        config_name = str(doc.get("name", args.config))
-    seed, rows = run_config(doc, args.seed, args.trials, log=sys.stderr)
-    text = report_json(rows, seed, config_name) if args.format == "json" else report_csv(rows)
-    _write_output(text, args.out)
+        config_name = doc.get("name", args.config)
+    # A config error leaves no --out file, and an unwritable one fails before any scenario runs.
+    parse_config(doc, args.seed, args.trials)
+    with _output(args.out) as out:
+        seed, rows = run_config(doc, args.seed, args.trials, log=sys.stderr)
+        out.write(report_json(rows, seed, config_name) if args.format == "json" else report_csv(rows))
     failures = [r for r in rows if not r.passed]
     if failures:
         print(f"{len(failures)} scenario(s) failed:", file=sys.stderr)
@@ -125,7 +134,8 @@ def _cmd_describe(args) -> int:
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--matrix is not valid JSON: {exc}") from exc
     doc = describe_operator(args.name, args.dim, params)
-    _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 

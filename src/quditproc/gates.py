@@ -29,24 +29,22 @@ class BellLabel(NamedTuple):
         return BellLabel(self.m % dim, self.n % dim)
 
 
-def conditional_shift(dim: int, control: int, target: int, direction: ShiftDirection, state):
+def conditional_shift(state, control: int, target: int, direction: ShiftDirection):
     """Conditional shift |k>_c |m>_t -> |k>_c |(m ± k) mod N>_t.
 
     The qudit generalization of controlled-NOT: FORWARD adds the control digit
     to the target digit, BACKWARD subtracts it. At dim 2 the two directions
-    coincide. The gate is a permutation, so the input register type (normalized
-    or not) is preserved in the output. `direction` must be a ShiftDirection.
+    coincide. N and the arity are the register's. The gate is a permutation, so
+    the register type (normalized or not) is kept. `direction` is a ShiftDirection.
     """
     if not isinstance(direction, ShiftDirection):
         raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
-    if dim != state.dim:
-        raise ValueError(f"gate dimension {dim} does not match state dimension {state.dim}")
     if control == target:
         raise ValueError("control and target subsystems must differ")
     for name, idx in (("control", control), ("target", target)):
         if not 1 <= idx <= state.arity:
             raise ValueError(f"{name} index {idx} out of range 1..{state.arity}")
-    arity = state.arity
+    dim, arity = state.dim, state.arity
     digits = np.arange(dim)
     ctrl = digits.reshape([dim if ax == control - 1 else 1 for ax in range(arity)])
     tgt = digits.reshape([dim if ax == target - 1 else 1 for ax in range(arity)])

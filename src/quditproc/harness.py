@@ -3,7 +3,8 @@
 Config files are JSON with a top-level "schema": 1. Complex numbers are
 [re, im] pairs; matrices are nested row-major lists of such pairs. Scenario
 randomness is derived from one 64-bit seed, so a config plus a seed fully
-determines the report.
+determines the report. A key that no level of the config defines is an
+error, not ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .postselect import ZERO_PROBABILITY_CUTOFF, predicted_probability, run_experiment
-from .processor import QubitCnotNetwork, QuditShiftNetwork
+from .processor import GateArray, QubitCnotNetwork, QuditShiftNetwork
 from .programs import (
     example1_operator,
     example2_operator,
@@ -32,8 +33,13 @@ from .sampling import random_operator, random_state, random_unitary
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
-PROCESSOR_NAMES = ("qudit-shift", "qubit-cnot")
+PROCESSORS = {"qudit-shift": QuditShiftNetwork, "qubit-cnot": lambda dim: QubitCnotNetwork()}
 MEASUREMENT_KINDS = ("full", "support")
+ROOT_KEYS = frozenset({"schema", "name", "seed", "scenarios"})
+SCENARIO_KEYS = frozenset(
+    {"id", "dim", "processor", "operator", "data_state", "measurement", "trials",
+     "expected_probability", "tolerance", "seed"}
+)
 
 # Largest qudit dimension a config or `describe` may ask for. The largest
 # allocation is the network's N^3 complex joint state, 16 N^3 bytes. Gate
@@ -75,6 +81,13 @@ def _str(what: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a string, got {value!r}")
     return value
+
+
+def _known_keys(what: str, raw: dict, allowed: frozenset) -> None:
+    # A misspelled key would otherwise fall back to its default unnoticed.
+    unknown = sorted(raw.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}")
 
 
 def check_dim(dim) -> int:
@@ -240,7 +253,7 @@ def build_operator(name: str, params: dict, dim: int, rng: np.random.Generator |
 class Scenario:
     id: str
     dim: int
-    processor: str
+    processor: GateArray
     operator_name: str
     operator_params: dict  # typed, from check_operator
     data_state: object  # "random" or QuditRegisterState
@@ -269,12 +282,14 @@ class ReportRow:
 
 
 def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenario:
+    _known_keys("scenario key", raw, SCENARIO_KEYS)
     dim = check_dim(raw.get("dim"))
     processor = raw.get("processor", "qudit-shift")
-    if processor not in PROCESSOR_NAMES:
+    if not isinstance(processor, str) or processor not in PROCESSORS:
         raise ConfigError(f"unknown processor {processor!r}")
-    if processor == "qubit-cnot" and dim != 2:
-        raise ConfigError(f"qubit-cnot processor needs dim 2, got {dim}")
+    gate_array = PROCESSORS[processor](dim)
+    if gate_array.dim != dim:
+        raise ConfigError(f"{processor} processor needs dim {gate_array.dim}, got {dim}")
     op_spec = raw.get("operator")
     if not isinstance(op_spec, dict):
         raise ConfigError("'operator' must be an object")
@@ -297,7 +312,7 @@ def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenari
     return Scenario(
         id=sid,
         dim=dim,
-        processor=processor,
+        processor=gate_array,
         operator_name=name,
         operator_params=params,
         data_state=data_state,
@@ -320,6 +335,8 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     schema = doc.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema: {schema!r} (expected {SCHEMA_VERSION})")
+    _known_keys("config key", doc, ROOT_KEYS)
+    _str("name", doc.get("name", ""))
     seed = _int("seed", doc.get("seed", 0) if seed_override is None else seed_override, 0)
     raw_scenarios = doc.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
@@ -366,13 +383,12 @@ def load_bundled_config(name: str) -> dict:
 def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
     """Run one scenario's trials and aggregate into a report row."""
     rng = np.random.default_rng(scn.seed if scn.seed is not None else [global_seed, index])
-    proc = QubitCnotNetwork() if scn.processor == "qubit-cnot" else QuditShiftNetwork(scn.dim)
     started = time.perf_counter()
     sims, preds, devs, fids = [], [], [], []
     for _ in range(scn.trials):
         op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
         psi = random_state(scn.dim, 1, rng) if scn.data_state == "random" else scn.data_state
-        outcome = run_experiment(proc, op, psi, scn.measurement)
+        outcome = run_experiment(scn.processor, op, psi, scn.measurement)
         pred = predicted_probability(op, psi, scn.measurement)
         sims.append(outcome.probability)
         preds.append(pred)

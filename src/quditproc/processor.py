@@ -1,11 +1,11 @@
 """The fixed processor circuits that route a program register onto data.
 
-Every shift network (the qudit network, the qubit CNOT network and the
-l-qubit tensor array) is declared once, in `_network`, as a list of
-conditional shifts on the joint register, and run by one path, each gate a
-single gather. The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied
-to programs in the span of its basis. `processor_matrix` materializes either
-as a joint-space matrix for cross-checks at small dimension.
+A shift network is a `GateArray` (dimension, data width, conditional shifts),
+built by the qudit network, the qubit CNOT network or the l-qubit tensor
+array and run by one path, each gate a single gather. The general diagonal
+form sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
+`processor_matrix` materializes either as a joint-space matrix for
+cross-checks at small dimension.
 """
 
 from __future__ import annotations
@@ -27,31 +27,58 @@ _F = ShiftDirection.FORWARD
 _B = ShiftDirection.BACKWARD
 
 
+def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
+    # Application order of the four conditional shifts; the third gate is the
+    # only one whose direction distinguishes the qudit and qubit variants.
+    return (
+        (data_q, p1, _F),
+        (data_q, p2, _F),
+        (p1, data_q, _B if backward else _F),
+        (p2, data_q, _F),
+    )
+
+
 @dataclass(frozen=True)
-class QuditShiftNetwork:
-    """Four conditional shifts on one data qudit and a two-qudit program."""
+class GateArray:
+    """A fixed array of conditional shifts on `width` data and 2·`width` program qudits.
+
+    The joint register is the data qudits followed by the program qudits;
+    `gates` holds the (control, target, direction) shifts in application order.
+    """
 
     dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
+    width: int
+    gates: tuple
 
 
-@dataclass(frozen=True)
-class QubitCnotNetwork:
+class QuditShiftNetwork(GateArray):
+    """Four conditional shifts on one data qudit and a two-qudit program."""
+
+    def __init__(self, dim: int):
+        if dim < 2:
+            raise ValueError(f"qudit dimension must be >= 2, got {dim}")
+        super().__init__(dim, 1, _single_processor_gates(1, 2, 3, backward=True))
+
+
+class QubitCnotNetwork(GateArray):
     """The qubit special case: four CNOTs (both shift directions agree at dim 2)."""
 
+    def __init__(self):
+        super().__init__(2, 1, _single_processor_gates(1, 2, 3, backward=False))
 
-@dataclass(frozen=True)
-class TensorQubitArray:
+
+class TensorQubitArray(GateArray):
     """l independent single-qubit processors, one per data qubit."""
 
-    l: int
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError(f"need at least one qubit processor, got l={self.l}")
+    def __init__(self, l: int):
+        if l < 1:
+            raise ValueError(f"need at least one qubit processor, got l={l}")
+        gates = tuple(
+            gate
+            for m in range(1, l + 1)
+            for gate in _single_processor_gates(m, l + 2 * m - 1, l + 2 * m, backward=False)
+        )
+        super().__init__(2, l, gates)
 
 
 @dataclass(frozen=True)
@@ -89,43 +116,12 @@ class GeneralDiagonal:
             raise ValueError("program basis vectors are not orthonormal")
 
 
-ProcessorSpec = QuditShiftNetwork | QubitCnotNetwork | TensorQubitArray | GeneralDiagonal
-
-
-def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
-    # Application order of the four conditional shifts; the third gate is the
-    # only one whose direction distinguishes the qudit and qubit variants.
-    return (
-        (data_q, p1, _F),
-        (data_q, p2, _F),
-        (p1, data_q, _B if backward else _F),
-        (p2, data_q, _F),
-    )
-
-
-def _network(spec) -> tuple[int, int, tuple]:
-    """(qudit dimension, data qudits l, gate list) of a shift network.
-
-    The joint register is the l data qudits followed by the 2l program qudits.
-    """
-    if isinstance(spec, QuditShiftNetwork):
-        return spec.dim, 1, _single_processor_gates(1, 2, 3, backward=True)
-    if isinstance(spec, QubitCnotNetwork):
-        return 2, 1, _single_processor_gates(1, 2, 3, backward=False)
-    if isinstance(spec, TensorQubitArray):
-        l = spec.l
-        gates = tuple(
-            gate
-            for m in range(1, l + 1)
-            for gate in _single_processor_gates(m, l + 2 * m - 1, l + 2 * m, backward=False)
-        )
-        return 2, l, gates
-    raise TypeError(f"unknown processor spec: {spec!r}")
+ProcessorSpec = GateArray | GeneralDiagonal
 
 
 def _run_gates(joint, gates):
     for control, target, direction in gates:
-        joint = conditional_shift(joint.dim, control, target, direction, joint)
+        joint = conditional_shift(joint, control, target, direction)
     return joint
 
 
@@ -148,13 +144,14 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
     """
     if isinstance(spec, GeneralDiagonal):
         return _general_diagonal_apply(spec, data, program)
-    dim, width, gates = _network(spec)
-    if not (data.dim == program.dim == dim and data.arity == width and program.arity == 2 * width):
+    if not isinstance(spec, GateArray):
+        raise TypeError(f"unknown processor spec: {spec!r}")
+    if (data.dim, data.arity, program.dim, program.arity) != (spec.dim, spec.width, spec.dim, 2 * spec.width):
         raise ValueError(
-            f"processor needs {width} data and {2 * width} program qudit(s) of dimension {dim}, "
+            f"processor needs {spec.width} data and {2 * spec.width} program qudit(s) of dimension {spec.dim}, "
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
-    return _run_gates(tensor(data, program), gates)
+    return _run_gates(tensor(data, program), spec.gates)
 
 
 def _general_diagonal_apply(
@@ -183,8 +180,8 @@ def qubit_network_matches_shift_network(dim: int = 2) -> bool:
 
     True exactly at dim 2, where adding and subtracting mod 2 coincide.
     """
-    forward = _source_index(dim, 3, _single_processor_gates(1, 2, 3, backward=False))
-    mixed = _source_index(dim, 3, _single_processor_gates(1, 2, 3, backward=True))
+    forward = _source_index(dim, 3, QubitCnotNetwork().gates)
+    mixed = _source_index(dim, 3, QuditShiftNetwork(dim).gates)
     return bool(np.array_equal(forward, mixed))
 
 
@@ -200,6 +197,7 @@ def processor_matrix(spec: ProcessorSpec) -> np.ndarray:
             np.kron(op.entries, np.outer(y.amplitudes, y.amplitudes.conj()))
             for op, y in zip(spec.operators, spec.basis)
         )
-    dim, width, gates = _network(spec)
-    source = _source_index(dim, 3 * width, gates)
+    if not isinstance(spec, GateArray):
+        raise TypeError(f"unknown processor spec: {spec!r}")
+    source = _source_index(spec.dim, 3 * spec.width, spec.gates)
     return np.eye(source.size, dtype=complex)[source]

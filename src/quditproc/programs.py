@@ -217,8 +217,8 @@ def reflection_program_factored(phi: QuditRegisterState) -> QuditRegisterState:
         star.amplitudes, phi.amplitudes
     )
     vec = UnnormalizedVector(n, 2, raw).normalized()
-    vec = conditional_shift(n, 1, 2, ShiftDirection.BACKWARD, vec)
-    vec = conditional_shift(n, 1, 2, ShiftDirection.BACKWARD, vec)
+    vec = conditional_shift(vec, 1, 2, ShiftDirection.BACKWARD)
+    vec = conditional_shift(vec, 1, 2, ShiftDirection.BACKWARD)
     return apply_to_subsystem(negation_w(n), 1, vec).normalized()
 
 

@@ -93,9 +93,10 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
     out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
     assert run_cli([*command, "--out", str(out)]) == 2
-    # `run` logs one progress line per row before it writes the report.
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("config error: cannot write --out file")
+    # The --out file is opened before `run` runs its first scenario.
+    err = capsys.readouterr().err
+    assert "[ok]" not in err
+    assert err.splitlines()[-1].startswith("config error: cannot write --out file")
     assert not (tmp_path / "missing").exists()
 
 
@@ -371,6 +372,13 @@ RUN_FAULTS = [
     pytest.param(one_scenario(operator={"name": "family", "l": -1, "phi": 0.1}), id="family-l-negative"),
     pytest.param(one_scenario(dim=1000), id="dim-above-max"),
     pytest.param(one_scenario(operator={"name": "family", "l": 100, "phi": 0.1}), id="family-l-above-max"),
+    pytest.param(one_scenario(measurment="support"), id="scenario-key-measurment"),
+    pytest.param(one_scenario(trails=7), id="scenario-key-trails"),
+    pytest.param(one_scenario(expected_probabilty=0.5), id="scenario-key-expected-probabilty"),
+    pytest.param(one_scenario(root={"sed": 5}), id="root-key-sed"),
+    pytest.param(one_scenario(root={"name": {"a": 1}}), id="name-object"),
+    pytest.param(one_scenario(root={"name": 3}), id="name-int"),
+    pytest.param(one_scenario(processor=["qubit-cnot"]), id="processor-list"),
 ]
 
 

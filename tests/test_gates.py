@@ -32,37 +32,37 @@ def test_shift_directions_agree_at_dim_two():
     for c in range(2):
         for t in range(2):
             s = basis_state(2, 2, [c, t])
-            fwd = conditional_shift(2, 1, 2, F, s)
-            bwd = conditional_shift(2, 1, 2, B, s)
+            fwd = conditional_shift(s, 1, 2, F)
+            bwd = conditional_shift(s, 1, 2, B)
             assert max_abs_diff(fwd.amplitudes, bwd.amplitudes) == 0
 
 
 def test_forward_shift_qutrit():
     s = basis_state(3, 2, [1, 2])
-    out = conditional_shift(3, 1, 2, F, s)
+    out = conditional_shift(s, 1, 2, F)
     assert max_abs_diff(out.amplitudes, basis_state(3, 2, [1, 0]).amplitudes) == 0
 
 
 def test_backward_shift_qutrit():
     s = basis_state(3, 2, [1, 0])
-    out = conditional_shift(3, 1, 2, B, s)
+    out = conditional_shift(s, 1, 2, B)
     assert max_abs_diff(out.amplitudes, basis_state(3, 2, [1, 2]).amplitudes) == 0
 
 
 def test_shift_rejects_equal_control_target():
     with pytest.raises(ValueError):
-        conditional_shift(2, 1, 1, F, basis_state(2, 2, [0, 0]))
+        conditional_shift(basis_state(2, 2, [0, 0]), 1, 1, F)
 
 
 def test_shift_rejects_out_of_range_index():
     with pytest.raises(ValueError):
-        conditional_shift(2, 1, 3, F, basis_state(2, 2, [0, 0]))
+        conditional_shift(basis_state(2, 2, [0, 0]), 1, 3, F)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward", 1, -1, None])
 def test_shift_rejects_direction_that_is_not_a_shift_direction(direction):
     with pytest.raises(TypeError):
-        conditional_shift(3, 1, 2, direction, basis_state(3, 2, [1, 0]))
+        conditional_shift(basis_state(3, 2, [1, 0]), 1, 2, direction)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -74,7 +74,7 @@ def test_conditional_shift_follows_digit_rule(arity, dim):
         for direction, sign in ((F, 1), (B, -1)):
             for index in range(dim**arity):
                 digits = list(index_to_digits(index, dim, arity))
-                out = conditional_shift(dim, control, target, direction, basis_state(dim, arity, digits))
+                out = conditional_shift(basis_state(dim, arity, digits), control, target, direction)
                 digits[target - 1] = (digits[target - 1] + sign * digits[control - 1]) % dim
                 expected = np.zeros(dim**arity)
                 expected[digits_to_index(digits, dim)] = 1.0
@@ -84,14 +84,14 @@ def test_conditional_shift_follows_digit_rule(arity, dim):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
 def test_shift_preserves_norm(dim, rng):
     s = random_state(dim, 2, rng)
-    out = conditional_shift(dim, 2, 1, F, s)
+    out = conditional_shift(s, 2, 1, F)
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_forward_then_backward_is_identity(dim, rng):
     s = random_state(dim, 3, rng)
-    out = conditional_shift(dim, 3, 1, B, conditional_shift(dim, 3, 1, F, s))
+    out = conditional_shift(conditional_shift(s, 3, 1, F), 3, 1, B)
     assert max_abs_diff(out.amplitudes, s.amplitudes) < 1e-12
 
 
@@ -302,5 +302,5 @@ def test_conjugate_vector_rejects_multi_qudit(rng):
 def test_conditional_shift_unitary_on_entangled_input(rng):
     # a shared Bell pair is not a product state; the gate must still permute
     joint = tensor(random_state(3, 1, rng), bell_state(3, (2, 1)))
-    out = conditional_shift(3, 1, 3, B, joint)
+    out = conditional_shift(joint, 1, 3, B)
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12

@@ -5,10 +5,12 @@ import pytest
 
 from quditproc import (
     DenseOperator,
+    GateArray,
     GeneralDiagonal,
     QubitCnotNetwork,
     QuditRegisterState,
     QuditShiftNetwork,
+    ShiftDirection,
     TensorQubitArray,
     apply_processor,
     basis_state,
@@ -136,6 +138,27 @@ def test_apply_processor_shape_validation(rng):
         apply_processor(QuditShiftNetwork(3), random_state(2, 1, rng), random_state(2, 2, rng))
     with pytest.raises(ValueError):
         apply_processor(QubitCnotNetwork(), random_state(3, 1, rng), random_state(3, 2, rng))
+
+
+@pytest.mark.parametrize("spec", [object(), "qudit-shift", (3, 1, QuditShiftNetwork(3).gates)])
+def test_non_processor_spec_is_type_error(spec, rng):
+    with pytest.raises(TypeError):
+        apply_processor(spec, random_state(3, 1, rng), random_state(3, 2, rng))
+    with pytest.raises(TypeError):
+        processor_matrix(spec)
+
+
+def test_shift_networks_are_gate_arrays(rng):
+    assert QuditShiftNetwork(3).gates[2] == (2, 1, ShiftDirection.BACKWARD)
+    assert QubitCnotNetwork().dim == 2
+    assert TensorQubitArray(2).width == 2 and len(TensorQubitArray(2).gates) == 8
+    # Equal gate lists, different constructors: the values stay distinct.
+    assert TensorQubitArray(1).gates == QubitCnotNetwork().gates
+    assert TensorQubitArray(1) != QubitCnotNetwork()
+    data, prog = random_state(3, 1, rng), random_state(3, 2, rng)
+    bare = GateArray(3, 1, QuditShiftNetwork(3).gates)
+    named = apply_processor(QuditShiftNetwork(3), data, prog)
+    assert max_abs_diff(apply_processor(bare, data, prog).amplitudes, named.amplitudes) == 0
 
 
 def test_tensor_array_single_processor_reduces_to_qubit_network(rng):

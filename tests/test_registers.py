@@ -111,7 +111,7 @@ def test_tensor_output_is_fresh_and_read_only(rng):
 def test_conditional_shift_output_is_fresh_read_only_and_keeps_type(kind, scale, rng):
     state = kind(3, 3, scale * random_state(3, 3, rng).amplitudes)
     for direction in ShiftDirection:
-        out = conditional_shift(3, 2, 1, direction, state)
+        out = conditional_shift(state, 2, 1, direction)
         assert type(out) is kind
         _assert_fresh_and_read_only(out, state)
 
