@@ -36,6 +36,11 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
     to the target digit, BACKWARD subtracts it. At dim 2 the two directions
     coincide. N and the arity are the register's. The gate is a permutation, so
     the register type (normalized or not) is kept. `direction` is a ShiftDirection.
+
+    The only allocation is the output, filled with two block copies per digit
+    (the split is where the shift wraps round N): per control digit k when the
+    control is not the last subsystem, else per target digit m, so that every
+    copy writes a long contiguous run.
     """
     if not isinstance(direction, ShiftDirection):
         raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
@@ -45,15 +50,36 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
         if not 1 <= idx <= state.arity:
             raise ValueError(f"{name} index {idx} out of range 1..{state.arity}")
     dim, arity = state.dim, state.arity
-    digits = np.arange(dim)
-    ctrl = digits.reshape([dim if ax == control - 1 else 1 for ax in range(arity)])
-    tgt = digits.reshape([dim if ax == target - 1 else 1 for ax in range(arity)])
     sign = 1 if direction is ShiftDirection.FORWARD else -1
     # Output digit m on the target reads input digit (m ∓ k) mod N, k the control digit.
-    cube = np.take_along_axis(
-        state.amplitudes.reshape((dim,) * arity), (tgt - sign * ctrl) % dim, axis=target - 1
-    )
-    return _adopt(type(state), dim, arity, cube.reshape(-1))
+    cube = state.amplitudes.reshape((dim,) * arity)
+    out = np.empty_like(cube)
+    if control != arity:
+        # Control first, target last: each control digit k is a roll by ±k.
+        src = np.moveaxis(cube, (control - 1, target - 1), (0, -1))
+        dst = np.moveaxis(out, (control - 1, target - 1), (0, -1))
+        for k in range(dim):
+            r = sign * k % dim
+            dst[k, ..., r:] = src[k, ..., : dim - r]
+            dst[k, ..., :r] = src[k, ..., dim - r :]
+    else:
+        # Target first, control last. Row m of the output reads, at control
+        # digit k, input row (m ∓ k) mod N: a sheared view of the input whose
+        # control stride also steps the target by ∓1, cut in two at the wrap.
+        src = np.moveaxis(cube, target - 1, 0)
+        dst = np.moveaxis(out, target - 1, 0)
+        t_stride, *rest, c_stride = src.strides
+        sheared = (*rest, c_stride - sign * t_stride)
+        lead = src.shape[1:-1]
+        # np.ndarray(shape, dtype, buffer, offset, strides) views `cube`: read-only
+        # like the amplitudes, and numpy checks that it stays inside the buffer.
+        for m in range(dim):
+            wrap = m + 1 if sign > 0 else dim - m
+            dst[m, ..., :wrap] = np.ndarray(lead + (wrap,), cube.dtype, cube, m * t_stride, sheared)
+            if wrap < dim:
+                offset = (m - sign * wrap) % dim * t_stride + wrap * c_stride
+                dst[m, ..., wrap:] = np.ndarray(lead + (dim - wrap,), cube.dtype, cube, offset, sheared)
+    return _adopt(type(state), dim, arity, out.reshape(-1))
 
 
 def bell_state(dim: int, label) -> QuditRegisterState:

@@ -46,8 +46,8 @@ SCENARIO_KEYS = frozenset(
 # outputs are wrapped without a copy, so at most two joint states are alive at
 # once: a gate's input and its output. N = 256 is the largest N for which four
 # joint states (64 N^3 bytes) fit in 1 GiB; the two live ones take half of
-# that. One N = 256 Haar trial with the full measurement took 1.3-1.4 s at a
-# 557 MB peak RSS (N = 128: 0.13-0.18 s, 102 MB) on a 2-core Xeon with
+# that. One N = 256 Haar trial with the full measurement took 0.73-1.0 s at a
+# 557 MB peak RSS (N = 128: 0.08-0.09 s, 102 MB) on a 2-core Xeon with
 # Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 

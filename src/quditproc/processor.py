@@ -2,8 +2,9 @@
 
 A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
-array and run by one path, each gate a single gather. The general diagonal
-form sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
+array and run by one path, each gate written once into a fresh joint state by
+block copies (see `conditional_shift`). The general diagonal form
+sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
 `processor_matrix` materializes either as a joint-space matrix for
 cross-checks at small dimension.
 """

@@ -152,7 +152,8 @@ def tensor(a: QuditRegisterState, b: QuditRegisterState) -> QuditRegisterState:
     """Kronecker product with `a`'s qudits most significant; arities add."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _adopt(QuditRegisterState, a.dim, a.arity + b.arity, np.kron(a.amplitudes, b.amplitudes))
+    amps = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    return _adopt(QuditRegisterState, a.dim, a.arity + b.arity, amps)
 
 
 def apply_to_subsystem(op: DenseOperator, target: int, state) -> UnnormalizedVector:

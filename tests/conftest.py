@@ -30,3 +30,15 @@ def reconstruct(expansion) -> np.ndarray:
         for n in range(dim):
             total += expansion.coeffs[m, n] * u_mn(dim, (m, n)).entries
     return total
+
+
+def reference_shift(amplitudes, dim: int, arity: int, control: int, target: int, sign: int) -> np.ndarray:
+    """Reference conditional shift as one gather: output digit m on the target
+    reads input digit (m - sign*k) mod N, k the control digit (1-based subsystems)."""
+    digits = np.arange(dim)
+    ctrl = digits.reshape([dim if ax == control - 1 else 1 for ax in range(arity)])
+    tgt = digits.reshape([dim if ax == target - 1 else 1 for ax in range(arity)])
+    cube = np.take_along_axis(
+        np.asarray(amplitudes).reshape((dim,) * arity), (tgt - sign * ctrl) % dim, axis=target - 1
+    )
+    return cube.reshape(-1)

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quditproc import (
     QuditRegisterState,
+    QuditShiftNetwork,
     ShiftDirection,
+    UnnormalizedVector,
     basis_state,
     bell_basis_matrix,
     bell_state,
@@ -22,7 +25,7 @@ from quditproc import (
     u_mn,
 )
 
-from conftest import index_to_digits, max_abs_diff
+from conftest import index_to_digits, max_abs_diff, reference_shift
 
 F = ShiftDirection.FORWARD
 B = ShiftDirection.BACKWARD
@@ -79,6 +82,32 @@ def test_conditional_shift_follows_digit_rule(arity, dim):
                 expected = np.zeros(dim**arity)
                 expected[digits_to_index(digits, dim)] = 1.0
                 assert np.array_equal(out.amplitudes, expected), (control, target, direction, index)
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_conditional_shift_matches_reference_gather(arity, dim, rng):
+    # Even and odd N put the wrap split of each block copy at different places.
+    size = dim**arity
+    state = UnnormalizedVector(dim, arity, rng.normal(size=size) + 1j * rng.normal(size=size))
+    for control, target in itertools.permutations(range(1, arity + 1), 2):
+        for direction, sign in ((F, 1), (B, -1)):
+            out = conditional_shift(state, control, target, direction)
+            expected = reference_shift(state.amplitudes, dim, arity, control, target, sign)
+            assert np.array_equal(out.amplitudes, expected), (control, target, direction)
+
+
+def test_conditional_shift_allocates_only_its_output(rng):
+    network = QuditShiftNetwork(32)
+    state = random_state(32, 3, rng)
+    for control, target, direction in network.gates:
+        tracemalloc.start()
+        try:
+            out = conditional_shift(state, control, target, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * out.amplitudes.nbytes, (control, target, direction, peak)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
