@@ -87,7 +87,8 @@ def test_conditional_shift_follows_digit_rule(arity, dim):
 @pytest.mark.parametrize("dim", [16, 17])
 @pytest.mark.parametrize("arity", [3, 4])
 def test_conditional_shift_matches_reference_gather(arity, dim, rng):
-    # Even and odd N put the wrap split of each block copy at different places.
+    # Even and odd N put the wrap split of each block copy at different places;
+    # with the control last, arity 3 takes the rolls and arity 4 the sheared views.
     size = dim**arity
     state = UnnormalizedVector(dim, arity, rng.normal(size=size) + 1j * rng.normal(size=size))
     for control, target in itertools.permutations(range(1, arity + 1), 2):
