@@ -63,10 +63,13 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
     # Output digit m on the target reads input digit (m ∓ k) mod N, k the control digit.
     cube = state.amplitudes.reshape((dim,) * arity)
     out = np.empty_like(cube)
-    if control != arity or cube.size < _SHEAR_MIN_SIZE:
+    by_target = control == arity and cube.size >= _SHEAR_MIN_SIZE
+    c, t = control - 1, target - 1
+    rest = [ax for ax in range(arity) if ax != c and ax != t]
+    order = (t, *rest, c) if by_target else (c, *rest, t)
+    src, dst = cube.transpose(order), out.transpose(order)
+    if not by_target:
         # Control first, target last: each control digit k is a roll by ±k.
-        src = np.moveaxis(cube, (control - 1, target - 1), (0, -1))
-        dst = np.moveaxis(out, (control - 1, target - 1), (0, -1))
         for k in range(dim):
             r = sign * k % dim
             dst[k, ..., r:] = src[k, ..., : dim - r]
@@ -75,10 +78,8 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
         # Target first, control last. Row m of the output reads, at control
         # digit k, input row (m ∓ k) mod N: a sheared view of the input whose
         # control stride also steps the target by ∓1, cut in two at the wrap.
-        src = np.moveaxis(cube, target - 1, 0)
-        dst = np.moveaxis(out, target - 1, 0)
-        t_stride, *rest, c_stride = src.strides
-        sheared = (*rest, c_stride - sign * t_stride)
+        t_stride, *rest_strides, c_stride = src.strides
+        sheared = (*rest_strides, c_stride - sign * t_stride)
         lead = src.shape[1:-1]
         # np.ndarray(shape, dtype, buffer, offset, strides) views `cube`: read-only
         # like the amplitudes, and numpy checks that it stays inside the buffer.

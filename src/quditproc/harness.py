@@ -46,9 +46,11 @@ SCENARIO_KEYS = frozenset(
 # outputs are wrapped without a copy, so at most two joint states are alive at
 # once: a gate's input and its output. N = 256 is the largest N for which four
 # joint states (64 N^3 bytes) fit in 1 GiB; the two live ones take half of
-# that. One N = 256 Haar trial with the full measurement took 0.73-1.0 s at a
-# 557 MB peak RSS (N = 128: 0.08-0.09 s, 102 MB) on a 2-core Xeon with
-# Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# that. A batch of trials in `run_scenario` holds at most N^2 data states, so
+# N^3 amplitudes, and as many output amplitudes: one joint state's budget each,
+# the other half. One N = 256 Haar trial with the full measurement took
+# 0.73-1.0 s at a 557 MB peak RSS (N = 128: 0.08-0.09 s, 102 MB) on a 2-core
+# Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 
 
@@ -112,12 +114,16 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix(what: str, rows) -> np.ndarray:
-    """A square matrix with finite, nonzero Tr(A†A): anything else has no program."""
+    """A square matrix whose Tr(A†A) is a finite normal float: anything else has no program."""
     mat = matrix_from_json(rows)
     with np.errstate(over="ignore", under="ignore"):
         gram = float(np.sum(np.abs(mat) ** 2))
-    if not np.finfo(float).tiny <= gram < np.inf:
-        raise ConfigError(f"{what}: Tr(A†A) is {gram!r}; it must be finite and nonzero")
+    tiny = np.finfo(float).tiny
+    if not tiny <= gram < np.inf:
+        raise ConfigError(
+            f"{what}: Tr(A†A) is {gram!r}; it must be finite and at least {tiny:.2g}, "
+            "the smallest normal float"
+        )
     return mat
 
 
@@ -144,8 +150,12 @@ def _draw(rng: np.random.Generator | None) -> np.random.Generator:
     return rng
 
 
+def _random_phi(params: dict) -> bool:
+    return isinstance(params["phi"], str)  # "random"
+
+
 def _phi(params: dict, dim: int, rng) -> QuditRegisterState:
-    if isinstance(params["phi"], str):  # "random"
+    if _random_phi(params):
         return random_state(dim, 1, _draw(rng))
     return QuditRegisterState(dim, 1, params["phi"])
 
@@ -156,7 +166,9 @@ class CatalogEntry:
 
     `params` maps required parameters to kinds, `optional` maps the rest to
     (kind, default); `dim` is the one dim the typed parameters allow (None: any).
-    `build(typed params, dim, rng)` asks for the rng only when it draws.
+    `build(typed params, dim, rng)` asks for the rng only when it draws, which
+    `draws(typed params)` tells beforehand; an entry that does not draw builds
+    the same operator every time.
     """
 
     build: Callable[[dict, int, np.random.Generator | None], DenseOperator]
@@ -164,6 +176,7 @@ class CatalogEntry:
     optional: dict = field(default_factory=dict)
     dim: Callable[[dict], int] | None = None
     even_dim: bool = False
+    draws: Callable[[dict], bool] = lambda p: False
 
 
 CATALOG = {
@@ -174,11 +187,13 @@ CATALOG = {
     "reflection": CatalogEntry(
         lambda p, dim, rng: reflection_operator(_phi(p, dim, rng)),
         optional={"phi": (_state, "random")},
+        draws=_random_phi,
     ),
     "exchange": CatalogEntry(
         lambda p, dim, rng: exchange_operator(_phi(p, dim, rng)),
         optional={"phi": (_state, "random")},
         dim=lambda p: 2,
+        draws=_random_phi,
     ),
     "example1": CatalogEntry(
         lambda p, dim, rng: example1_operator(p["phi"]), params={"phi": _real}, dim=lambda p: 4
@@ -194,8 +209,12 @@ CATALOG = {
         params={"theta": _real},
         even_dim=True,
     ),
-    "random_unitary": CatalogEntry(lambda p, dim, rng: random_unitary(dim, _draw(rng))),
-    "random_operator": CatalogEntry(lambda p, dim, rng: random_operator(dim, _draw(rng))),
+    "random_unitary": CatalogEntry(
+        lambda p, dim, rng: random_unitary(dim, _draw(rng)), draws=lambda p: True
+    ),
+    "random_operator": CatalogEntry(
+        lambda p, dim, rng: random_operator(dim, _draw(rng)), draws=lambda p: True
+    ),
     "inline": CatalogEntry(
         lambda p, dim, rng: DenseOperator(dim, p["matrix"], label=p["label"]),
         params={"matrix": _matrix},
@@ -381,20 +400,32 @@ def load_bundled_config(name: str) -> dict:
 
 
 def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
-    """Run one scenario's trials and aggregate into a report row."""
+    """Run one scenario's trials and aggregate into a report row.
+
+    An operator that draws is built anew for each trial, before that trial's
+    data state. One that does not is the same in every trial, so its program
+    serves a batch of up to N^2 trials (N^3 amplitudes, one joint state's
+    worth). Both keep the rng order of building per trial, so the report does
+    not depend on the batching.
+    """
     rng = np.random.default_rng(scn.seed if scn.seed is not None else [global_seed, index])
     started = time.perf_counter()
+    batch = 1 if CATALOG[scn.operator_name].draws(scn.operator_params) else scn.dim**2
     sims, preds, devs, fids = [], [], [], []
-    for _ in range(scn.trials):
+    for first in range(0, scn.trials, batch):
         op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
-        psi = random_state(scn.dim, 1, rng) if scn.data_state == "random" else scn.data_state
-        outcome = run_experiment(scn.processor, op, psi, scn.measurement)
-        pred = predicted_probability(op, psi, scn.measurement)
-        sims.append(outcome.probability)
-        preds.append(pred)
-        devs.append(abs(outcome.probability - pred))
-        if outcome.probability > ZERO_PROBABILITY_CUTOFF:
-            fids.append(outcome.oracle_fidelity)
+        states = [
+            random_state(scn.dim, 1, rng) if scn.data_state == "random" else scn.data_state
+            for _ in range(min(batch, scn.trials - first))
+        ]
+        outcomes = run_experiment(scn.processor, op, states, scn.measurement)
+        for psi, outcome in zip(states, outcomes):
+            pred = predicted_probability(op, psi, scn.measurement)
+            sims.append(outcome.probability)
+            preds.append(pred)
+            devs.append(abs(outcome.probability - pred))
+            if outcome.probability > ZERO_PROBABILITY_CUTOFF:
+                fids.append(outcome.oracle_fidelity)
     wall_ms = (time.perf_counter() - started) * 1e3
     sim_mean = float(np.mean(sims))
     pred_mean = float(np.mean(preds))

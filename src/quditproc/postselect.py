@@ -8,6 +8,7 @@ the relating global phase reported for diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,24 +109,35 @@ def predicted_probability(op: DenseOperator, psi: QuditRegisterState, meas_kind:
 def run_experiment(
     proc: ProcessorSpec,
     op: DenseOperator,
-    psi: QuditRegisterState,
+    states: Sequence[QuditRegisterState],
     meas_kind: str = "full",
-) -> PostSelectionOutcome:
-    """Synthesize the program for `op`, run the processor, post-select, compare.
+) -> list[PostSelectionOutcome]:
+    """Synthesize the program for `op` once, then run each data state through it.
 
-    Supports the single-data-qudit networks; the tensor array and the general
-    diagonal processor need program encodings of their own. An operator or
-    state whose dimension does not fit the network is a ValueError from
-    `apply_processor`.
+    The program register encodes only the operator, so one program and one
+    measurement serve every state: each state is run through the processor,
+    post-selected and compared with the oracle on its own, and the outcomes
+    come back in the order of `states`. Supports the single-data-qudit
+    networks; the tensor array and the general diagonal processor need program
+    encodings of their own. An operator or state whose dimension does not fit
+    the network is a ValueError from `apply_processor`.
     """
     if not isinstance(proc, (QuditShiftNetwork, QubitCnotNetwork)):
         raise TypeError("run_experiment supports the shift and CNOT networks only")
+    if isinstance(states, QuditRegisterState):
+        raise TypeError("run_experiment takes a sequence of data states, not one state")
     if meas_kind not in ("full", "support"):
         raise ValueError(f"unknown measurement kind: {meas_kind!r}")
     expansion = hs_expand(op)
-    program = program_from_expansion(expansion)
+    program = program_from_expansion(expansion).state
     meas = measurement_full(op.dim) if meas_kind == "full" else measurement_restricted(expansion)
-    joint = apply_processor(proc, psi, program.state)
+    return [_run_state(proc, op, psi, program, meas) for psi in states]
+
+
+def _run_state(proc, op, psi, program, meas) -> PostSelectionOutcome:
+    # A function of its own, so each joint state is freed before the next one
+    # is built.
+    joint = apply_processor(proc, psi, program)
     try:
         oracle = oracle_apply(op, psi)
     except StateAnnihilatedError:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from quditproc import u_mn
+from quditproc import predicted_probability, random_state, run_experiment, u_mn
+from quditproc.harness import ReportRow, build_operator
+from quditproc.postselect import ZERO_PROBABILITY_CUTOFF
 
 
 @pytest.fixture
@@ -42,3 +44,42 @@ def reference_shift(amplitudes, dim: int, arity: int, control: int, target: int,
         np.asarray(amplitudes).reshape((dim,) * arity), (tgt - sign * ctrl) % dim, axis=target - 1
     )
     return cube.reshape(-1)
+
+
+def reference_row(scn, global_seed: int, index: int) -> ReportRow:
+    """Reference of harness.run_scenario: one trial per run_experiment call,
+    each trial building its operator and then drawing its data state. Wall
+    time reads 0."""
+    rng = np.random.default_rng(scn.seed if scn.seed is not None else [global_seed, index])
+    sims, preds, fids = [], [], []
+    for _ in range(scn.trials):
+        op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
+        psi = random_state(scn.dim, 1, rng) if isinstance(scn.data_state, str) else scn.data_state
+        outcome = run_experiment(scn.processor, op, [psi], scn.measurement)[0]
+        sims.append(outcome.probability)
+        preds.append(predicted_probability(op, psi, scn.measurement))
+        if outcome.probability > ZERO_PROBABILITY_CUTOFF:
+            fids.append(outcome.oracle_fidelity)
+    devs = [abs(sim - pred) for sim, pred in zip(sims, preds)]
+    sim_mean = float(np.mean(sims))
+    min_fid = min(fids) if fids else None
+    passed = max(devs) <= scn.tolerance
+    if scn.expected_probability is not None:
+        passed = passed and abs(sim_mean - scn.expected_probability) <= scn.tolerance
+    if min_fid is not None:
+        passed = passed and min_fid >= 1.0 - scn.tolerance
+    return ReportRow(
+        id=scn.id,
+        dim=scn.dim,
+        operator=scn.operator_name,
+        measurement=scn.measurement,
+        trials=scn.trials,
+        predicted_probability=float(np.mean(preds)),
+        simulated_probability_mean=sim_mean,
+        max_probability_deviation=float(max(devs)),
+        min_oracle_fidelity=min_fid,
+        expected_probability=scn.expected_probability,
+        tolerance=scn.tolerance,
+        passed=bool(passed),
+        wall_time_ms=0.0,
+    )

@@ -342,6 +342,8 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
 FLIP = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 ZERO = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 HUGE = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
+# Tr(A†A) = 2e-320: nonzero, but below the smallest normal float.
+SUBNORMAL = [[[1e-160, 0], [0, 0]], [[0, 0], [1e-160, 0]]]
 
 
 def one_scenario(root=None, **fields):
@@ -369,6 +371,7 @@ RUN_FAULTS = [
     pytest.param(one_scenario(dim=4, operator={"name": "example1", "phi": float("inf")}), id="phi-inf"),
     pytest.param(one_scenario(operator={"matrix": ZERO}), id="inline-zero"),
     pytest.param(one_scenario(operator={"matrix": HUGE}), id="inline-overflow"),
+    pytest.param(one_scenario(operator={"matrix": SUBNORMAL}), id="inline-subnormal"),
     pytest.param(one_scenario(operator={"name": "family", "l": -1, "phi": 0.1}), id="family-l-negative"),
     pytest.param(one_scenario(dim=1000), id="dim-above-max"),
     pytest.param(one_scenario(operator={"name": "family", "l": 100, "phi": 0.1}), id="family-l-above-max"),
@@ -401,6 +404,7 @@ DESCRIBE_FAULTS = [
     pytest.param(["example1", "--param", "phi=NaN"], id="phi-nan"),
     pytest.param(["inline", "--matrix", json.dumps(ZERO)], id="inline-zero"),
     pytest.param(["inline", "--matrix", json.dumps(HUGE)], id="inline-overflow"),
+    pytest.param(["inline", "--matrix", json.dumps(SUBNORMAL)], id="inline-subnormal"),
     pytest.param(["family", "--param", "l=-1", "--param", "phi=0.1"], id="family-l-negative"),
     pytest.param(["identity", "--dim", "1000"], id="dim-above-max"),
     pytest.param(["family", "--param", "l=100", "--param", "phi=0.1"], id="family-l-above-max"),
@@ -416,6 +420,15 @@ def test_describe_fault_exits_2(argv, tmp_path, capsys):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_subnormal_gram_trace_error_states_the_bound(tmp_path, capsys):
+    cfg = tmp_path / "subnormal.json"
+    cfg.write_text(json.dumps(one_scenario(operator={"matrix": SUBNORMAL})))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Tr(A†A) is 2e-320" in err
+    assert "at least 2.2e-308, the smallest normal float" in err
 
 
 def test_max_dim_bounds_the_bell_matrix():

@@ -1,0 +1,104 @@
+"""The catalog's `draws` rule and the batching of draw-free scenarios in
+`run_scenario`, checked against the per-trial reference in conftest."""
+
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+
+from quditproc import harness
+from quditproc.harness import CATALOG, build_operator, check_operator, parse_config, run_scenario
+
+from conftest import reference_row
+
+FLIP = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+
+# Buildable specs for every catalog entry; reflection and exchange with an
+# explicit axis and with a random one.
+BUILT_SPECS = {
+    "identity": [(3, {})],
+    "u_mn": [(3, {"m": 1, "n": 2})],
+    "reflection": [(3, {}), (3, {"phi": "random"}), (2, {"phi": [[1, 0], [0, 1]]})],
+    "exchange": [(2, {}), (2, {"phi": "random"}), (2, {"phi": [[0.6, 0], [0, 0.8]]})],
+    "example1": [(4, {"phi": 0.7})],
+    "family": [(4, {"l": 2, "phi": 0.43})],
+    "example2": [(4, {"theta": 0.3})],
+    "random_unitary": [(3, {})],
+    "random_operator": [(3, {})],
+    "inline": [(2, {"matrix": FLIP})],
+}
+
+
+def test_built_specs_cover_the_catalog():
+    assert BUILT_SPECS.keys() == CATALOG.keys()
+
+
+@pytest.mark.parametrize(
+    "name,dim,params",
+    [
+        pytest.param(name, dim, params, id=f"{name}-{i}")
+        for name, specs in BUILT_SPECS.items()
+        for i, (dim, params) in enumerate(specs)
+    ],
+)
+def test_draws_says_whether_build_moves_the_rng(name, dim, params):
+    typed, dim = check_operator(name, params, dim)
+    rng = np.random.default_rng(11)
+    before = copy.deepcopy(rng.bit_generator.state)
+    build_operator(name, typed, dim, rng)
+    moved = rng.bit_generator.state != before
+    assert CATALOG[name].draws(typed) == moved
+
+
+def scenario(operator, **fields):
+    raw = {"id": "s", "dim": 2, "operator": operator, "trials": 9, **fields}
+    return parse_config({"schema": 1, "seed": 5, "scenarios": [raw]})[1][0]
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Number of data states in each run_experiment call that run_scenario makes."""
+    sizes = []
+    original = harness.run_experiment
+
+    def recording(proc, op, states, meas_kind="full"):
+        sizes.append(len(states))
+        return original(proc, op, states, meas_kind)
+
+    monkeypatch.setattr(harness, "run_experiment", recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "scn,expected_sizes",
+    [
+        pytest.param(
+            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"),
+            [4, 4, 1],
+            id="family-support",
+        ),
+        pytest.param(
+            scenario({"name": "reflection", "phi": [[1, 0], [0, 1]]}, processor="qubit-cnot"),
+            [4, 4, 1],
+            id="reflection-explicit-cnot",
+        ),
+        pytest.param(
+            scenario(
+                {"name": "inline", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                data_state=[[0, 0], [1, 0]],
+                trials=3,
+            ),
+            [3],
+            id="annihilated-fixed-state",
+        ),
+        pytest.param(
+            scenario({"name": "reflection", "phi": "random"}, trials=3), [1, 1, 1], id="reflection-random"
+        ),
+        pytest.param(scenario({"name": "random_unitary"}, trials=3), [1, 1, 1], id="random-unitary"),
+    ],
+)
+def test_batched_row_equals_the_per_trial_reference(scn, expected_sizes, batch_sizes):
+    row = run_scenario(scn, 5, 0)
+    assert batch_sizes == expected_sizes
+    assert dataclasses.replace(row, wall_time_ms=0.0) == reference_row(scn, 5, 0)
