@@ -22,7 +22,6 @@ from .gates import (
     u_mn,
 )
 from .postselect import (
-    ZERO_PROBABILITY_CUTOFF,
     PostSelectionOutcome,
     StateAnnihilatedError,
     oracle_apply,

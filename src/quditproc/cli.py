@@ -11,6 +11,7 @@ import json
 import sys
 
 from .harness import (
+    MAX_TRIALS,
     ConfigError,
     describe_operator,
     load_bundled_config,
@@ -44,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="write the report here instead of stdout")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.add_argument("--seed", type=int, help="override the config's seed (u64)")
-    run_p.add_argument("--trials", type=int, help="override every scenario's trial count")
+    run_p.add_argument(
+        "--trials", type=int, help=f"override every scenario's trial count, 1 to MAX_TRIALS = {MAX_TRIALS}"
+    )
 
     desc_p = sub.add_parser(
         "describe",

@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .postselect import ZERO_PROBABILITY_CUTOFF, predicted_probability, run_experiment
+from .postselect import MEASUREMENT_KINDS, predicted_probability, run_experiment
 from .processor import GateArray, QubitCnotNetwork, QuditShiftNetwork
 from .programs import (
     example1_operator,
@@ -34,7 +34,6 @@ from .sampling import random_operator, random_state, random_unitary
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
 PROCESSORS = {"qudit-shift": QuditShiftNetwork, "qubit-cnot": lambda dim: QubitCnotNetwork()}
-MEASUREMENT_KINDS = ("full", "support")
 ROOT_KEYS = frozenset({"schema", "name", "seed", "scenarios"})
 SCENARIO_KEYS = frozenset(
     {"id", "dim", "processor", "operator", "data_state", "measurement", "trials",
@@ -52,6 +51,13 @@ SCENARIO_KEYS = frozenset(
 # 0.73-1.0 s at a 557 MB peak RSS (N = 128: 0.08-0.09 s, 102 MB) on a 2-core
 # Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
+# Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
+# four floats per trial in Python lists for the whole row: 136 B per trial under
+# tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6). A budget of 256 MiB, a
+# quarter of MAX_DIM's 1 GiB, holds 1.97e6 trials; rounded down to 10^6, the
+# lists take 136 MB. A dim 2 trial takes 0.2-0.4 ms on a 2-core Xeon, so a row
+# at the bound runs for minutes.
+MAX_TRIALS = 10**6
 
 
 class ConfigError(ValueError):
@@ -322,7 +328,8 @@ def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenari
     measurement = raw.get("measurement", "full")
     if measurement not in MEASUREMENT_KINDS:
         raise ConfigError(f"unknown measurement {measurement!r}")
-    trials = _int("trials", raw.get("trials", 1) if trials_override is None else trials_override, 1)
+    trials = raw.get("trials", 1) if trials_override is None else trials_override
+    trials = _int("trials", trials, 1, MAX_TRIALS)
     expected = raw.get("expected_probability")
     seed = raw.get("seed")
     tolerance = _real("tolerance", raw.get("tolerance", DEFAULT_TOLERANCE))
@@ -424,7 +431,7 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
             sims.append(outcome.probability)
             preds.append(pred)
             devs.append(abs(outcome.probability - pred))
-            if outcome.probability > ZERO_PROBABILITY_CUTOFF:
+            if outcome.data_state is not None:
                 fids.append(outcome.oracle_fidelity)
     wall_ms = (time.perf_counter() - started) * 1e3
     sim_mean = float(np.mean(sims))

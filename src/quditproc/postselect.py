@@ -25,6 +25,9 @@ from .registers import (
 # Probabilities below this count as "the measurement can never succeed" rather
 # than numerical dust.
 ZERO_PROBABILITY_CUTOFF = 1e-14
+# The program-register measurements: onto all N^2 Bell states, or onto the
+# operator's support only.
+MEASUREMENT_KINDS = ("full", "support")
 
 
 class StateAnnihilatedError(ValueError):
@@ -52,14 +55,17 @@ def post_select(
     """Project the trailing subsystems of `joint` onto the measurement vector.
 
     The measurement lives on the program register (the last subsystems of the
-    joint state); whatever leads it is the data register. A zero-probability
-    outcome is reported, not raised.
+    joint state); whatever leads it is the data register. The overlap's norm is
+    taken once: its square is the success probability, and the overlap divided
+    by it is the data state. A probability at or below ZERO_PROBABILITY_CUTOFF
+    leaves no data state; it is reported, not raised.
     """
-    start = joint.arity - meas.arity + 1
-    subsystems = tuple(range(start, joint.arity + 1))
-    overlap = partial_inner_product(meas, joint, subsystems)
-    probability = overlap.norm() ** 2
-    data_state = overlap.normalized() if probability > ZERO_PROBABILITY_CUTOFF else None
+    overlap = partial_inner_product(meas, joint).amplitudes
+    norm = float(np.linalg.norm(overlap))
+    probability = norm**2
+    data_state = None
+    if probability > ZERO_PROBABILITY_CUTOFF:
+        data_state = QuditRegisterState(joint.dim, joint.arity - meas.arity, overlap / norm)
     fidelity = 0.0
     phase: complex | None = None
     if data_state is not None and oracle_state is not None:
@@ -67,7 +73,7 @@ def post_select(
         fidelity = abs(ip) ** 2
         if abs(ip) > 0.0:
             phase = complex(ip / abs(ip))
-    return PostSelectionOutcome(float(probability), data_state, float(fidelity), phase)
+    return PostSelectionOutcome(probability, data_state, float(fidelity), phase)
 
 
 def oracle_apply(op: DenseOperator, psi: QuditRegisterState) -> QuditRegisterState:
@@ -126,7 +132,7 @@ def run_experiment(
         raise TypeError("run_experiment supports the shift and CNOT networks only")
     if isinstance(states, QuditRegisterState):
         raise TypeError("run_experiment takes a sequence of data states, not one state")
-    if meas_kind not in ("full", "support"):
+    if meas_kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind: {meas_kind!r}")
     expansion = hs_expand(op)
     program = program_from_expansion(expansion).state

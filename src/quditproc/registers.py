@@ -69,7 +69,7 @@ class QuditRegisterState:
     def __post_init__(self):
         amps = _checked_amplitudes(self.dim, self.arity, self.amplitudes)
         norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"state is not normalized: squared norm is {norm_sq!r} "
                 "(use UnnormalizedVector for intermediate results)"
@@ -100,7 +100,7 @@ class UnnormalizedVector:
 
     def normalized(self) -> QuditRegisterState:
         n = self.norm()
-        if n <= 1e-14:
+        if not n > 1e-14:
             raise ValueError("cannot normalize a numerically zero vector")
         return QuditRegisterState(self.dim, self.arity, self.amplitudes / n)
 
@@ -192,28 +192,17 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def partial_inner_product(bra, joint, subsystems: tuple[int, ...]) -> UnnormalizedVector:
-    """Contract <bra| against a subset of `joint`'s subsystems.
+def partial_inner_product(bra, joint) -> UnnormalizedVector:
+    """Contract <bra| against the trailing `bra.arity` subsystems of `joint`.
 
-    `subsystems` lists 1-based positions of `joint`, ordered to match the
-    subsystems of `bra`. The result lives on the remaining subsystems in their
-    original order. Its squared norm is the probability of projecting the
-    selected subsystems onto |bra>.
+    With big-endian indexing the trailing subsystems are the fast digits, so
+    this is one reshape to (rest, bra size) and one matrix-vector product. The
+    result lives on the leading subsystems in their original order; its squared
+    norm is the probability of projecting the trailing subsystems onto |bra>.
     """
     if bra.dim != joint.dim:
         raise ValueError("dimension mismatch in partial inner product")
-    if len(subsystems) != bra.arity:
-        raise ValueError(f"expected {bra.arity} subsystem indices, got {len(subsystems)}")
-    if len(set(subsystems)) != len(subsystems):
-        raise ValueError("subsystem indices must be distinct")
-    for s in subsystems:
-        if not 1 <= s <= joint.arity:
-            raise ValueError(f"subsystem index {s} out of range 1..{joint.arity}")
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
-    n = joint.dim
-    cube = joint.amplitudes.reshape((n,) * joint.arity)
-    bra_cube = bra.amplitudes.conj().reshape((n,) * bra.arity)
-    axes = [s - 1 for s in subsystems]
-    out = np.tensordot(cube, bra_cube, axes=(axes, list(range(bra.arity))))
-    return UnnormalizedVector(n, joint.arity - bra.arity, out.reshape(-1))
+    rows = joint.amplitudes.reshape(-1, bra.amplitudes.size)
+    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())

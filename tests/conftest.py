@@ -46,6 +46,17 @@ def reference_shift(amplitudes, dim: int, arity: int, control: int, target: int,
     return cube.reshape(-1)
 
 
+def reference_partial_inner_product(bra, joint, subsystems) -> np.ndarray:
+    """Reference partial inner product as one general tensordot: <bra| contracted
+    against `joint`'s 1-based `subsystems`, in the order of `bra`'s subsystems;
+    the amplitudes left on the other subsystems, in their original order."""
+    n = joint.dim
+    cube = joint.amplitudes.reshape((n,) * joint.arity)
+    bra_cube = bra.amplitudes.conj().reshape((n,) * bra.arity)
+    axes = [s - 1 for s in subsystems]
+    return np.tensordot(cube, bra_cube, axes=(axes, list(range(bra.arity)))).reshape(-1)
+
+
 def reference_row(scn, global_seed: int, index: int) -> ReportRow:
     """Reference of harness.run_scenario: one trial per run_experiment call,
     each trial building its operator and then drawing its data state. Wall

@@ -14,6 +14,7 @@ from quditproc.cli import main
 from quditproc.harness import (
     CATALOG,
     MAX_DIM,
+    MAX_TRIALS,
     ConfigError,
     load_bundled_config,
     matrix_from_json,
@@ -217,6 +218,29 @@ def test_trials_override(tmp_path):
     assert all(row["trials"] == 2 for row in doc["rows"])
 
 
+def test_trials_override_above_max_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps(one_scenario()))
+    out = tmp_path / "report.json"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--trials", str(MAX_TRIALS + 1)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario 's': trials must be in [1, ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_trials_bound(override):
+    def parse(trials):
+        if override:
+            return parse_config(one_scenario(), trials_override=trials)[1][0]
+        return parse_config(one_scenario(trials=trials))[1][0]
+
+    assert parse(MAX_TRIALS).trials == MAX_TRIALS
+    with pytest.raises(ConfigError, match="trials must be in"):
+        parse(10**15)
+
+
 def test_describe_identity(capsys):
     code = run_cli(["describe", "identity", "--dim", "3"])
     assert code == 0
@@ -374,6 +398,7 @@ RUN_FAULTS = [
     pytest.param(one_scenario(operator={"matrix": SUBNORMAL}), id="inline-subnormal"),
     pytest.param(one_scenario(operator={"name": "family", "l": -1, "phi": 0.1}), id="family-l-negative"),
     pytest.param(one_scenario(dim=1000), id="dim-above-max"),
+    pytest.param(one_scenario(trials=MAX_TRIALS + 1), id="trials-above-max"),
     pytest.param(one_scenario(operator={"name": "family", "l": 100, "phi": 0.1}), id="family-l-above-max"),
     pytest.param(one_scenario(measurment="support"), id="scenario-key-measurment"),
     pytest.param(one_scenario(trails=7), id="scenario-key-trails"),
