@@ -52,11 +52,12 @@ SCENARIO_KEYS = frozenset(
 # Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
-# four floats per trial in Python lists for the whole row: 136 B per trial under
-# tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6). A budget of 256 MiB, a
-# quarter of MAX_DIM's 1 GiB, holds 1.97e6 trials; rounded down to 10^6, the
-# lists take 136 MB. A dim 2 trial takes 0.2-0.4 ms on a 2-core Xeon, so a row
-# at the bound runs for minutes.
+# the simulated probabilities, predictions and fidelities in three float64
+# arrays of one slot per trial and takes the deviations as a fourth at the end:
+# 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
+# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a quarter of
+# MAX_DIM's 1 GiB. What bounds it is time: a dim 2 trial takes 0.2-0.4 ms on a
+# 2-core Xeon, so a row at the bound runs for minutes.
 MAX_TRIALS = 10**6
 
 
@@ -418,7 +419,8 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
     rng = np.random.default_rng(scn.seed if scn.seed is not None else [global_seed, index])
     started = time.perf_counter()
     batch = 1 if CATALOG[scn.operator_name].draws(scn.operator_params) else scn.dim**2
-    sims, preds, devs, fids = [], [], [], []
+    sims, preds, fids = np.empty(scn.trials), np.empty(scn.trials), np.empty(scn.trials)
+    n_fids = 0
     for first in range(0, scn.trials, batch):
         op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
         states = [
@@ -426,18 +428,18 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
             for _ in range(min(batch, scn.trials - first))
         ]
         outcomes = run_experiment(scn.processor, op, states, scn.measurement)
-        for psi, outcome in zip(states, outcomes):
-            pred = predicted_probability(op, psi, scn.measurement)
-            sims.append(outcome.probability)
-            preds.append(pred)
-            devs.append(abs(outcome.probability - pred))
+        for i, psi, outcome in zip(range(first, scn.trials), states, outcomes):
+            sims[i] = outcome.probability
+            preds[i] = predicted_probability(op, psi, scn.measurement)
             if outcome.data_state is not None:
-                fids.append(outcome.oracle_fidelity)
+                fids[n_fids] = outcome.oracle_fidelity
+                n_fids += 1
     wall_ms = (time.perf_counter() - started) * 1e3
+    devs = np.abs(sims - preds)
     sim_mean = float(np.mean(sims))
     pred_mean = float(np.mean(preds))
-    min_fid = min(fids) if fids else None
-    passed = max(devs) <= scn.tolerance
+    min_fid = float(np.min(fids[:n_fids])) if n_fids else None
+    passed = devs.max() <= scn.tolerance
     if scn.expected_probability is not None:
         passed = passed and abs(sim_mean - scn.expected_probability) <= scn.tolerance
     if min_fid is not None:
@@ -450,7 +452,7 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
         trials=scn.trials,
         predicted_probability=pred_mean,
         simulated_probability_mean=sim_mean,
-        max_probability_deviation=float(max(devs)),
+        max_probability_deviation=float(devs.max()),
         min_oracle_fidelity=min_fid,
         expected_probability=scn.expected_probability,
         tolerance=scn.tolerance,

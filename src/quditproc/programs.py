@@ -29,6 +29,7 @@ from .registers import (
     DenseOperator,
     QuditRegisterState,
     UnnormalizedVector,
+    _kept,
     apply_to_register,
     apply_to_subsystem,
 )
@@ -58,12 +59,18 @@ class HsExpansion:
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
 
+    def _support_mask(self) -> np.ndarray:
+        mags = np.abs(self.coeffs)
+        return mags > SUPPORT_THRESHOLD * float(mags.max())
+
     def support(self) -> tuple[BellLabel, ...]:
         """Labels whose magnitude exceeds SUPPORT_THRESHOLD relative to the largest."""
-        mags = np.abs(self.coeffs)
-        cut = SUPPORT_THRESHOLD * float(mags.max())
         # argwhere walks row-major, so labels come in (m, n) order.
-        return tuple(map(BellLabel._make, np.argwhere(mags > cut).tolist()))
+        return tuple(map(BellLabel._make, np.argwhere(self._support_mask()).tolist()))
+
+    def support_size(self) -> int:
+        """S, the number of labels in `support()`; counted once per expansion."""
+        return _kept(self, "_support_size", lambda exp: int(np.count_nonzero(exp._support_mask())))
 
 
 def hs_expand(op: DenseOperator) -> HsExpansion:
@@ -71,9 +78,15 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
 
     Tr[u(m,n)† A] = sum_s exp(2 pi i s m / N) A[(s - n) mod N, s], so with
     D[s, n] = A[(s - n) mod N, s] the table is q = ifft(D, axis=0): one FFT
-    per column, O(N^2 log N). Raises ValueError for the zero operator (or
-    anything non-finite), which has no program state.
+    per column, O(N^2 log N). It is computed once per operator value and kept
+    on it, so every call with the same `op` returns the same HsExpansion.
+    Raises ValueError for the zero operator (or anything non-finite), which has
+    no program state.
     """
+    return _kept(op, "_hs_expansion", _expand)
+
+
+def _expand(op: DenseOperator) -> HsExpansion:
     n = op.dim
     if not np.all(np.isfinite(op.entries)):
         raise ValueError("operator entries must be finite")

@@ -5,10 +5,16 @@ digit, so the basis state |n>_1 |m>_2 |k>_3 sits at flat index (n*N + m)*N + k.
 Subsystem indices in the public API are 1-based throughout.
 
 Every value is immutable once constructed and every function here is pure, so
-everything is safe to share across threads or processes. The public
-constructors copy their amplitudes and check them; `_adopt` wraps, without a
-copy or a check, only a fresh vector that a norm-preserving operation (a
-permutation of amplitudes, or the product of two states) has just made.
+everything is safe to share across threads or processes. The only write after
+construction is `_kept`'s, which computes a derived value (an operator's
+Tr(A†A) or expansion, an expansion's support size) on first use and writes it
+onto the instance once; two threads that race there only compute the same value
+twice. The public constructors copy
+their amplitudes and check them. `_own` checks a vector that a function here
+has just computed, as the constructor would, and keeps it without the copy;
+`_adopt` wraps, without a copy or a check, only a fresh vector that a
+norm-preserving operation (a permutation of amplitudes, or the product of two
+states) has just made.
 """
 
 from __future__ import annotations
@@ -30,25 +36,34 @@ def digits_to_index(digits, dim: int) -> int:
     return index
 
 
-def _checked_amplitudes(dim: int, arity: int, amplitudes) -> np.ndarray:
+def _checked_amplitudes(dim: int, arity: int, amps: np.ndarray, normalized: bool) -> np.ndarray:
+    """`amps` flattened, once its size (and norm) fit the register."""
     if dim < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {dim}")
     if arity < 1:
         raise ValueError(f"register needs at least one qudit, got arity {arity}")
-    amps = np.array(amplitudes, dtype=complex).reshape(-1)
+    amps = amps.reshape(-1)
     if amps.size != dim**arity:
         raise ValueError(
             f"amplitude vector has length {amps.size}, expected {dim**arity} "
             f"for {arity} qudit(s) of dimension {dim}"
         )
+    if normalized:
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"state is not normalized: squared norm is {norm_sq!r} "
+                "(use UnnormalizedVector for intermediate results)"
+            )
     return amps
 
 
 def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     """Wrap a fresh complex128 vector of length dim**arity as a `cls` value.
 
-    No copy and no norm check: the caller made `amps` by a norm-preserving
-    operation on checked values and holds no other reference to it.
+    No copy and no check: the caller made `amps` by a norm-preserving operation
+    on checked values and holds no other reference to it. A vector of any other
+    origin goes through `_own`, which checks it.
     """
     amps.setflags(write=False)
     value = object.__new__(cls)
@@ -56,6 +71,26 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     object.__setattr__(value, "arity", arity)
     object.__setattr__(value, "amplitudes", amps)
     return value
+
+
+def _own(cls, dim: int, arity: int, amps: np.ndarray):
+    """`cls(dim, arity, amps)` without the copy, for a vector the caller has just computed.
+
+    The size check and, for a QuditRegisterState, the NORM_TOL norm check still run.
+    """
+    amps = _checked_amplitudes(dim, arity, np.asarray(amps, dtype=complex), cls is QuditRegisterState)
+    return _adopt(cls, dim, arity, amps)
+
+
+def _kept(value, name: str, compute):
+    """`compute(value)` for an immutable `value`, stored in its instance dict on first use.
+
+    Writing the dict directly passes the frozen dataclass's guard.
+    """
+    cache = vars(value)
+    if name not in cache:
+        cache[name] = compute(value)
+    return cache[name]
 
 
 @dataclass(frozen=True)
@@ -67,13 +102,7 @@ class QuditRegisterState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _checked_amplitudes(self.dim, self.arity, self.amplitudes)
-        norm_sq = float(np.real(np.vdot(amps, amps)))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: squared norm is {norm_sq!r} "
-                "(use UnnormalizedVector for intermediate results)"
-            )
+        amps = _checked_amplitudes(self.dim, self.arity, np.array(self.amplitudes, dtype=complex), True)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -91,7 +120,7 @@ class UnnormalizedVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _checked_amplitudes(self.dim, self.arity, self.amplitudes)
+        amps = _checked_amplitudes(self.dim, self.arity, np.array(self.amplitudes, dtype=complex), False)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -124,15 +153,21 @@ class DenseOperator:
                 f"operator entries must be {self.dim}x{self.dim}, got shape {mat.shape}"
             )
         mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        # A view of a read-only array cannot be made writable again, so the
+        # values `_kept` derives from the entries cannot go stale.
+        object.__setattr__(self, "entries", mat.view())
 
     def gram_trace(self) -> float:
-        """Tr(A†A), the squared Hilbert-Schmidt norm of the matrix."""
-        return float(np.sum(np.abs(self.entries) ** 2))
+        """Tr(A†A), the squared Hilbert-Schmidt norm of the matrix; summed once per value."""
+        return _kept(self, "_gram_trace", _gram_trace)
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
         return bool(np.max(np.abs(delta)) <= tol)
+
+
+def _gram_trace(op: DenseOperator) -> float:
+    return float(np.sum(np.abs(op.entries) ** 2))
 
 
 def basis_state(dim: int, arity: int, digits) -> QuditRegisterState:
@@ -205,4 +240,4 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
     rows = joint.amplitudes.reshape(-1, bra.amplitudes.size)
-    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())
+    return _own(UnnormalizedVector, joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())

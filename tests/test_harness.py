@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quditproc import harness
+from quditproc import harness, programs, registers
 from quditproc.harness import CATALOG, build_operator, check_operator, parse_config, run_scenario
 
 from conftest import reference_row
@@ -102,3 +102,48 @@ def test_batched_row_equals_the_per_trial_reference(scn, expected_sizes, batch_s
     row = run_scenario(scn, 5, 0)
     assert batch_sizes == expected_sizes
     assert dataclasses.replace(row, wall_time_ms=0.0) == reference_row(scn, 5, 0)
+
+
+@pytest.fixture
+def derived_runs(monkeypatch):
+    """Operators built by run_scenario, and the operator values on which the
+    expansion FFT and the Tr(A†A) sum ran, one entry per run."""
+    built, runs = [], {"expansion": [], "gram_trace": []}
+    original_build = harness.build_operator
+
+    def building(*args):
+        built.append(original_build(*args))
+        return built[-1]
+
+    def spy(record, original):
+        def counting(op):
+            record.append(op)
+            return original(op)
+
+        return counting
+
+    monkeypatch.setattr(harness, "build_operator", building)
+    monkeypatch.setattr(programs, "_expand", spy(runs["expansion"], programs._expand))
+    monkeypatch.setattr(registers, "_gram_trace", spy(runs["gram_trace"], registers._gram_trace))
+    return built, runs
+
+
+@pytest.mark.parametrize(
+    "scn,operators",
+    [
+        pytest.param(
+            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"), 3, id="draw-free-support"
+        ),
+        pytest.param(
+            scenario({"name": "random_unitary"}, measurement="support", trials=3), 3, id="drawing-support"
+        ),
+        pytest.param(scenario({"name": "random_operator"}, trials=3), 3, id="drawing-full"),
+    ],
+)
+def test_expansion_and_gram_trace_run_once_per_operator(scn, operators, derived_runs):
+    built, runs = derived_runs
+    assert run_scenario(scn, 5, 0).passed
+    # `built` holds every operator alive, so no two share an id
+    assert len({id(op) for op in built}) == len(built) == operators
+    for name, ran_on in runs.items():
+        assert [id(op) for op in ran_on] == [id(op) for op in built], name

@@ -2,15 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditproc import (
     DenseOperator,
     GeneralDiagonal,
     QubitCnotNetwork,
+    QuditRegisterState,
     QuditShiftNetwork,
     TensorQubitArray,
     StateAnnihilatedError,
     TRACELESS_QUBIT_LABELS,
+    UnnormalizedVector,
     apply_processor,
     basis_state,
     bell_state,
@@ -20,6 +24,7 @@ from quditproc import (
     measurement_full,
     measurement_restricted,
     oracle_apply,
+    partial_inner_product,
     post_select,
     predicted_probability,
     program_from_expansion,
@@ -30,6 +35,7 @@ from quditproc import (
     run_experiment,
     u_mn,
 )
+from quditproc.registers import _own
 
 from conftest import max_abs_diff
 
@@ -288,3 +294,45 @@ def test_run_experiment_takes_a_sequence_of_states(rng):
     with pytest.raises(TypeError):
         run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), random_state(2, 1, rng))
     assert run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), [], "support") == []
+
+
+def _assert_wrapped_like(value, expected):
+    assert type(value) is type(expected)
+    assert (value.dim, value.arity) == (expected.dim, expected.arity)
+    assert value.amplitudes.dtype == np.complex128
+    assert not value.amplitudes.flags.writeable
+    assert np.array_equal(value.amplitudes, expected.amplitudes)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([QuditRegisterState, UnnormalizedVector]))
+def test_no_copy_outputs_equal_the_copying_constructors(dim, seed, kind):
+    # oracle_apply, post_select and partial_inner_product keep their fresh
+    # outputs without a copy; each must be what the public constructor makes
+    rng = np.random.default_rng(seed)
+    op = random_operator(dim, rng)
+    psi = random_state(dim, 1, rng)
+    joint = random_state(dim, 3, rng)
+    meas = random_state(dim, 2, rng)
+
+    image = op.entries @ psi.amplitudes
+    expected = QuditRegisterState(dim, 1, image / float(np.linalg.norm(image)))
+    _assert_wrapped_like(oracle_apply(op, psi), expected)
+
+    overlap = joint.amplitudes.reshape(dim, dim * dim) @ meas.amplitudes.conj()
+    _assert_wrapped_like(partial_inner_product(meas, joint), UnnormalizedVector(dim, 1, overlap))
+    expected = QuditRegisterState(dim, 1, overlap / float(np.linalg.norm(overlap)))
+    _assert_wrapped_like(post_select(joint, meas).data_state, expected)
+
+    # the wrapper keeps the vector it is given, and checks it as the constructor does
+    amps = psi.amplitudes.copy()
+    assert np.shares_memory(_own(kind, dim, 1, amps).amplitudes, amps)
+    with pytest.raises(ValueError):
+        _own(kind, dim, 1, np.ones(dim + 1, dtype=complex) / np.sqrt(dim + 1))
+    with pytest.raises(ValueError):
+        _own(kind, dim, 2, psi.amplitudes.copy())
+    if kind is QuditRegisterState:
+        with pytest.raises(ValueError):
+            _own(kind, dim, 1, (1 + 1e-9) * psi.amplitudes)
+        with pytest.raises(ValueError):
+            _own(kind, dim, 1, np.zeros(dim, dtype=complex))

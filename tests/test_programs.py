@@ -105,6 +105,7 @@ def test_support_matches_label_loop(dim, rng):
     )
     support = exp.support()
     assert support == expected
+    assert exp.support_size() == len(expected)
     assert all(type(m) is int and type(n) is int for m, n in support)
     assert all(isinstance(label, BellLabel) for label in support)
 

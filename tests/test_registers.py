@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from quditproc import (
     basis_state,
     bell_state,
     conditional_shift,
+    hs_expand,
     inner_product,
     negation_w,
     partial_inner_product,
     pauli_s,
+    random_operator,
     random_state,
     random_unitary,
     tensor,
@@ -269,3 +274,50 @@ def test_partial_inner_product_rejects_dimension_mismatch(rng):
 def test_partial_inner_product_must_leave_a_subsystem(rng):
     with pytest.raises(ValueError, match="at least one subsystem"):
         partial_inner_product(random_state(3, 2, rng), random_state(3, 2, rng))
+
+
+def test_operator_derived_values_cannot_go_stale(rng):
+    # an operator's expansion and Tr(A†A) are computed once and kept on the
+    # value, which is sound only because its entries cannot change
+    op = random_operator(5, rng)
+    with pytest.raises(ValueError):
+        op.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        op.entries.setflags(write=True)
+    assert hs_expand(op) is hs_expand(op)
+    for _ in range(2):
+        assert op.gram_trace() == float(np.sum(np.abs(op.entries) ** 2))
+    # a new value, even one made from the old, gets values of its own
+    other = dataclasses.replace(op, entries=2 * op.entries)
+    assert hs_expand(other) is not hs_expand(op)
+    assert np.array_equal(hs_expand(other).coeffs, 2 * hs_expand(op).coeffs)
+    assert other.gram_trace() == float(np.sum(np.abs(other.entries) ** 2))
+
+
+def test_racing_threads_read_equal_derived_values(rng):
+    # `_kept` takes no lock: threads that race on a fresh operator may each
+    # compute its values, but every one must read values equal to a fresh
+    # computation, and the value kept afterwards must not change
+    ops = [random_operator(8, rng) for _ in range(50)]
+    fresh = [(hs_expand(dataclasses.replace(op)).coeffs, float(np.sum(np.abs(op.entries) ** 2))) for op in ops]
+    seen = [[] for _ in ops]
+
+    def read_all():
+        for op, out in zip(ops, seen):
+            out.append((hs_expand(op), op.gram_trace()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_all) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for op, out, (coeffs, gram) in zip(ops, seen, fresh):
+        assert len(out) == len(threads)
+        assert all(np.array_equal(exp.coeffs, coeffs) and g == gram for exp, g in out)
+        assert hs_expand(op) is hs_expand(op)
