@@ -99,10 +99,6 @@ def _known_keys(what: str, raw: dict, allowed: frozenset) -> None:
         raise ConfigError(f"unknown {what} {unknown[0]!r}")
 
 
-def check_dim(dim) -> int:
-    return _int("dim", dim, 2, MAX_DIM)
-
-
 def complex_from_pair(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ConfigError(f"complex numbers are [re, im] pairs, got {pair!r}")
@@ -258,7 +254,7 @@ def check_operator(name, params: dict, dim: int | None = None) -> tuple[dict, in
             raise ConfigError(f"operator {name!r} needs dim {implied}, got {dim}")
     if dim is None:
         raise ConfigError(f"operator {name!r} needs an explicit dim")
-    dim = check_dim(dim)
+    dim = _int("dim", dim, 2, MAX_DIM)
     if entry.even_dim and dim % 2:
         raise ConfigError(f"operator {name!r} needs an even dim, got {dim}")
     for key, value in typed.items():
@@ -309,7 +305,7 @@ class ReportRow:
 
 def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenario:
     _known_keys("scenario key", raw, SCENARIO_KEYS)
-    dim = check_dim(raw.get("dim"))
+    dim = _int("dim", raw.get("dim"), 2, MAX_DIM)
     processor = raw.get("processor", "qudit-shift")
     if not isinstance(processor, str) or processor not in PROCESSORS:
         raise ConfigError(f"unknown processor {processor!r}")

@@ -18,7 +18,6 @@ from .programs import hs_expand, measurement_full, measurement_restricted, progr
 from .registers import (
     DenseOperator,
     QuditRegisterState,
-    _own,
     inner_product,
     partial_inner_product,
 )
@@ -66,7 +65,7 @@ def post_select(
     probability = norm**2
     data_state = None
     if probability > ZERO_PROBABILITY_CUTOFF:
-        data_state = _own(QuditRegisterState, joint.dim, joint.arity - meas.arity, overlap / norm)
+        data_state = QuditRegisterState(joint.dim, joint.arity - meas.arity, overlap / norm)
     fidelity = 0.0
     phase: complex | None = None
     if data_state is not None and oracle_state is not None:
@@ -88,7 +87,7 @@ def oracle_apply(op: DenseOperator, psi: QuditRegisterState) -> QuditRegisterSta
     # Relative to the operator's scale: ||A psi|| <= sqrt(Tr(A†A)) for a unit psi.
     if norm <= 1e-14 * np.sqrt(op.gram_trace()):
         raise StateAnnihilatedError("operator annihilates this state")
-    return _own(QuditRegisterState, psi.dim, psi.arity, image / norm)
+    return QuditRegisterState(psi.dim, psi.arity, image / norm)
 
 
 def predicted_probability(op: DenseOperator, psi: QuditRegisterState, meas_kind: str = "full") -> float:

@@ -10,7 +10,7 @@ vectors, and the named operators that `harness.CATALOG` builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class HsExpansion:
 
     dim: int
     coeffs: np.ndarray
-    gram_norm: float  # sum |q|^2 = Tr(A†A) / N
+    gram_norm: float = field(init=False)  # sum |q|^2 = Tr(A†A) / N
 
     def __post_init__(self):
         q = np.array(self.coeffs, dtype=complex)
@@ -58,6 +58,7 @@ class HsExpansion:
             raise ValueError(f"coefficient array must be {self.dim}x{self.dim}")
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
+        object.__setattr__(self, "gram_norm", float(np.sum(np.abs(q) ** 2)))
 
     def _support_mask(self) -> np.ndarray:
         mags = np.abs(self.coeffs)
@@ -93,9 +94,7 @@ def _expand(op: DenseOperator) -> HsExpansion:
     if np.max(np.abs(op.entries)) == 0.0:
         raise ValueError("cannot expand the zero operator")
     s = np.arange(n)
-    coeffs = np.fft.ifft(op.entries[(s[:, None] - s) % n, s[:, None]], axis=0)
-    gram = float(np.sum(np.abs(coeffs) ** 2))
-    return HsExpansion(n, coeffs, gram)
+    return HsExpansion(n, np.fft.ifft(op.entries[(s[:, None] - s) % n, s[:, None]], axis=0))
 
 
 # Kept as a wrapper because quditbench/workload.py reads `.state` from it.

@@ -9,12 +9,14 @@ everything is safe to share across threads or processes. The only write after
 construction is `_kept`'s, which computes a derived value (an operator's
 Tr(A†A) or expansion, an expansion's support size) on first use and writes it
 onto the instance once; two threads that race there only compute the same value
-twice. The public constructors copy
-their amplitudes and check them. `_own` checks a vector that a function here
-has just computed, as the constructor would, and keeps it without the copy;
-`_adopt` wraps, without a copy or a check, only a fresh vector that a
-norm-preserving operation (a permutation of amplitudes, or the product of two
-states) has just made.
+twice.
+
+A register value is built one of two ways. The constructors of
+`QuditRegisterState` and `UnnormalizedVector` copy their amplitudes and check
+the dimension, arity and size (and, for a state, the norm). `_adopt` wraps,
+without a copy or a check, only a fresh vector that a norm-preserving
+operation (a permutation of amplitudes, or the product of two states) has just
+made.
 """
 
 from __future__ import annotations
@@ -36,34 +38,12 @@ def digits_to_index(digits, dim: int) -> int:
     return index
 
 
-def _checked_amplitudes(dim: int, arity: int, amps: np.ndarray, normalized: bool) -> np.ndarray:
-    """`amps` flattened, once its size (and norm) fit the register."""
-    if dim < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {dim}")
-    if arity < 1:
-        raise ValueError(f"register needs at least one qudit, got arity {arity}")
-    amps = amps.reshape(-1)
-    if amps.size != dim**arity:
-        raise ValueError(
-            f"amplitude vector has length {amps.size}, expected {dim**arity} "
-            f"for {arity} qudit(s) of dimension {dim}"
-        )
-    if normalized:
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: squared norm is {norm_sq!r} "
-                "(use UnnormalizedVector for intermediate results)"
-            )
-    return amps
-
-
 def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     """Wrap a fresh complex128 vector of length dim**arity as a `cls` value.
 
     No copy and no check: the caller made `amps` by a norm-preserving operation
     on checked values and holds no other reference to it. A vector of any other
-    origin goes through `_own`, which checks it.
+    origin goes through the constructor, which copies and checks it.
     """
     amps.setflags(write=False)
     value = object.__new__(cls)
@@ -71,15 +51,6 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     object.__setattr__(value, "arity", arity)
     object.__setattr__(value, "amplitudes", amps)
     return value
-
-
-def _own(cls, dim: int, arity: int, amps: np.ndarray):
-    """`cls(dim, arity, amps)` without the copy, for a vector the caller has just computed.
-
-    The size check and, for a QuditRegisterState, the NORM_TOL norm check still run.
-    """
-    amps = _checked_amplitudes(dim, arity, np.asarray(amps, dtype=complex), cls is QuditRegisterState)
-    return _adopt(cls, dim, arity, amps)
 
 
 def _kept(value, name: str, compute):
@@ -94,35 +65,49 @@ def _kept(value, name: str, compute):
 
 
 @dataclass(frozen=True)
-class QuditRegisterState:
-    """Normalized pure state of `arity` qudits, each of dimension `dim`."""
+class _Register:
+    """The dim**arity amplitudes of `arity` qudits of dimension `dim`, copied flat and read-only."""
 
     dim: int
     arity: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _checked_amplitudes(self.dim, self.arity, np.array(self.amplitudes, dtype=complex), True)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        if self.dim < 2:
+            raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
+        if self.arity < 1:
+            raise ValueError(f"register needs at least one qudit, got arity {self.arity}")
+        if amps.size != self.dim**self.arity:
+            raise ValueError(
+                f"amplitude vector has length {amps.size}, expected {self.dim**self.arity} "
+                f"for {self.arity} qudit(s) of dimension {self.dim}"
+            )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
-class UnnormalizedVector:
+class QuditRegisterState(_Register):
+    """Normalized pure state of `arity` qudits, each of dimension `dim`."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"state is not normalized: squared norm is {norm_sq!r} "
+                "(use UnnormalizedVector for intermediate results)"
+            )
+
+
+@dataclass(frozen=True)
+class UnnormalizedVector(_Register):
     """Register-shaped complex vector of arbitrary norm, zero included.
 
     Projection residues and other mid-computation values live here so they
     cannot silently be mistaken for physical states.
     """
-
-    dim: int
-    arity: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _checked_amplitudes(self.dim, self.arity, np.array(self.amplitudes, dtype=complex), False)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -240,4 +225,4 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
     rows = joint.amplitudes.reshape(-1, bra.amplitudes.size)
-    return _own(UnnormalizedVector, joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())
+    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())

@@ -1,15 +1,18 @@
-"""`quditproc run --config paper-claims --seed 2024` against committed reports.
+"""`quditproc run --config paper-claims --seed 2024` and five `quditproc describe`
+calls against committed outputs.
 
-tests/data holds that run's JSON and CSV reports. Strings, ints, bools
-and nulls must match exactly; floats may differ by 1e-12, so that another
-LAPACK build or a change that moves a last ulp still passes. A change that
-means to alter a report replaces these files and says why.
+tests/data holds that run's JSON and CSV reports and the describe documents.
+Strings, ints, bools and nulls must match exactly; floats may differ by 1e-12,
+so that another LAPACK build or a change that moves a last ulp still passes.
+A change that means to alter an output replaces these files and says why.
 """
 
 import csv
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 from quditproc.cli import main
 
@@ -60,3 +63,20 @@ def test_csv_report_matches_golden(tmp_path):
                 assert abs(float(a) - float(b)) <= FLOAT_TOL, f"line {line}, {col}: {a} vs {b}"
             else:
                 assert a == b, f"line {line}, {col}: {a} vs {b}"
+
+
+DESCRIBE_CASES = {
+    "describe-identity-dim3.json": ["identity", "--dim", "3"],
+    "describe-example2-dim6.json": ["example2", "--dim", "6", "--param", "theta=0.3"],
+    "describe-reflection-dim2.json": ["reflection", "--dim", "2", "--param", "phi=[[0.6,0],[0.8,0]]"],
+    "describe-family-l3.json": ["family", "--param", "l=3", "--param", "phi=0.43"],
+    "describe-inline-2x2.json": ["inline", "--matrix", "[[[0.5,0.25],[1,0]],[[0,-0.75],[0.125,2]]]"],
+}
+
+
+@pytest.mark.parametrize("name", list(DESCRIBE_CASES))
+def test_describe_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main(["describe", *DESCRIBE_CASES[name], "--out", str(out)]) == 0
+    ref = json.loads((DATA / name).read_text(encoding="utf-8"))
+    _assert_matches(json.loads(out.read_text(encoding="utf-8")), ref, name)

@@ -35,7 +35,6 @@ from quditproc import (
     run_experiment,
     u_mn,
 )
-from quditproc.registers import _own
 
 from conftest import max_abs_diff
 
@@ -305,10 +304,10 @@ def _assert_wrapped_like(value, expected):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([QuditRegisterState, UnnormalizedVector]))
-def test_no_copy_outputs_equal_the_copying_constructors(dim, seed, kind):
-    # oracle_apply, post_select and partial_inner_product keep their fresh
-    # outputs without a copy; each must be what the public constructor makes
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_no_copy_outputs_equal_the_copying_constructors(dim, seed):
+    # oracle_apply, post_select and partial_inner_product build their outputs
+    # with the public constructors; each must be what the constructor makes
     rng = np.random.default_rng(seed)
     op = random_operator(dim, rng)
     psi = random_state(dim, 1, rng)
@@ -323,16 +322,3 @@ def test_no_copy_outputs_equal_the_copying_constructors(dim, seed, kind):
     _assert_wrapped_like(partial_inner_product(meas, joint), UnnormalizedVector(dim, 1, overlap))
     expected = QuditRegisterState(dim, 1, overlap / float(np.linalg.norm(overlap)))
     _assert_wrapped_like(post_select(joint, meas).data_state, expected)
-
-    # the wrapper keeps the vector it is given, and checks it as the constructor does
-    amps = psi.amplitudes.copy()
-    assert np.shares_memory(_own(kind, dim, 1, amps).amplitudes, amps)
-    with pytest.raises(ValueError):
-        _own(kind, dim, 1, np.ones(dim + 1, dtype=complex) / np.sqrt(dim + 1))
-    with pytest.raises(ValueError):
-        _own(kind, dim, 2, psi.amplitudes.copy())
-    if kind is QuditRegisterState:
-        with pytest.raises(ValueError):
-            _own(kind, dim, 1, (1 + 1e-9) * psi.amplitudes)
-        with pytest.raises(ValueError):
-            _own(kind, dim, 1, np.zeros(dim, dtype=complex))

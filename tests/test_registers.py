@@ -62,8 +62,17 @@ def test_register_state_requires_normalization():
 
 
 def test_register_state_requires_exact_length():
-    with pytest.raises(ValueError):
-        QuditRegisterState(2, 2, np.array([1.0, 0.0]))
+    # both register types check dim >= 2, arity >= 1 and dim**arity amplitudes
+    for kind in (QuditRegisterState, UnnormalizedVector):
+        cases = [
+            (2, 2, [1.0, 0.0], "has length 2, expected 4"),
+            (2, 1, [1.0, 0.0, 0.0], "has length 3, expected 2"),
+            (1, 1, [1.0], "dimension must be >= 2"),
+            (2, 0, [1.0], "at least one qudit"),
+        ]
+        for dim, arity, amps, message in cases:
+            with pytest.raises(ValueError, match=message):
+                kind(dim, arity, np.array(amps))
 
 
 def test_register_state_rejects_nan_amplitudes():
