@@ -41,23 +41,30 @@ SCENARIO_KEYS = frozenset(
 )
 
 # Largest qudit dimension a config or `describe` may ask for. The largest
-# allocation is the network's N^3 complex joint state, 16 N^3 bytes. Gate
-# outputs are wrapped without a copy, so at most two joint states are alive at
-# once: a gate's input and its output. N = 256 is the largest N for which four
-# joint states (64 N^3 bytes) fit in 1 GiB; the two live ones take half of
-# that. A batch of trials in `run_scenario` holds at most N^2 data states, so
-# N^3 amplitudes, and as many output amplitudes: one joint state's budget each,
-# the other half. One N = 256 Haar trial with the full measurement took
-# 0.73-1.0 s at a 557 MB peak RSS (N = 128: 0.08-0.09 s, 102 MB) on a 2-core
-# Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# allocation is the network's N^3 complex joint state, 16 N^3 bytes. A shift
+# network's first run compiles its permutation of the joint index, an int64
+# array of 8 N^3 bytes kept on the network; `run_config` drops each scenario
+# after its row, so one index is alive at a time. At most two joint states are
+# alive at once: `tensor`'s output and the gather's, or, while the index is
+# compiled, a gate's input and output. A batch of trials in `run_scenario`
+# holds at most N^2 data states, so N^3 amplitudes, and as many output
+# amplitudes: one joint state's worth each. The worst case is four joint states
+# and the index, 72 N^3 bytes: 1.125 GiB at N = 256, the largest N for which
+# four joint states fit in 1 GiB. The batch's half of it is reached only by a
+# draw-free row of at least N^2 trials. One N = 256 Haar trial with the full
+# measurement took 1.4-1.8 s at a 685 MB peak RSS, most of it the one-time
+# compile, and a row of four such trials 2.6-2.8 s (N = 128, one trial:
+# 0.16-0.19 s, 119 MB) on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one
+# BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
-# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a quarter of
-# MAX_DIM's 1 GiB. What bounds it is time: a dim 2 trial takes 0.2-0.4 ms on a
-# 2-core Xeon, so a row at the bound runs for minutes.
+# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a quarter of the
+# 1 GiB that four joint states take at MAX_DIM. What bounds it is time: a dim 2
+# trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
+# minutes.
 MAX_TRIALS = 10**6
 
 
@@ -461,8 +468,11 @@ def run_config(doc, seed_override=None, trials_override=None, log=None):
     """Run all scenarios in config order; returns (seed, rows)."""
     seed, scenarios = parse_config(doc, seed_override, trials_override)
     rows = []
-    for i, scn in enumerate(scenarios):
-        row = run_scenario(scn, seed, i)
+    # Each scenario is dropped once its row is done, and with it the index its
+    # processor compiled (8 N^3 bytes), so at most one index is alive at a time.
+    scenarios.reverse()
+    while scenarios:
+        row = run_scenario(scenarios.pop(), seed, len(rows))
         rows.append(row)
         if log is not None:
             status = "ok" if row.passed else "FAIL"

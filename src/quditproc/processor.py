@@ -2,8 +2,10 @@
 
 A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
-array and run by one path, each gate written once into a fresh joint state by
-block copies (see `conditional_shift`). The general diagonal form
+array. Its gates only move amplitudes, so the array is one fixed permutation
+of the joint index: it is compiled once per value by running the gates through
+`conditional_shift` on the index ramp, and kept on the value; each run is then
+one gather of data ⊗ program. The general diagonal form
 sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
 `processor_matrix` materializes either as a joint-space matrix for
 cross-checks at small dimension.
@@ -20,6 +22,8 @@ from .registers import (
     DenseOperator,
     QuditRegisterState,
     UnnormalizedVector,
+    _adopt,
+    _kept,
     inner_product,
     tensor,
 )
@@ -120,28 +124,43 @@ class GeneralDiagonal:
 ProcessorSpec = GateArray | GeneralDiagonal
 
 
-def _run_gates(joint, gates):
-    for control, target, direction in gates:
-        joint = conditional_shift(joint, control, target, direction)
-    return joint
-
-
-def _source_index(dim: int, arity: int, gates) -> np.ndarray:
-    """Joint index that each output amplitude of the gate list is read from.
+def _source_index(spec: GateArray) -> np.ndarray:
+    """Joint index that each output amplitude of the gate array is read from.
 
     The gates only move amplitudes, so running them on 0, 1, ..., N^k - 1
-    (exact in float64 below 2^53) yields the permutation itself.
+    (exact in float64 below 2^53) yields the permutation itself. Rebinding
+    `ramp` frees each gate's input once its output exists, so at most two
+    joint-sized vectors are alive besides the index.
+
+    The integer ramp becomes the index, so the array that stays is allocated
+    before every joint-sized one. A kept block above the joint states that
+    each run frees leaves them as holes that the allocator splits for other
+    allocations, and a later run then extends the heap by a whole joint state
+    (N = 64 benchmark, 30 s run: 14% more peak RSS).
     """
-    ramp = UnnormalizedVector(dim, arity, np.arange(dim**arity))
-    return _run_gates(ramp, gates).amplitudes.real.astype(np.int64)
+    arity = 3 * spec.width
+    source = np.arange(spec.dim**arity, dtype=np.int64)
+    ramp = UnnormalizedVector(spec.dim, arity, source)
+    for control, target, direction in spec.gates:
+        ramp = conditional_shift(ramp, control, target, direction)
+    source[:] = ramp.amplitudes.real
+    source.setflags(write=False)
+    return source
+
+
+def _compiled(spec: GateArray) -> np.ndarray:
+    """`spec`'s source index, computed on first use and kept on the value (8 N^k bytes)."""
+    return _kept(spec, "_source_index", _source_index)
 
 
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
     """Run the fixed circuit on data ⊗ program and return the joint output.
 
-    Gate order for the shift networks: data controls shifts onto both program
-    qudits, then each program qudit shifts the data back (the first of those
-    two in the subtracting direction for the qudit variant).
+    A shift network runs as one gather by its permutation, which the first
+    call on each `GateArray` value compiles and keeps on the value. Gate order
+    for the shift networks: data controls shifts onto both program qudits, then
+    each program qudit shifts the data back (the first of those two in the
+    subtracting direction for the qudit variant).
     """
     if isinstance(spec, GeneralDiagonal):
         return _general_diagonal_apply(spec, data, program)
@@ -152,7 +171,12 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
             f"processor needs {spec.width} data and {2 * spec.width} program qudit(s) of dimension {spec.dim}, "
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
-    return _run_gates(tensor(data, program), spec.gates)
+    # Compile before `tensor`: the first call's peak is then two joint states
+    # and the index, not three joint states.
+    source = _compiled(spec)
+    joint = tensor(data, program)
+    # A permutation keeps the norm of the checked product state.
+    return _adopt(QuditRegisterState, joint.dim, joint.arity, joint.amplitudes[source])
 
 
 def _general_diagonal_apply(
@@ -181,8 +205,8 @@ def qubit_network_matches_shift_network(dim: int = 2) -> bool:
 
     True exactly at dim 2, where adding and subtracting mod 2 coincide.
     """
-    forward = _source_index(dim, 3, QubitCnotNetwork().gates)
-    mixed = _source_index(dim, 3, QuditShiftNetwork(dim).gates)
+    forward = _compiled(GateArray(dim, 1, QubitCnotNetwork().gates))
+    mixed = _compiled(QuditShiftNetwork(dim))
     return bool(np.array_equal(forward, mixed))
 
 
@@ -200,5 +224,5 @@ def processor_matrix(spec: ProcessorSpec) -> np.ndarray:
         )
     if not isinstance(spec, GateArray):
         raise TypeError(f"unknown processor spec: {spec!r}")
-    source = _source_index(spec.dim, 3 * spec.width, spec.gates)
+    source = _compiled(spec)
     return np.eye(source.size, dtype=complex)[source]

@@ -3,6 +3,7 @@
 
 import copy
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -147,3 +148,26 @@ def test_expansion_and_gram_trace_run_once_per_operator(scn, operators, derived_
     assert len({id(op) for op in built}) == len(built) == operators
     for name, ran_on in runs.items():
         assert [id(op) for op in ran_on] == [id(op) for op in built], name
+
+
+def test_run_config_frees_each_scenario_before_the_next_row(monkeypatch):
+    # Each processor keeps its compiled index (8 N^3 bytes), so a run must not
+    # hold the networks of rows already done.
+    networks = []
+
+    def spy(scn, global_seed, index):
+        assert [ref() for ref in networks] == [None] * len(networks)
+        networks.append(weakref.ref(scn.processor))
+        return run_scenario(scn, global_seed, index)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    doc = {
+        "schema": 1,
+        "scenarios": [
+            {"id": f"row-{dim}", "dim": dim, "operator": {"name": "random_unitary"}} for dim in (3, 5, 4)
+        ],
+    }
+    _, rows = harness.run_config(doc)
+    assert [row.id for row in rows] == ["row-3", "row-5", "row-4"]
+    assert all(row.passed for row in rows)
+    assert [ref() for ref in networks] == [None] * 3

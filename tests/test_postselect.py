@@ -295,7 +295,7 @@ def test_run_experiment_takes_a_sequence_of_states(rng):
     assert run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), [], "support") == []
 
 
-def _assert_wrapped_like(value, expected):
+def _assert_constructed_like(value, expected):
     assert type(value) is type(expected)
     assert (value.dim, value.arity) == (expected.dim, expected.arity)
     assert value.amplitudes.dtype == np.complex128
@@ -305,7 +305,7 @@ def _assert_wrapped_like(value, expected):
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_no_copy_outputs_equal_the_copying_constructors(dim, seed):
+def test_outputs_are_built_by_the_public_constructors(dim, seed):
     # oracle_apply, post_select and partial_inner_product build their outputs
     # with the public constructors; each must be what the constructor makes
     rng = np.random.default_rng(seed)
@@ -316,9 +316,9 @@ def test_no_copy_outputs_equal_the_copying_constructors(dim, seed):
 
     image = op.entries @ psi.amplitudes
     expected = QuditRegisterState(dim, 1, image / float(np.linalg.norm(image)))
-    _assert_wrapped_like(oracle_apply(op, psi), expected)
+    _assert_constructed_like(oracle_apply(op, psi), expected)
 
     overlap = joint.amplitudes.reshape(dim, dim * dim) @ meas.amplitudes.conj()
-    _assert_wrapped_like(partial_inner_product(meas, joint), UnnormalizedVector(dim, 1, overlap))
+    _assert_constructed_like(partial_inner_product(meas, joint), UnnormalizedVector(dim, 1, overlap))
     expected = QuditRegisterState(dim, 1, overlap / float(np.linalg.norm(overlap)))
-    _assert_wrapped_like(post_select(joint, meas).data_state, expected)
+    _assert_constructed_like(post_select(joint, meas).data_state, expected)

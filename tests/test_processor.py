@@ -1,8 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quditproc.processor as processor_module
 from quditproc import (
     DenseOperator,
     GateArray,
@@ -15,6 +19,7 @@ from quditproc import (
     apply_processor,
     basis_state,
     bell_state,
+    conditional_shift,
     inner_product,
     partial_inner_product,
     pauli_s,
@@ -243,28 +248,111 @@ def test_general_diagonal_rejects_count_mismatch():
         GeneralDiagonal((u_mn(dim, (0, 0)),), (bell_state(dim, (0, 0)), bell_state(dim, (0, 1))))
 
 
+def _gatewise(spec, data, program):
+    """Reference run of a gate array: its gates one by one through `conditional_shift`."""
+    joint = tensor(data, program)
+    for control, target, direction in spec.gates:
+        joint = conditional_shift(joint, control, target, direction)
+    return joint
+
+
 @pytest.mark.parametrize(
     "spec, dim, width",
     [
         pytest.param(QuditShiftNetwork(2), 2, 1, id="2"),
         pytest.param(QuditShiftNetwork(3), 3, 1, id="3"),
+        pytest.param(QuditShiftNetwork(17), 17, 1, id="17"),
+        pytest.param(QuditShiftNetwork(64), 64, 1, id="64"),
         pytest.param(QubitCnotNetwork(), 2, 1, id="qubit-cnot"),
         pytest.param(TensorQubitArray(1), 2, 1, id="tensor-1"),
         pytest.param(TensorQubitArray(2), 2, 2, id="tensor-2"),
+        pytest.param(TensorQubitArray(3), 2, 3, id="tensor-3"),
     ],
 )
 def test_processor_matrix_matches_gatewise_path(spec, dim, width, rng):
-    mat = processor_matrix(spec)
+    data = random_state(dim, width, rng)
+    prog = random_state(dim, 2 * width, rng)
+    gatewise = _gatewise(spec, data, prog)
+    assert np.array_equal(apply_processor(spec, data, prog).amplitudes, gatewise.amplitudes)
     size = dim ** (3 * width)
+    if size > 512:
+        return  # the dense matrix would take 16 size^2 bytes
+    mat = processor_matrix(spec)
     assert max_abs_diff(mat.conj().T @ mat, np.eye(size)) < 1e-12
     # every shift network is a permutation: 0/1 entries, one 1 per row and column
     assert np.isin(mat, (0, 1)).all()
     assert (mat.sum(axis=0) == 1).all() and (mat.sum(axis=1) == 1).all()
-    data = random_state(dim, width, rng)
-    prog = random_state(dim, 2 * width, rng)
-    gatewise = apply_processor(spec, data, prog)
     direct = mat @ tensor(data, prog).amplitudes
     assert max_abs_diff(gatewise.amplitudes, direct) < 1e-12
+
+
+@st.composite
+def _gate_arrays(draw):
+    """GateArray(dim, width, gates) with random transvections: control != target."""
+    dim = draw(st.integers(2, 7))
+    width = draw(st.integers(1, 2))
+    arity = 3 * width
+    gate = st.tuples(st.integers(1, arity), st.integers(1, arity - 1), st.sampled_from(ShiftDirection)).map(
+        lambda g: (g[0], g[1] + (g[1] >= g[0]), g[2])
+    )
+    return GateArray(dim, width, tuple(draw(st.lists(gate, max_size=8))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_gate_arrays(), st.integers(0, 2**32 - 1))
+def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
+    rng = np.random.default_rng(seed)
+    data = random_state(spec.dim, spec.width, rng)
+    prog = random_state(spec.dim, 2 * spec.width, rng)
+    out = apply_processor(spec, data, prog)
+    assert type(out) is QuditRegisterState
+    assert (out.dim, out.arity) == (spec.dim, 3 * spec.width)
+    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog).amplitudes)
+
+
+def test_each_gate_array_is_compiled_once(monkeypatch, rng):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return conditional_shift(*args)
+
+    monkeypatch.setattr(processor_module, "conditional_shift", spy)
+    spec = QuditShiftNetwork(5)
+    data, prog = random_state(5, 1, rng), random_state(5, 2, rng)
+    first = apply_processor(spec, data, prog)
+    assert calls == list(spec.gates)
+    second = apply_processor(spec, data, prog)
+    processor_matrix(spec)
+    assert len(calls) == 4
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    # an equal value built anew compiles its own index
+    apply_processor(QuditShiftNetwork(5), data, prog)
+    assert len(calls) == 8
+
+
+def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
+    # Compiled before `tensor`, with each gate's input freed once its output
+    # exists: no more than tensor's output, the gather's and the kept index.
+    dim = 32
+    joint_bytes, index_bytes = 16 * dim**3, 8 * dim**3
+    slack = 16 * 1024  # Python objects made along the way
+    spec = QuditShiftNetwork(dim)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    tracemalloc.start()
+    try:
+        first = apply_processor(spec, data, prog)
+        _, first_peak = tracemalloc.get_traced_memory()
+        del first
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        second = apply_processor(spec, data, prog)
+        _, second_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_peak < 2 * joint_bytes + index_bytes + slack
+    assert second_peak - before < 2 * joint_bytes + slack
+    assert second.amplitudes.nbytes == joint_bytes
 
 
 @pytest.mark.parametrize("dim", [2, 3])
