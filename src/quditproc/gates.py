@@ -29,27 +29,17 @@ class BellLabel(NamedTuple):
         return BellLabel(self.m % dim, self.n % dim)
 
 
-# With the control on the last subsystem, the rolls below write amplitudes
-# N^(arity-1) apart and the sheared views write contiguous runs instead. The
-# rolls are faster only while the register is small (2-core Xeon, arity 3:
-# 44 against 63 us at N = 8, about even at N = 20, 2.1 against 12.8 ms at
-# N = 64; arity 4 crosses over below N = 12).
-_SHEAR_MIN_SIZE = 8192
-
-
 def conditional_shift(state, control: int, target: int, direction: ShiftDirection):
     """Conditional shift |k>_c |m>_t -> |k>_c |(m ± k) mod N>_t.
 
     The qudit generalization of controlled-NOT: FORWARD adds the control digit
     to the target digit, BACKWARD subtracts it. At dim 2 the two directions
     coincide. N and the arity are the register's. The gate is a permutation, so
-    the register type (normalized or not) is kept. `direction` is a ShiftDirection.
+    the register type (normalized or not) and the amplitudes' dtype are kept.
+    `direction` is a ShiftDirection.
 
-    The only allocation is the output, filled with two block copies per digit
-    (the split is where the shift wraps round N): per control digit k, or, when
-    the control is the last subsystem of a register of at least
-    _SHEAR_MIN_SIZE amplitudes, per target digit m, so that the copies write
-    long contiguous runs.
+    The only allocation is the output, filled with two block copies per control
+    digit k: a roll of the target by ±k, split where it wraps round N.
     """
     if not isinstance(direction, ShiftDirection):
         raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
@@ -60,35 +50,17 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
             raise ValueError(f"{name} index {idx} out of range 1..{state.arity}")
     dim, arity = state.dim, state.arity
     sign = 1 if direction is ShiftDirection.FORWARD else -1
-    # Output digit m on the target reads input digit (m ∓ k) mod N, k the control digit.
     cube = state.amplitudes.reshape((dim,) * arity)
     out = np.empty_like(cube)
-    by_target = control == arity and cube.size >= _SHEAR_MIN_SIZE
     c, t = control - 1, target - 1
-    rest = [ax for ax in range(arity) if ax != c and ax != t]
-    order = (t, *rest, c) if by_target else (c, *rest, t)
+    # Control first, target last: output digit m on the target reads input
+    # digit (m ∓ k) mod N.
+    order = (c, *(ax for ax in range(arity) if ax != c and ax != t), t)
     src, dst = cube.transpose(order), out.transpose(order)
-    if not by_target:
-        # Control first, target last: each control digit k is a roll by ±k.
-        for k in range(dim):
-            r = sign * k % dim
-            dst[k, ..., r:] = src[k, ..., : dim - r]
-            dst[k, ..., :r] = src[k, ..., dim - r :]
-    else:
-        # Target first, control last. Row m of the output reads, at control
-        # digit k, input row (m ∓ k) mod N: a sheared view of the input whose
-        # control stride also steps the target by ∓1, cut in two at the wrap.
-        t_stride, *rest_strides, c_stride = src.strides
-        sheared = (*rest_strides, c_stride - sign * t_stride)
-        lead = src.shape[1:-1]
-        # np.ndarray(shape, dtype, buffer, offset, strides) views `cube`: read-only
-        # like the amplitudes, and numpy checks that it stays inside the buffer.
-        for m in range(dim):
-            wrap = m + 1 if sign > 0 else dim - m
-            dst[m, ..., :wrap] = np.ndarray(lead + (wrap,), cube.dtype, cube, m * t_stride, sheared)
-            if wrap < dim:
-                offset = (m - sign * wrap) % dim * t_stride + wrap * c_stride
-                dst[m, ..., wrap:] = np.ndarray(lead + (dim - wrap,), cube.dtype, cube, offset, sheared)
+    for k in range(dim):
+        r = sign * k % dim
+        dst[k, ..., r:] = src[k, ..., : dim - r]
+        dst[k, ..., :r] = src[k, ..., dim - r :]
     return _adopt(type(state), dim, arity, out.reshape(-1))
 
 

@@ -4,8 +4,8 @@ A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
 array. Its gates only move amplitudes, so the array is one fixed permutation
 of the joint index: it is compiled once per value by running the gates through
-`conditional_shift` on the index ramp, and kept on the value; each run is then
-one gather of data ⊗ program. The general diagonal form
+`conditional_shift` on the int64 index ramp, and kept on the value; each run is
+then one gather of data ⊗ program. The general diagonal form
 sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
 `processor_matrix` materializes either as a joint-space matrix for
 cross-checks at small dimension.
@@ -48,20 +48,31 @@ class GateArray:
     """A fixed array of conditional shifts on `width` data and 2·`width` program qudits.
 
     The joint register is the data qudits followed by the program qudits;
-    `gates` holds the (control, target, direction) shifts in application order.
+    `gates` holds the (control, target, direction) shifts in application order,
+    on distinct 1-based subsystems.
     """
 
     dim: int
     width: int
     gates: tuple
 
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
+        if self.width < 1:
+            raise ValueError(f"need at least one data qudit, got width {self.width}")
+        arity = 3 * self.width
+        for control, target, direction in self.gates:
+            if not isinstance(direction, ShiftDirection):
+                raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
+            if control == target or not (1 <= control <= arity and 1 <= target <= arity):
+                raise ValueError(f"gate ({control}, {target}) needs two distinct subsystems in 1..{arity}")
+
 
 class QuditShiftNetwork(GateArray):
     """Four conditional shifts on one data qudit and a two-qudit program."""
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {dim}")
         super().__init__(dim, 1, _single_processor_gates(1, 2, 3, backward=True))
 
 
@@ -76,8 +87,6 @@ class TensorQubitArray(GateArray):
     """l independent single-qubit processors, one per data qubit."""
 
     def __init__(self, l: int):
-        if l < 1:
-            raise ValueError(f"need at least one qubit processor, got l={l}")
         gates = tuple(
             gate
             for m in range(1, l + 1)
@@ -127,23 +136,25 @@ ProcessorSpec = GateArray | GeneralDiagonal
 def _source_index(spec: GateArray) -> np.ndarray:
     """Joint index that each output amplitude of the gate array is read from.
 
-    The gates only move amplitudes, so running them on 0, 1, ..., N^k - 1
-    (exact in float64 below 2^53) yields the permutation itself. Rebinding
-    `ramp` frees each gate's input once its output exists, so at most two
-    joint-sized vectors are alive besides the index.
+    The gates only move amplitudes, so running them on the int64 ramp
+    0, 1, ..., N^k - 1 yields the permutation itself. Rebinding `ramp` frees
+    each gate's input once its output exists, so at most two ramps are alive
+    besides the index.
 
-    The integer ramp becomes the index, so the array that stays is allocated
-    before every joint-sized one. A kept block above the joint states that
-    each run frees leaves them as holes that the allocator splits for other
+    The index is allocated before every ramp, so the array that stays sits
+    below the joint-sized ones. A kept block above the joint states that each
+    run frees leaves them as holes that the allocator splits for other
     allocations, and a later run then extends the heap by a whole joint state
     (N = 64 benchmark, 30 s run: 14% more peak RSS).
     """
     arity = 3 * spec.width
-    source = np.arange(spec.dim**arity, dtype=np.int64)
-    ramp = UnnormalizedVector(spec.dim, arity, source)
+    size = spec.dim**arity
+    source = np.empty(size, dtype=np.int64)
+    # A permutation of a fresh ramp: wrapped without the constructor's complex copy.
+    ramp = _adopt(UnnormalizedVector, spec.dim, arity, np.arange(size, dtype=np.int64))
     for control, target, direction in spec.gates:
         ramp = conditional_shift(ramp, control, target, direction)
-    source[:] = ramp.amplitudes.real
+    source[:] = ramp.amplitudes
     source.setflags(write=False)
     return source
 

@@ -16,7 +16,7 @@ A register value is built one of two ways. The constructors of
 the dimension, arity and size (and, for a state, the norm). `_adopt` wraps,
 without a copy or a check, only a fresh vector that a norm-preserving
 operation (a permutation of amplitudes, or the product of two states) has just
-made.
+made, or the int64 index ramp that a gate array is compiled on.
 """
 
 from __future__ import annotations
@@ -39,11 +39,13 @@ def digits_to_index(digits, dim: int) -> int:
 
 
 def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
-    """Wrap a fresh complex128 vector of length dim**arity as a `cls` value.
+    """Wrap a fresh vector of length dim**arity as a `cls` value.
 
     No copy and no check: the caller made `amps` by a norm-preserving operation
-    on checked values and holds no other reference to it. A vector of any other
-    origin goes through the constructor, which copies and checks it.
+    on checked values and holds no other reference to it. The vector is
+    complex128, except the int64 index ramp that `processor` runs a gate array
+    on, which never leaves its compile. A vector of any other origin goes
+    through the constructor, which copies and checks it.
     """
     amps.setflags(write=False)
     value = object.__new__(cls)

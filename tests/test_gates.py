@@ -24,6 +24,7 @@ from quditproc import (
     u_init,
     u_mn,
 )
+from quditproc.registers import _adopt
 
 from conftest import index_to_digits, max_abs_diff, reference_shift
 
@@ -84,31 +85,39 @@ def test_conditional_shift_follows_digit_rule(arity, dim):
                 assert np.array_equal(out.amplitudes, expected), (control, target, direction, index)
 
 
+def _index_ramp(dim, arity):
+    """The int64 ramp 0, 1, ..., N^k - 1, wrapped as a register the way a gate array's compile wraps it."""
+    return _adopt(UnnormalizedVector, dim, arity, np.arange(dim**arity, dtype=np.int64))
+
+
 @pytest.mark.parametrize("dim", [16, 17])
 @pytest.mark.parametrize("arity", [3, 4])
 def test_conditional_shift_matches_reference_gather(arity, dim, rng):
     # Even and odd N put the wrap split of each block copy at different places;
-    # with the control last, arity 3 takes the rolls and arity 4 the sheared views.
+    # every (control, target) pair moves the control first and the target last.
     size = dim**arity
-    state = UnnormalizedVector(dim, arity, rng.normal(size=size) + 1j * rng.normal(size=size))
-    for control, target in itertools.permutations(range(1, arity + 1), 2):
-        for direction, sign in ((F, 1), (B, -1)):
-            out = conditional_shift(state, control, target, direction)
-            expected = reference_shift(state.amplitudes, dim, arity, control, target, sign)
-            assert np.array_equal(out.amplitudes, expected), (control, target, direction)
+    noise = UnnormalizedVector(dim, arity, rng.normal(size=size) + 1j * rng.normal(size=size))
+    for state in (noise, _index_ramp(dim, arity)):
+        for control, target in itertools.permutations(range(1, arity + 1), 2):
+            for direction, sign in ((F, 1), (B, -1)):
+                out = conditional_shift(state, control, target, direction)
+                expected = reference_shift(state.amplitudes, dim, arity, control, target, sign)
+                assert out.amplitudes.dtype == state.amplitudes.dtype
+                assert np.array_equal(out.amplitudes, expected), (state.amplitudes.dtype, control, target, direction)
 
 
 def test_conditional_shift_allocates_only_its_output(rng):
     network = QuditShiftNetwork(32)
-    state = random_state(32, 3, rng)
-    for control, target, direction in network.gates:
-        tracemalloc.start()
-        try:
-            out = conditional_shift(state, control, target, direction)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.05 * out.amplitudes.nbytes, (control, target, direction, peak)
+    for state in (random_state(32, 3, rng), _index_ramp(32, 3)):
+        for control, target, direction in network.gates:
+            tracemalloc.start()
+            try:
+                out = conditional_shift(state, control, target, direction)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.amplitudes.dtype == state.amplitudes.dtype
+            assert peak <= 1.05 * out.amplitudes.nbytes, (state.amplitudes.dtype, control, target, direction, peak)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])

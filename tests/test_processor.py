@@ -31,7 +31,7 @@ from quditproc import (
     u_mn,
 )
 
-from conftest import max_abs_diff
+from conftest import max_abs_diff, reference_shift
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -249,10 +249,15 @@ def test_general_diagonal_rejects_count_mismatch():
 
 
 def _gatewise(spec, data, program):
-    """Reference run of a gate array: its gates one by one through `conditional_shift`."""
-    joint = tensor(data, program)
+    """Reference run of a gate array: its gates one by one as `reference_shift` gathers.
+
+    Independent of `conditional_shift`, which the compile runs.
+    """
+    arity = 3 * spec.width
+    joint = tensor(data, program).amplitudes
     for control, target, direction in spec.gates:
-        joint = conditional_shift(joint, control, target, direction)
+        sign = 1 if direction is ShiftDirection.FORWARD else -1
+        joint = reference_shift(joint, spec.dim, arity, control, target, sign)
     return joint
 
 
@@ -273,7 +278,7 @@ def test_processor_matrix_matches_gatewise_path(spec, dim, width, rng):
     data = random_state(dim, width, rng)
     prog = random_state(dim, 2 * width, rng)
     gatewise = _gatewise(spec, data, prog)
-    assert np.array_equal(apply_processor(spec, data, prog).amplitudes, gatewise.amplitudes)
+    assert np.array_equal(apply_processor(spec, data, prog).amplitudes, gatewise)
     size = dim ** (3 * width)
     if size > 512:
         return  # the dense matrix would take 16 size^2 bytes
@@ -283,7 +288,7 @@ def test_processor_matrix_matches_gatewise_path(spec, dim, width, rng):
     assert np.isin(mat, (0, 1)).all()
     assert (mat.sum(axis=0) == 1).all() and (mat.sum(axis=1) == 1).all()
     direct = mat @ tensor(data, prog).amplitudes
-    assert max_abs_diff(gatewise.amplitudes, direct) < 1e-12
+    assert max_abs_diff(gatewise, direct) < 1e-12
 
 
 @st.composite
@@ -307,7 +312,7 @@ def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
     out = apply_processor(spec, data, prog)
     assert type(out) is QuditRegisterState
     assert (out.dim, out.arity) == (spec.dim, 3 * spec.width)
-    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog).amplitudes)
+    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
 
 
 def test_each_gate_array_is_compiled_once(monkeypatch, rng):
@@ -353,6 +358,46 @@ def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     assert first_peak < 2 * joint_bytes + index_bytes + slack
     assert second_peak - before < 2 * joint_bytes + slack
     assert second.amplitudes.nbytes == joint_bytes
+
+
+def test_compile_peaks_at_three_index_arrays():
+    # The kept index, a gate's input ramp and its output, all int64; no
+    # complex copy of the ramp.
+    dim = 32
+    index_bytes = 8 * dim**3
+    slack = 16 * 1024  # Python objects made along the way
+    spec = QuditShiftNetwork(dim)
+    tracemalloc.start()
+    try:
+        source = processor_module._compiled(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert source.dtype == np.int64 and source.nbytes == index_bytes
+    assert peak < 3 * index_bytes + slack
+
+
+_F, _B = ShiftDirection.FORWARD, ShiftDirection.BACKWARD
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: GateArray(1, 1, ()), ValueError, id="dim-1"),
+        pytest.param(lambda: GateArray(2, 0, ()), ValueError, id="width-0"),
+        pytest.param(lambda: GateArray(3, 1, ((1, 4, _F),)), ValueError, id="target-above-arity"),
+        pytest.param(lambda: GateArray(3, 1, ((0, 2, _F),)), ValueError, id="control-0"),
+        pytest.param(lambda: GateArray(2, 2, ((7, 1, _B),)), ValueError, id="control-above-arity"),
+        pytest.param(lambda: GateArray(3, 1, ((2, 2, _F),)), ValueError, id="control-is-target"),
+        pytest.param(lambda: GateArray(3, 1, ((1, 2, "forward"),)), TypeError, id="direction-string"),
+        pytest.param(lambda: GateArray(3, 1, ((1, 2, _F), (2, 3, None))), TypeError, id="second-gate-direction"),
+        pytest.param(lambda: QuditShiftNetwork(1), ValueError, id="qudit-network-dim-1"),
+        pytest.param(lambda: TensorQubitArray(0), ValueError, id="tensor-array-l-0"),
+    ],
+)
+def test_gate_arrays_reject_bad_fields_at_construction(build, error):
+    with pytest.raises(error):
+        build()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
