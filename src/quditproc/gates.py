@@ -29,6 +29,14 @@ class BellLabel(NamedTuple):
         return BellLabel(self.m % dim, self.n % dim)
 
 
+def _check_gate(control: int, target: int, direction, arity: int) -> None:
+    """The gate rule: a ShiftDirection between two distinct subsystems in 1..arity."""
+    if not isinstance(direction, ShiftDirection):
+        raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
+    if control == target or not (1 <= control <= arity and 1 <= target <= arity):
+        raise ValueError(f"gate ({control}, {target}) needs two distinct subsystems in 1..{arity}")
+
+
 def conditional_shift(state, control: int, target: int, direction: ShiftDirection):
     """Conditional shift |k>_c |m>_t -> |k>_c |(m ± k) mod N>_t.
 
@@ -41,13 +49,7 @@ def conditional_shift(state, control: int, target: int, direction: ShiftDirectio
     The only allocation is the output, filled with two block copies per control
     digit k: a roll of the target by ±k, split where it wraps round N.
     """
-    if not isinstance(direction, ShiftDirection):
-        raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
-    if control == target:
-        raise ValueError("control and target subsystems must differ")
-    for name, idx in (("control", control), ("target", target)):
-        if not 1 <= idx <= state.arity:
-            raise ValueError(f"{name} index {idx} out of range 1..{state.arity}")
+    _check_gate(control, target, direction, state.arity)
     dim, arity = state.dim, state.arity
     sign = 1 if direction is ShiftDirection.FORWARD else -1
     cube = state.amplitudes.reshape((dim,) * arity)

@@ -66,6 +66,12 @@ MAX_DIM = 256
 # trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
 # minutes.
 MAX_TRIALS = 10**6
+# Range of Tr(A†A) an inline matrix may have; the outcome does not depend on
+# the scale. Inside it, at every N <= MAX_DIM, N Tr(A†A) and the predicted
+# probabilities and `describe`'s scales stay finite and nonzero, and the
+# expansion's sum |q|^2 = Tr(A†A) / N is summed from normal squares, so the
+# program meets NORM_TOL.
+GRAM_RANGE = (1e-200, 1e200)
 
 
 class ConfigError(ValueError):
@@ -124,15 +130,15 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix(what: str, rows) -> np.ndarray:
-    """A square matrix whose Tr(A†A) is a finite normal float: anything else has no program."""
+    """A square matrix whose Tr(A†A) lies in GRAM_RANGE."""
     mat = matrix_from_json(rows)
     with np.errstate(over="ignore", under="ignore"):
         gram = float(np.sum(np.abs(mat) ** 2))
-    tiny = np.finfo(float).tiny
-    if not tiny <= gram < np.inf:
+    low, high = GRAM_RANGE
+    if not low <= gram <= high:
         raise ConfigError(
-            f"{what}: Tr(A†A) is {gram!r}; it must be finite and at least {tiny:.2g}, "
-            "the smallest normal float"
+            f"{what}: Tr(A†A) is {gram!r}; it must lie in [{low:g}, {high:g}]. The outcome "
+            "does not depend on the matrix's scale, so rescale the matrix into that range"
         )
     return mat
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ShiftDirection, conditional_shift
+from .gates import ShiftDirection, _check_gate, conditional_shift
 from .registers import (
     DenseOperator,
     QuditRegisterState,
@@ -61,12 +61,8 @@ class GateArray:
             raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
         if self.width < 1:
             raise ValueError(f"need at least one data qudit, got width {self.width}")
-        arity = 3 * self.width
         for control, target, direction in self.gates:
-            if not isinstance(direction, ShiftDirection):
-                raise TypeError(f"direction must be a ShiftDirection, got {direction!r}")
-            if control == target or not (1 <= control <= arity and 1 <= target <= arity):
-                raise ValueError(f"gate ({control}, {target}) needs two distinct subsystems in 1..{arity}")
+            _check_gate(control, target, direction, 3 * self.width)
 
 
 class QuditShiftNetwork(GateArray):

@@ -113,23 +113,27 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
     return ProgramVector(QuditRegisterState(expansion.dim, 2, amps))
 
 
+def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
+    """sum |Xi_mn> / sqrt(S) over the S labels (m, n) set in the N x N boolean mask."""
+    size = np.count_nonzero(mask)
+    if not size:
+        raise ValueError("measurement needs at least one Bell label")
+    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size)))
+
+
 def measurement_full(dim: int) -> QuditRegisterState:
     """Uniform superposition of all N^2 Bell states, weight 1/N each."""
-    weights = np.full(dim * dim, 1.0 / dim, dtype=complex)
-    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, weights))
+    return _uniform_bell(dim, np.ones((dim, dim), dtype=bool))
 
 
 def measurement_for_labels(dim: int, labels) -> QuditRegisterState:
-    """Uniform superposition of the named Bell states."""
-    labels = tuple(BellLabel(*lab).reduced(dim) for lab in labels)
-    if not labels:
-        raise ValueError("measurement needs at least one Bell label")
-    if len(set(labels)) != len(labels):
+    """Uniform superposition of the named Bell states, labels taken mod N."""
+    labels = [BellLabel(*lab).reduced(dim) for lab in labels]
+    mask = np.zeros((dim, dim), dtype=bool)
+    mask[[lab.m for lab in labels], [lab.n for lab in labels]] = True
+    if np.count_nonzero(mask) != len(labels):
         raise ValueError("duplicate Bell labels in measurement")
-    weights = np.zeros(dim * dim, dtype=complex)
-    for m, n in labels:
-        weights[m * dim + n] = 1.0 / np.sqrt(len(labels))
-    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, weights))
+    return _uniform_bell(dim, mask)
 
 
 def measurement_restricted(expansion: HsExpansion) -> QuditRegisterState:
@@ -138,7 +142,7 @@ def measurement_restricted(expansion: HsExpansion) -> QuditRegisterState:
     For a unitary operator this boosts the success probability from 1/N^2 to
     1/S, S the support size.
     """
-    return measurement_for_labels(expansion.dim, expansion.support())
+    return _uniform_bell(expansion.dim, expansion._support_mask())
 
 
 # --- named operator catalog ------------------------------------------------

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from quditproc import predicted_probability, random_state, run_experiment, u_mn
+from quditproc import HsExpansion, predicted_probability, random_state, run_experiment, u_mn
 from quditproc.harness import ReportRow, build_operator
 from quditproc.postselect import ZERO_PROBABILITY_CUTOFF
 
@@ -9,6 +11,15 @@ from quditproc.postselect import ZERO_PROBABILITY_CUTOFF
 @pytest.fixture
 def rng():
     return np.random.default_rng(271828)
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and ±Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def max_abs_diff(a, b) -> float:
@@ -32,6 +43,25 @@ def reconstruct(expansion) -> np.ndarray:
         for n in range(dim):
             total += expansion.coeffs[m, n] * u_mn(dim, (m, n)).entries
     return total
+
+
+def bell_coefficients(state) -> np.ndarray:
+    """<Xi_mn|state> of a two-qudit state as an N x N table [m, n]: the inverse of
+    bell_basis_matrix, one gather and one FFT."""
+    dim = state.dim
+    k = np.arange(dim)
+    # bell_basis_matrix puts column n of row k at amplitude (k, (k - n) mod N)
+    cols = state.amplitudes.reshape(dim, dim)[k[:, None], (k[:, None] - k) % dim]
+    return np.fft.fft(cols, axis=0) / np.sqrt(dim)
+
+
+def k_bell(program, meas) -> np.ndarray:
+    """Reference success-branch operator from the paper's Bell-diagonal form of
+    the network, U = sum_mn u(m,n) ⊗ |Xi_mn><Xi_mn|: projecting U(psi ⊗ P) onto
+    M leaves K psi with K = sum_mn conj<Xi_mn|M> <Xi_mn|P> u(m,n), summed as
+    `reconstruct` sums an expansion. It reads no gate."""
+    weights = bell_coefficients(meas).conj() * bell_coefficients(program)
+    return reconstruct(HsExpansion(program.dim, weights))
 
 
 def reference_shift(amplitudes, dim: int, arity: int, control: int, target: int, sign: int) -> np.ndarray:

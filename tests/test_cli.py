@@ -10,18 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditproc import DenseOperator, hs_expand, predicted_probability, program_from_expansion, random_state
 from quditproc.cli import main
 from quditproc.harness import (
     CATALOG,
+    GRAM_RANGE,
     MAX_DIM,
     MAX_TRIALS,
     ConfigError,
+    build_operator,
+    check_operator,
+    describe_operator,
     load_bundled_config,
     matrix_from_json,
     matrix_to_json,
     parse_config,
     run_config,
 )
+from quditproc.registers import NORM_TOL
+
+from conftest import max_abs_diff, strict_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -244,7 +252,7 @@ def test_trials_bound(override):
 def test_describe_identity(capsys):
     code = run_cli(["describe", "identity", "--dim", "3"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["support_size"] == 1
     assert abs(doc["predicted_probability_full"] - 1 / 9) < 1e-15
     assert doc["predicted_probability_support"] == 1.0
@@ -253,7 +261,7 @@ def test_describe_identity(capsys):
 def test_describe_two_term_rotation(capsys):
     code = run_cli(["describe", "example2", "--dim", "6", "--param", "theta=0.3"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["support_size"] == 2
     assert doc["unitary"] is True
     assert abs(doc["predicted_probability_support"] - 0.5) < 1e-15
@@ -265,7 +273,7 @@ def test_describe_reflection_with_explicit_phi(capsys):
         ["describe", "reflection", "--dim", "2", "--param", "phi=[[0.6,0],[0.8,0]]"]
     )
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["unitary"] is True
     assert doc["support_size"] <= 4
 
@@ -282,7 +290,7 @@ def test_describe_inline_matrix_round_trip(capsys):
     mat = [[[0.25, -0.125], [1.0, 0.5]], [[0.75, 0.0], [-0.33203125, 2.0]]]
     code = run_cli(["describe", "inline", "--matrix", json.dumps(mat)])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     parsed = matrix_from_json(doc["matrix"])
     original = matrix_from_json(mat)
     assert np.max(np.abs(parsed - original)) < 1e-15
@@ -368,6 +376,16 @@ ZERO = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 HUGE = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
 # Tr(A†A) = 2e-320: nonzero, but below the smallest normal float.
 SUBNORMAL = [[[1e-160, 0], [0, 0]], [[0, 0], [1e-160, 0]]]
+# Normal Tr(A†A), but outside GRAM_RANGE. Accepted, each broke a run or a
+# description: N Tr(A†A) = 3.7e308 overflowed the prediction to 0 (2.3e307);
+# sum |q|^2 summed from subnormal squares left the program's squared norm
+# 1.0000000000032 (4.7e-308); `describe`'s support scale read Infinity (2.3e-308).
+_GINIBRE = np.random.default_rng(0).standard_normal((2, MAX_DIM, MAX_DIM))
+SCALE_FAULTS = {
+    "inline-gram-2.3e307": matrix_to_json(1.2e153 * np.eye(16)),
+    "inline-gram-4.7e-308": matrix_to_json((_GINIBRE[0] + 1j * _GINIBRE[1]) * 6e-157),
+    "inline-gram-2.3e-308": matrix_to_json(np.sqrt(2.3e-308 / 16) * np.eye(16)),
+}
 
 
 def one_scenario(root=None, **fields):
@@ -396,6 +414,7 @@ RUN_FAULTS = [
     pytest.param(one_scenario(operator={"matrix": ZERO}), id="inline-zero"),
     pytest.param(one_scenario(operator={"matrix": HUGE}), id="inline-overflow"),
     pytest.param(one_scenario(operator={"matrix": SUBNORMAL}), id="inline-subnormal"),
+    *(pytest.param(one_scenario(dim=len(m), operator={"matrix": m}), id=k) for k, m in SCALE_FAULTS.items()),
     pytest.param(one_scenario(operator={"name": "family", "l": -1, "phi": 0.1}), id="family-l-negative"),
     pytest.param(one_scenario(dim=1000), id="dim-above-max"),
     pytest.param(one_scenario(trials=MAX_TRIALS + 1), id="trials-above-max"),
@@ -430,6 +449,7 @@ DESCRIBE_FAULTS = [
     pytest.param(["inline", "--matrix", json.dumps(ZERO)], id="inline-zero"),
     pytest.param(["inline", "--matrix", json.dumps(HUGE)], id="inline-overflow"),
     pytest.param(["inline", "--matrix", json.dumps(SUBNORMAL)], id="inline-subnormal"),
+    *(pytest.param(["inline", "--matrix", json.dumps(m)], id=k) for k, m in SCALE_FAULTS.items()),
     pytest.param(["family", "--param", "l=-1", "--param", "phi=0.1"], id="family-l-negative"),
     pytest.param(["identity", "--dim", "1000"], id="dim-above-max"),
     pytest.param(["family", "--param", "l=100", "--param", "phi=0.1"], id="family-l-above-max"),
@@ -453,7 +473,47 @@ def test_subnormal_gram_trace_error_states_the_bound(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 2
     err = capsys.readouterr().err
     assert "Tr(A†A) is 2e-320" in err
-    assert "at least 2.2e-308, the smallest normal float" in err
+    assert "it must lie in [1e-200, 1e+200]. The outcome does not depend on the matrix's scale" in err
+
+
+def _scaled_to(mat: np.ndarray, gram: float) -> np.ndarray:
+    return mat * np.sqrt(gram / np.sum(np.abs(mat) ** 2))
+
+
+# The largest describe scales come from S = 1 at the low end, the smallest
+# from S = N^2 at the high end; `describe` at MAX_DIM takes most of a second.
+@pytest.mark.parametrize(
+    "kind,gram,describe",
+    [
+        pytest.param("identity", GRAM_RANGE[0] * (1 + 1e-9), True, id="identity-low"),
+        pytest.param("ginibre", GRAM_RANGE[0] * (1 + 1e-9), False, id="ginibre-low"),
+        pytest.param("identity", GRAM_RANGE[1] * (1 - 1e-9), False, id="identity-high"),
+        pytest.param("ginibre", GRAM_RANGE[1] * (1 - 1e-9), True, id="ginibre-high"),
+    ],
+)
+def test_gram_range_ends_stay_finite_and_exact_at_max_dim(kind, gram, describe):
+    # Just inside either end of GRAM_RANGE, the expansion, the program and the
+    # predictions equal those of the same matrix at Tr(A†A) = 1, without a run.
+    base = np.eye(MAX_DIM) if kind == "identity" else _GINIBRE[0] + 1j * _GINIBRE[1]
+    params = {"matrix": matrix_to_json(_scaled_to(base, gram))}
+    op = build_operator("inline", *check_operator("inline", params), rng=None)
+    unit = DenseOperator(MAX_DIM, _scaled_to(base, 1.0))
+    expansion = hs_expand(op)
+    assert expansion.gram_norm * MAX_DIM == pytest.approx(op.gram_trace(), rel=1e-12)
+    assert expansion.support_size() == hs_expand(unit).support_size()
+    program = program_from_expansion(expansion).state.amplitudes
+    assert abs(np.vdot(program, program).real - 1) <= NORM_TOL
+    assert max_abs_diff(program, program_from_expansion(hs_expand(unit)).state.amplitudes) < 1e-12
+    psi = random_state(MAX_DIM, 1, np.random.default_rng(1))
+    for meas_kind in ("full", "support"):
+        p = predicted_probability(op, psi, meas_kind)
+        assert p == pytest.approx(predicted_probability(unit, psi, meas_kind), rel=1e-12)
+    if describe:
+        doc = describe_operator("inline", None, params)
+        s = expansion.support_size()
+        assert doc["probability_scale_full"] == pytest.approx(1 / (MAX_DIM * gram), rel=1e-12)
+        assert doc["probability_scale_support"] == pytest.approx(MAX_DIM / (s * gram), rel=1e-12)
+        assert 0 < doc["probability_scale_full"] and np.isfinite(doc["probability_scale_support"])
 
 
 def test_max_dim_bounds_the_bell_matrix():
@@ -506,7 +566,7 @@ def test_tiny_inline_haar_unitary_row_passes():
 
 def test_describe_implies_dim_from_the_catalog(capsys):
     assert run_cli(["describe", "family", "--param", "l=3", "--param", "phi=0.4"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["dim"] == 8
     assert len(doc["coefficients"]) == 64
     assert abs(doc["predicted_probability_full"] - 1 / 64) < 1e-15

@@ -16,6 +16,8 @@ import pytest
 
 from quditproc.cli import main
 
+from conftest import strict_json
+
 DATA = Path(__file__).resolve().parent / "data"
 FLOAT_TOL = 1e-12
 
@@ -79,4 +81,4 @@ def test_describe_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(["describe", *DESCRIBE_CASES[name], "--out", str(out)]) == 0
     ref = json.loads((DATA / name).read_text(encoding="utf-8"))
-    _assert_matches(json.loads(out.read_text(encoding="utf-8")), ref, name)
+    _assert_matches(strict_json(out.read_text(encoding="utf-8")), ref, name)

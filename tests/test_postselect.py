@@ -17,9 +17,11 @@ from quditproc import (
     UnnormalizedVector,
     apply_processor,
     basis_state,
+    bell_basis_matrix,
     bell_state,
     example1_operator,
     hs_expand,
+    inner_product,
     measurement_for_labels,
     measurement_full,
     measurement_restricted,
@@ -36,7 +38,7 @@ from quditproc import (
     u_mn,
 )
 
-from conftest import max_abs_diff
+from conftest import bell_coefficients, k_bell, max_abs_diff
 
 
 def test_bell_program_with_matching_measurement_always_succeeds(rng):
@@ -322,3 +324,35 @@ def test_outputs_are_built_by_the_public_constructors(dim, seed):
     _assert_constructed_like(partial_inner_product(meas, joint), UnnormalizedVector(dim, 1, overlap))
     expected = QuditRegisterState(dim, 1, overlap / float(np.linalg.norm(overlap)))
     _assert_constructed_like(post_select(joint, meas).data_state, expected)
+
+
+# --- the paper's Bell-diagonal identity as an independent reference ------------
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+def test_bell_coefficients_are_the_bell_state_overlaps(dim, rng):
+    state = random_state(dim, 2, rng)
+    table = bell_coefficients(state)
+    overlaps = [[inner_product(bell_state(dim, (m, n)), state) for n in range(dim)] for m in range(dim)]
+    assert max_abs_diff(table, overlaps) < 1e-12
+    assert max_abs_diff(bell_basis_matrix(dim, table.reshape(-1)), state.amplitudes) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "network",
+    [pytest.param(lambda n=n: QuditShiftNetwork(n), id=f"qudit-{n}") for n in (2, 3, 4, 5, 8, 16, 64)]
+    + [pytest.param(QubitCnotNetwork, id="qubit-cnot")],
+)
+def test_network_success_branch_is_the_bell_diagonal_operator(network, rng):
+    # post-selecting M after running psi ⊗ P gives K psi, K from k_bell, which
+    # reads only the Bell-diagonal form and none of the network's gates
+    net = network()
+    for _ in range(3):
+        program, meas = random_state(net.dim, 2, rng), random_state(net.dim, 2, rng)
+        psi = random_state(net.dim, 1, rng)
+        image = k_bell(program, meas) @ psi.amplitudes
+        norm = float(np.linalg.norm(image))
+        expected = QuditRegisterState(net.dim, 1, image / norm)
+        outcome = post_select(apply_processor(net, psi, program), meas, expected)
+        assert abs(outcome.probability - norm**2) < 1e-12
+        assert outcome.oracle_fidelity >= 1 - 1e-12

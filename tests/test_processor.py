@@ -428,3 +428,18 @@ def test_general_diagonal_requires_unitary_operators():
     lossy = DenseOperator(dim, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         GeneralDiagonal((lossy,), (bell_state(dim, (0, 0)),))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [(1, 4, _F), (0, 2, _F), (2, 2, _B), (1, 2, "forward")],
+    ids=["target-above-arity", "control-0", "control-is-target", "direction-string"],
+)
+def test_gate_array_and_conditional_shift_state_one_gate_rule(gate):
+    # a bad gate is refused by the array and by the shift with the same error
+    with pytest.raises((TypeError, ValueError)) as by_array:
+        GateArray(3, 1, (gate,))
+    with pytest.raises((TypeError, ValueError)) as by_shift:
+        conditional_shift(random_state(3, 3, np.random.default_rng(0)), *gate)
+    assert type(by_array.value) is type(by_shift.value)
+    assert str(by_array.value) == str(by_shift.value)

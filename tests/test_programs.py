@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditproc import (
     BellLabel,
     DenseOperator,
+    HsExpansion,
     TRACELESS_QUBIT_LABELS,
     basis_state,
+    bell_basis_matrix,
     bell_state,
     example1_operator,
     example2_operator,
@@ -22,10 +26,12 @@ from quditproc import (
     program_from_expansion,
     random_operator,
     random_state,
+    random_unitary,
     reflection_operator,
     reflection_program_factored,
     u_mn,
 )
+from quditproc import programs
 
 from conftest import max_abs_diff, reconstruct
 
@@ -194,6 +200,76 @@ def test_measurement_rejects_empty_labels():
         measurement_for_labels(2, [])
 
 
+def test_measurement_rejects_labels_equal_mod_n():
+    with pytest.raises(ValueError, match="duplicate"):
+        measurement_for_labels(3, [(1, 2), (4, -1)])
+
+
+def weight_loop_measurement(dim, labels) -> np.ndarray:
+    """Reference: the uniform Bell superposition built one weight per label."""
+    labels = tuple(BellLabel(*lab).reduced(dim) for lab in labels)
+    weights = np.zeros(dim * dim, dtype=complex)
+    for m, n in labels:
+        weights[m * dim + n] = 1.0 / np.sqrt(len(labels))
+    return bell_basis_matrix(dim, weights)
+
+
+@st.composite
+def label_sets(draw):
+    """(dim, labels): distinct labels mod N, drawn unreduced, or every label."""
+    dim = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        return dim, [(m, n) for m in range(dim) for n in range(dim)]
+    flat = draw(st.lists(st.integers(0, dim * dim - 1), min_size=1, max_size=dim * dim, unique=True))
+    wraps = st.integers(-3, 3)
+    return dim, [(f // dim + dim * draw(wraps), f % dim + dim * draw(wraps)) for f in flat]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(label_sets(), st.integers(0, 2**32 - 1))
+def test_measurements_equal_the_weight_loop(case, seed):
+    dim, labels = case
+    expected = weight_loop_measurement(dim, labels)
+    assert np.array_equal(measurement_for_labels(dim, labels).amplitudes, expected)
+    # an expansion whose support is exactly these labels, magnitudes 1 to 2
+    coeffs = np.zeros((dim, dim), dtype=complex)
+    reduced = np.array(labels) % dim
+    coeffs[reduced[:, 0], reduced[:, 1]] = np.exp(1j * np.random.default_rng(seed).uniform(0, 7, len(labels)))
+    coeffs *= 1 + (np.arange(dim * dim).reshape(dim, dim) % 2)
+    assert np.array_equal(measurement_restricted(HsExpansion(dim, coeffs)).amplitudes, expected)
+    if len(labels) == dim * dim:
+        assert np.array_equal(measurement_full(dim).amplitudes, expected)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda rng, n=n: random_unitary(n, rng), id=f"haar-{n}") for n in (2, 7, 16)]
+    + [pytest.param(lambda rng, n=n: random_operator(n, rng), id=f"ginibre-{n}") for n in (3, 12)]
+    + [
+        pytest.param(lambda rng: family_operator(3, 0.4), id="family"),
+        pytest.param(lambda rng: example2_operator(0.3, 6), id="example2"),
+        pytest.param(lambda rng: example1_operator(0.7), id="example1"),
+        pytest.param(lambda rng: u_mn(5, (2, 4)), id="u_mn"),
+    ],
+)
+def test_restricted_measurement_equals_the_label_construction(build, rng):
+    exp = hs_expand(build(rng))
+    by_labels = measurement_for_labels(exp.dim, exp.support())
+    assert np.array_equal(measurement_restricted(exp).amplitudes, by_labels.amplitudes)
+
+
+def test_restricted_measurement_reads_the_support_mask_directly(monkeypatch, rng):
+    exp = hs_expand(random_unitary(4, rng))
+    expected = measurement_for_labels(4, exp.support()).amplitudes
+
+    def forbidden(*args):
+        raise AssertionError("measurement_restricted must not go through support labels")
+
+    monkeypatch.setattr(HsExpansion, "support", forbidden)
+    monkeypatch.setattr(programs, "measurement_for_labels", forbidden)
+    assert np.array_equal(measurement_restricted(exp).amplitudes, expected)
+
+
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_family_support_size(l):
     exp = hs_expand(family_operator(l, 0.37))
@@ -319,8 +395,6 @@ def test_named_programs_match_generic_synthesis(rng):
 
 
 def test_unitary_program_norm_and_support_count(rng):
-    from quditproc import random_unitary
-
     for dim in (2, 3, 4):
         op = random_unitary(dim, rng)
         exp = hs_expand(op)
