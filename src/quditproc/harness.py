@@ -41,21 +41,25 @@ SCENARIO_KEYS = frozenset(
 )
 
 # Largest qudit dimension a config or `describe` may ask for. The largest
-# allocation is the network's N^3 complex joint state, 16 N^3 bytes. A shift
-# network's first run compiles its permutation of the joint index, an int64
-# array of 8 N^3 bytes kept on the network; `run_config` drops each scenario
-# after its row, so one index is alive at a time. While the index compiles,
-# only it and two int64 ramps are alive, 24 N^3 bytes. After that, at most two
-# joint states are alive at once: `tensor`'s output and the gather's. A batch
-# of trials in `run_scenario` holds at most N^2 data states, so N^3 amplitudes,
-# and as many output amplitudes: one joint state's worth each. The worst case
-# is four joint states and the index, 72 N^3 bytes: 1.125 GiB at N = 256, the
-# largest N for which four joint states fit in 1 GiB. The batch's half of it is
-# reached only by a draw-free row of at least N^2 trials. One N = 256 Haar
-# trial with the full measurement took 1.1-1.4 s at a 685 MB peak RSS, most of
-# it the one-time compile (0.74-0.86 s), and a row of four such trials
-# 2.5-2.6 s (N = 128, one trial: 0.11-0.12 s, 118 MB) on a 2-core Xeon with
-# Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# allocation is the network's N^3 complex joint state, 16 N^3 bytes. The qudit
+# network runs one of two ways (see `processor`). From N = 28 on, each run is
+# one product of strided views, which allocates the output joint state and
+# tiles of 3 N data and 8 N^2 program amplitudes, and keeps nothing on the
+# network. Below that, a network's first run compiles its permutation of the
+# joint index, an int64 array of 8 N^3 bytes kept on the network, with two
+# int64 ramps alive while it compiles; each run then holds two joint states,
+# `tensor`'s output and the gather's. `run_config` drops each scenario after
+# its row, so one network is alive at a time. A batch of trials in
+# `run_scenario` holds at most N^2 data states, so N^3 amplitudes, and as many
+# output amplitudes: one joint state's worth each. At MAX_DIM the worst case
+# is three joint states and the tiles, about 48 N^3 bytes: 0.76 GiB at
+# N = 256. The batch's part of it is reached only by a draw-free row of at
+# least N^2 trials. One N = 256 Haar trial with the full measurement took
+# 0.18-0.22 s at a 310 MB peak RSS, and a row of four such trials
+# 0.70-0.74 s; N = 128, one trial: 0.035-0.045 s at 73 MB. Compiling the
+# index and gathering instead took 1.19-1.40 s at 685 MB, 2.38-2.60 s for the
+# row, and 0.12-0.19 s at 119 MB at N = 128. Timed through `run_config` on a
+# 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64

@@ -2,13 +2,26 @@
 
 A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
-array. Its gates only move amplitudes, so the array is one fixed permutation
-of the joint index: it is compiled once per value by running the gates through
-`conditional_shift` on the int64 index ramp, and kept on the value; each run is
-then one gather of data ⊗ program. The general diagonal form
-sum_n V_n ⊗ |y_n><y_n| is applied to programs in the span of its basis.
-`processor_matrix` materializes either as a joint-space matrix for
-cross-checks at small dimension.
+array. Every gate is a transvection of the joint digits, so an array is one
+affine map of them, x -> G x (mod N), and G^-1 is composed from the gates once
+per value. It runs one of two ways, chosen by size:
+
+- a one-data-qudit array with at least `_STRIDED_MIN_SIZE` joint amplitudes
+  is the whole network as one product of two strided views of tiled copies
+  of data and program (`_strided_run`): output (d, a, b) reads
+  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)], and that
+  product is its only joint-sized allocation. It is the whole network at
+  large N, not a second path for one gate: `conditional_shift` keeps its
+  one path of block copies, since its sheared strided views were deleted;
+- any other array is compiled once per value by running its gates through
+  `conditional_shift` on the int64 index ramp, and the index is kept on the
+  value; each run is then one gather of `tensor(data, program)`. This path is
+  faster on small registers and is the reference the tests hold the strided
+  one to.
+
+The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied to programs in
+the span of its basis. `processor_matrix` materializes either as a
+joint-space matrix for cross-checks at small dimension.
 """
 
 from __future__ import annotations
@@ -30,6 +43,22 @@ from .registers import (
 
 _F = ShiftDirection.FORWARD
 _B = ShiftDirection.BACKWARD
+
+# Smallest joint size N^3 at which a one-data-qudit array runs as a strided
+# product rather than `tensor` plus its compiled gather. CPU per call on a warm
+# qudit network, in µs, the compile excluded: the range of three runs' medians,
+# each over 10 alternating loops of 200 calls (2-core Xeon, Python 3.11.7,
+# numpy 2.4.6, one BLAS thread):
+#     N                  12       16       20       24        28        32
+#     apply, gather    15-16    24-25    38-40    58-62     89-98   129-147
+#     apply, strided   17-19    25-26    35-37    47-52     69-71    85-100
+#     + post_select, g 52-56    64-67    80-83   92-110   138-157   182-221
+#     + post_select, s 51-58    64-66    75-80   94-104   102-128   151-174
+# The gather wins at N = 12 and ties at 16; the strided product pulls ahead
+# from N = 20, but only from N = 28 is it ahead by more than the loops'
+# spread in both columns. It also skips the compile, which a fresh network
+# pays on its first run.
+_STRIDED_MIN_SIZE = 28**3
 
 
 def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
@@ -160,14 +189,90 @@ def _compiled(spec: GateArray) -> np.ndarray:
     return _kept(spec, "_source_index", _source_index)
 
 
+def _compose_inverse(spec: GateArray) -> tuple:
+    """G^-1, the integer matrix whose row i gives input digit i of each output digit vector.
+
+    A gate (c, t, ±) is the transvection x_t -> x_t ± x_c, the matrix I ± E_tc,
+    whose inverse is I ∓ E_tc. The array is G = G_k ... G_1, so G^-1 is
+    G_1^-1 ... G_k^-1: each right factor subtracts ± column t from column c.
+    Output amplitude y reads input amplitude G^-1 y (mod N). Rows of Python
+    ints, so a long gate list cannot overflow.
+    """
+    arity = 3 * spec.width
+    rows = [[int(i == j) for j in range(arity)] for i in range(arity)]
+    for control, target, direction in spec.gates:
+        sign = 1 if direction is _F else -1
+        for row in rows:
+            row[control - 1] -= sign * row[target - 1]
+    return tuple(map(tuple, rows))
+
+
+def _inverse_matrix(spec: GateArray) -> tuple:
+    """`spec`'s G^-1, composed on first use and kept on the value."""
+    return _kept(spec, "_inverse", _compose_inverse)
+
+
+def _layout(spec: GateArray):
+    """How a width-1 array reads its output from tiles of ψ and P; None when the tiles are too big.
+
+    Output amplitude y is ψ[G^-1[0]·y] · P[G^-1[1]·y, G^-1[2]·y] (mod N). ψ is
+    tiled r_0 = sum|G^-1[0]| times and P (r_1, r_2) times, so each view indexes
+    its tile at G^-1[a]·y + o_a with o_a = N · (sum of G^-1[a]'s negative
+    entries' magnitudes): inside the tile, and equal to the register's index
+    mod N. Returns the tile counts and each view's byte offset and strides.
+    None when the tiles would hold more than N^3 amplitudes (a long gate list
+    with large G^-1 entries), so that neither path peaks above two joint
+    states.
+    """
+    dim, item = spec.dim, np.dtype(complex).itemsize
+    inverse = _inverse_matrix(spec)
+    reps = tuple(sum(map(abs, row)) for row in inverse)
+    if reps[0] * dim + reps[1] * reps[2] * dim**2 > dim**3:
+        return None
+    views = []
+    # byte steps of ψ's tile, then of P's tile rows and columns
+    for rows, steps in ((inverse[:1], (item,)), (inverse[1:], (reps[2] * dim * item, item))):
+        offset = sum(dim * sum(-g for g in row if g < 0) * step for row, step in zip(rows, steps))
+        strides = tuple(sum(row[j] * step for row, step in zip(rows, steps)) for j in range(3))
+        views.append((offset, strides))
+    return reps, views
+
+
+def _strided_layout(spec: GateArray):
+    """`spec`'s `_layout`, computed on first use and kept on the value."""
+    return _kept(spec, "_strided_layout", _layout)
+
+
+def _strided_run(dim: int, layout, data: QuditRegisterState, program: QuditRegisterState) -> np.ndarray:
+    """The array's output as one product of two strided views: its only joint-sized allocation.
+
+    The ndarray constructor checks that each view stays inside its tile.
+    """
+    reps, ((psi_offset, psi_strides), (prog_offset, prog_strides)) = layout
+    psi = np.empty((reps[0], dim), dtype=complex)
+    psi[:] = data.amplitudes
+    prog = np.empty((reps[1], dim, reps[2], dim), dtype=complex)
+    prog[:] = program.amplitudes.reshape(dim, 1, dim)
+    shape = (dim,) * 3
+    out = np.empty(dim**3, dtype=complex)
+    np.multiply(
+        np.ndarray(shape, complex, psi, psi_offset, psi_strides),
+        np.ndarray(shape, complex, prog, prog_offset, prog_strides),
+        out=out.reshape(shape),
+    )
+    return out
+
+
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
     """Run the fixed circuit on data ⊗ program and return the joint output.
 
-    A shift network runs as one gather by its permutation, which the first
-    call on each `GateArray` value compiles and keeps on the value. Gate order
-    for the shift networks: data controls shifts onto both program qudits, then
-    each program qudit shifts the data back (the first of those two in the
-    subtracting direction for the qudit variant).
+    A one-data-qudit network with at least `_STRIDED_MIN_SIZE` joint amplitudes
+    runs as one product of strided views of its two inputs (`_strided_run`).
+    Any other shift network runs as `tensor` and one gather by its
+    permutation, which the first call on each `GateArray` value compiles and
+    keeps on the value. Gate order for the shift networks: data controls shifts
+    onto both program qudits, then each program qudit shifts the data back (the
+    first of those two in the subtracting direction for the qudit variant).
     """
     if isinstance(spec, GeneralDiagonal):
         return _general_diagonal_apply(spec, data, program)
@@ -178,12 +283,16 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
             f"processor needs {spec.width} data and {2 * spec.width} program qudit(s) of dimension {spec.dim}, "
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
-    # Compile before `tensor`: the first call's peak is then two joint states
-    # and the index, not three joint states.
-    source = _compiled(spec)
-    joint = tensor(data, program)
-    # A permutation keeps the norm of the checked product state.
-    return _adopt(QuditRegisterState, joint.dim, joint.arity, joint.amplitudes[source])
+    large = spec.width == 1 and spec.dim**3 >= _STRIDED_MIN_SIZE
+    if large and (layout := _strided_layout(spec)) is not None:
+        out = _strided_run(spec.dim, layout, data, program)
+    else:
+        # Compile before `tensor`: the first call's peak is then two joint
+        # states and the index, not three joint states.
+        source = _compiled(spec)
+        out = tensor(data, program).amplitudes[source]
+    # Either way a permutation of the checked product state: it keeps its norm.
+    return _adopt(QuditRegisterState, spec.dim, 3 * spec.width, out)
 
 
 def _general_diagonal_apply(
@@ -210,11 +319,13 @@ def _general_diagonal_apply(
 def qubit_network_matches_shift_network(dim: int = 2) -> bool:
     """Whether the all-forward circuit is the same permutation as the mixed-direction one.
 
-    True exactly at dim 2, where adding and subtracting mod 2 coincide.
+    Two integer matrices give the same permutation of Z_N^3 exactly when they
+    agree mod N, so this compares the two G^-1. True exactly at dim 2, where
+    adding and subtracting mod 2 coincide.
     """
-    forward = _compiled(GateArray(dim, 1, QubitCnotNetwork().gates))
-    mixed = _compiled(QuditShiftNetwork(dim))
-    return bool(np.array_equal(forward, mixed))
+    forward = _inverse_matrix(GateArray(dim, 1, QubitCnotNetwork().gates))
+    mixed = _inverse_matrix(QuditShiftNetwork(dim))
+    return all((f - m) % dim == 0 for rf, rm in zip(forward, mixed) for f, m in zip(rf, rm))
 
 
 def processor_matrix(spec: ProcessorSpec) -> np.ndarray:

@@ -56,6 +56,12 @@ class HsExpansion:
         q = np.array(self.coeffs, dtype=complex)
         if q.shape != (self.dim, self.dim):
             raise ValueError(f"coefficient array must be {self.dim}x{self.dim}")
+        # Neither table has a program state; the zero operator reaches here
+        # from `hs_expand` as an all-zero table.
+        if not np.all(np.isfinite(q)):
+            raise ValueError("expansion coefficients must be finite")
+        if np.max(np.abs(q)) == 0.0:
+            raise ValueError("cannot expand the zero operator")
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
         object.__setattr__(self, "gram_norm", float(np.sum(np.abs(q) ** 2)))
@@ -81,8 +87,8 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
     D[s, n] = A[(s - n) mod N, s] the table is q = ifft(D, axis=0): one FFT
     per column, O(N^2 log N). It is computed once per operator value and kept
     on it, so every call with the same `op` returns the same HsExpansion.
-    Raises ValueError for the zero operator (or anything non-finite), which has
-    no program state.
+    Raises ValueError for the zero operator (its table is all zero, which
+    `HsExpansion` refuses) or anything non-finite: neither has a program state.
     """
     return _kept(op, "_hs_expansion", _expand)
 
@@ -91,8 +97,6 @@ def _expand(op: DenseOperator) -> HsExpansion:
     n = op.dim
     if not np.all(np.isfinite(op.entries)):
         raise ValueError("operator entries must be finite")
-    if np.max(np.abs(op.entries)) == 0.0:
-        raise ValueError("cannot expand the zero operator")
     s = np.arange(n)
     return HsExpansion(n, np.fft.ifft(op.entries[(s[:, None] - s) % n, s[:, None]], axis=0))
 

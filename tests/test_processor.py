@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quditproc.processor as processor_module
@@ -32,6 +32,11 @@ from quditproc import (
 )
 
 from conftest import max_abs_diff, reference_shift
+
+# Smallest N whose qudit network runs as one strided product.
+CROSSOVER = next(n for n in itertools.count(2) if n**3 >= processor_module._STRIDED_MIN_SIZE)
+SEEDS = st.integers(0, 2**32 - 1)
+_F, _B = ShiftDirection.FORWARD, ShiftDirection.BACKWARD
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -291,20 +296,23 @@ def test_processor_matrix_matches_gatewise_path(spec, dim, width, rng):
     assert max_abs_diff(gatewise, direct) < 1e-12
 
 
-@st.composite
-def _gate_arrays(draw):
-    """GateArray(dim, width, gates) with random transvections: control != target."""
-    dim = draw(st.integers(2, 7))
-    width = draw(st.integers(1, 2))
-    arity = 3 * width
-    gate = st.tuples(st.integers(1, arity), st.integers(1, arity - 1), st.sampled_from(ShiftDirection)).map(
+def _gates(arity: int):
+    """Random transvections on `arity` qudits: control != target."""
+    return st.tuples(st.integers(1, arity), st.integers(1, arity - 1), st.sampled_from(ShiftDirection)).map(
         lambda g: (g[0], g[1] + (g[1] >= g[0]), g[2])
     )
-    return GateArray(dim, width, tuple(draw(st.lists(gate, max_size=8))))
+
+
+@st.composite
+def _gate_arrays(draw):
+    """GateArray(dim, width, gates) with random transvections."""
+    dim = draw(st.integers(2, 7))
+    width = draw(st.integers(1, 2))
+    return GateArray(dim, width, tuple(draw(st.lists(_gates(3 * width), max_size=8))))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(_gate_arrays(), st.integers(0, 2**32 - 1))
+@given(_gate_arrays(), SEEDS)
 def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
     rng = np.random.default_rng(seed)
     data = random_state(spec.dim, spec.width, rng)
@@ -312,6 +320,103 @@ def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
     out = apply_processor(spec, data, prog)
     assert type(out) is QuditRegisterState
     assert (out.dim, out.arity) == (spec.dim, 3 * spec.width)
+    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_gate_arrays())
+def test_inverse_matrix_gives_the_compiled_index(spec):
+    # output digits y read input digits G^-1 y (mod N), in big-endian order
+    arity = 3 * spec.width
+    inverse = np.array(processor_module._inverse_matrix(spec))
+    assert inverse.shape == (arity, arity)
+    assert round(abs(np.linalg.det(inverse))) == 1
+    digits = np.indices((spec.dim,) * arity).reshape(arity, -1)
+    source = np.ravel_multi_index(tuple(inverse @ digits % spec.dim), (spec.dim,) * arity)
+    assert np.array_equal(source, processor_module._compiled(spec))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 64])
+def test_qudit_network_inverse_is_the_paper_matrix(dim):
+    assert processor_module._inverse_matrix(QuditShiftNetwork(dim)) == ((1, 1, -1), (-1, 0, 1), (-1, -1, 2))
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_network_match_equals_the_index_comparison(dim):
+    # reference: the two compiled N^3 indices, as the function compared them before
+    forward = processor_module._compiled(GateArray(dim, 1, QubitCnotNetwork().gates))
+    mixed = processor_module._compiled(QuditShiftNetwork(dim))
+    assert qubit_network_matches_shift_network(dim) == np.array_equal(forward, mixed)
+
+
+# Alternating shifts grow G^-1's entries like Fibonacci numbers: the program
+# tile would far exceed N^3 amplitudes at the crossover, so the gather runs.
+_LONG_GATES = ((1, 2, _F), (2, 1, _F)) * 8
+
+
+@st.composite
+def _network_sized_arrays(draw):
+    """One-data-qudit gate arrays at N from the crossover to 8 above it."""
+    dim = draw(st.integers(CROSSOVER, CROSSOVER + 8))
+    return GateArray(dim, 1, tuple(draw(st.lists(_gates(3), max_size=16))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_network_sized_arrays(), SEEDS)
+@example(QuditShiftNetwork(CROSSOVER), 0)
+@example(GateArray(CROSSOVER, 1, _LONG_GATES), 0)
+@example(GateArray(CROSSOVER + 8, 1, ()), 1)
+def test_strided_run_equals_the_gatewise_run(spec, seed):
+    rng = np.random.default_rng(seed)
+    data, prog = random_state(spec.dim, 1, rng), random_state(spec.dim, 2, rng)
+    out = apply_processor(spec, data, prog)
+    assert type(out) is QuditRegisterState and out.arity == 3
+    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
+    # the gather ran, and left its index, exactly when the tiles were too big
+    assert ("_source_index" in vars(spec)) == (processor_module._strided_layout(spec) is None)
+
+
+def test_long_gate_list_falls_back_to_the_gather():
+    spec = GateArray(CROSSOVER, 1, _LONG_GATES)
+    reps = [sum(map(abs, row)) for row in processor_module._inverse_matrix(spec)]
+    assert reps[1] * reps[2] * CROSSOVER**2 > CROSSOVER**3
+    assert processor_module._strided_layout(spec) is None
+
+
+def _spy_on_the_gather(monkeypatch) -> list:
+    """Names of the `tensor` and `conditional_shift` calls `processor` makes from now on."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("tensor", "conditional_shift"):
+        monkeypatch.setattr(processor_module, name, spy(name, getattr(processor_module, name)))
+    return calls
+
+
+def test_strided_run_calls_no_gate_and_keeps_no_index(monkeypatch, rng):
+    calls = _spy_on_the_gather(monkeypatch)
+    spec = QuditShiftNetwork(CROSSOVER)
+    data, prog = random_state(CROSSOVER, 1, rng), random_state(CROSSOVER, 2, rng)
+    out = apply_processor(spec, data, prog)
+    assert calls == []
+    assert "_source_index" not in vars(spec)
+    assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
+
+
+def test_network_below_the_crossover_compiles_and_gathers(monkeypatch, rng):
+    calls = _spy_on_the_gather(monkeypatch)
+    dim = CROSSOVER - 1
+    spec = QuditShiftNetwork(dim)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    out = apply_processor(spec, data, prog)
+    assert calls == ["conditional_shift"] * 4 + ["tensor"]
+    assert "_source_index" in vars(spec)
     assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
 
 
@@ -339,7 +444,8 @@ def test_each_gate_array_is_compiled_once(monkeypatch, rng):
 def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     # Compiled before `tensor`, with each gate's input freed once its output
     # exists: no more than tensor's output, the gather's and the kept index.
-    dim = 32
+    # N = 27 is the largest N below the crossover.
+    dim = 27
     joint_bytes, index_bytes = 16 * dim**3, 8 * dim**3
     slack = 16 * 1024  # Python objects made along the way
     spec = QuditShiftNetwork(dim)
@@ -360,6 +466,34 @@ def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     assert second.amplitudes.nbytes == joint_bytes
 
 
+def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
+    # The output is the only joint-sized allocation; ψ and P are tiled 3 and
+    # 2 x 4 times, and the multiply may stage each strided input through a
+    # buffer of getbufsize() elements, whatever N is. Nothing is kept on the
+    # network but G^-1 and its layout.
+    dim = 32
+    joint_bytes, tile_bytes = 16 * dim**3, 16 * (3 * dim + 8 * dim**2)
+    buffer_bytes = 2 * 16 * np.getbufsize()
+    slack = 16 * 1024  # Python objects made along the way
+    spec = QuditShiftNetwork(dim)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    tracemalloc.start()
+    try:
+        first = apply_processor(spec, data, prog)
+        _, first_peak = tracemalloc.get_traced_memory()
+        del first
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        second = apply_processor(spec, data, prog)
+        _, second_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_peak < joint_bytes + tile_bytes + buffer_bytes + slack
+    assert second_peak - before < joint_bytes + tile_bytes + buffer_bytes + slack
+    assert second.amplitudes.nbytes == joint_bytes
+    assert "_source_index" not in vars(spec)
+
+
 def test_compile_peaks_at_three_index_arrays():
     # The kept index, a gate's input ramp and its output, all int64; no
     # complex copy of the ramp.
@@ -376,8 +510,6 @@ def test_compile_peaks_at_three_index_arrays():
     assert source.dtype == np.int64 and source.nbytes == index_bytes
     assert peak < 3 * index_bytes + slack
 
-
-_F, _B = ShiftDirection.FORWARD, ShiftDirection.BACKWARD
 
 
 @pytest.mark.parametrize(

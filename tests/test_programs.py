@@ -121,6 +121,22 @@ def test_expand_rejects_zero_operator():
         hs_expand(DenseOperator(2, np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param(np.zeros((2, 2)), "zero operator", id="zeros"),
+        pytest.param(np.full((2, 2), np.nan), "must be finite", id="nan"),
+        pytest.param(np.array([[1, 0], [np.inf, 0]]), "must be finite", id="inf"),
+        pytest.param(np.array([[1, 0], [0, complex(0, np.nan)]]), "must be finite", id="nan-imaginary"),
+    ],
+)
+def test_expansion_without_a_program_is_refused_at_construction(table, message):
+    # refused with a ValueError before any program or measurement divides by
+    # its norm (the suite turns a RuntimeWarning into an error)
+    with pytest.raises(ValueError, match=message):
+        HsExpansion(2, table)
+
+
 def test_program_for_basis_operator_is_its_bell_state():
     for dim in (2, 3, 4):
         prog = program_from_expansion(hs_expand(u_mn(dim, (1, dim - 1))))
