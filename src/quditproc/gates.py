@@ -4,6 +4,7 @@ auxiliary gates used to prepare program states."""
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import NamedTuple
 
@@ -147,6 +148,31 @@ def conjugate_vector(v: QuditRegisterState) -> QuditRegisterState:
     return QuditRegisterState(v.dim, 1, v.amplitudes.conj())
 
 
+# Entries kept by each per-dimension cache (`_difference_index` here,
+# `programs.measurement_full`). A traced `paper-claims` run touches nine
+# dimensions (2-8, 16, 32, 64), so 16 never evicts there; a sweep over more
+# dimensions recomputes as if uncached. At MAX_DIM = 256 an entry is 0.5 MiB
+# here and 1 MiB in `measurement_full`: 24 MiB for both caches full.
+_PER_DIM_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)
+def _difference_index(dim: int) -> np.ndarray:
+    """Read-only int64 table F[i, j] = i N + (i - j) mod N, built once per N and shared.
+
+    F[i, j] is the flat index of entry (i, (i - j) mod N) of an N x N array,
+    so one `take` by F is the gather of both N^2 FFT layouts:
+    `bell_basis_matrix` reads column n = (k - j) mod N of row k, and
+    `programs.hs_expand` reads A[(s - n) mod N, s], which is that entry of
+    the transpose. A flat `take` at N = 64 runs in a quarter of the time of
+    the same gather by two broadcast index arrays.
+    """
+    k = np.arange(dim)
+    table = k[:, None] * dim + (k[:, None] - k) % dim
+    table.setflags(write=False)
+    return table.view()
+
+
 def bell_basis_matrix(dim: int, weights) -> np.ndarray:
     """Amplitudes of sum_mn w[m*N + n] |Xi_mn>, the Bell basis applied to N^2 weights.
 
@@ -160,6 +186,5 @@ def bell_basis_matrix(dim: int, weights) -> np.ndarray:
     if w.shape != (dim * dim,):
         raise ValueError(f"Bell weights must have shape ({dim * dim},), got {w.shape}")
     cols = np.sqrt(dim) * np.fft.ifft(w.reshape(dim, dim), axis=0)
-    k = np.arange(dim)
     # amps[k, j] holds column n = (k - j) mod N of row k.
-    return cols[k[:, None], (k[:, None] - k) % dim].reshape(-1)
+    return cols.take(_difference_index(dim)).reshape(-1)

@@ -54,7 +54,10 @@ SCENARIO_KEYS = frozenset(
 # output amplitudes: one joint state's worth each. At MAX_DIM the worst case
 # is three joint states and the tiles, about 48 N^3 bytes: 0.76 GiB at
 # N = 256. The batch's part of it is reached only by a draw-free row of at
-# least N^2 trials. One N = 256 Haar trial with the full measurement took
+# least N^2 trials. Besides that, two per-dimension caches keep up to 16
+# entries each for the life of the process: the full measurement (16 N^2
+# bytes) and the (i - j) mod N gather index (8 N^2 bytes), 1 MiB and 0.5 MiB at
+# MAX_DIM, so at most 24 MiB. One N = 256 Haar trial with the full measurement took
 # 0.18-0.22 s at a 310 MB peak RSS, and a row of four such trials
 # 0.70-0.74 s; N = 128, one trial: 0.035-0.045 s at 73 MB. Compiling the
 # index and gathering instead took 1.19-1.40 s at 685 MB, 2.38-2.60 s for the
@@ -70,6 +73,8 @@ MAX_DIM = 256
 # trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
 # minutes.
 MAX_TRIALS = 10**6
+# Largest seed a config or `--seed` may give: seeds are unsigned 64-bit.
+MAX_SEED = 2**64 - 1
 # Range of Tr(A†A) an inline matrix may have; the outcome does not depend on
 # the scale. Inside it, at every N <= MAX_DIM, N Tr(A†A) and the predicted
 # probabilities and `describe`'s scales stay finite and nonzero, and the
@@ -360,7 +365,7 @@ def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenari
         trials=trials,
         expected_probability=None if expected is None else _real("expected_probability", expected),
         tolerance=tolerance,
-        seed=None if seed is None else _int("seed", seed, 0),
+        seed=None if seed is None else _int("seed", seed, 0, MAX_SEED),
     )
 
 
@@ -377,7 +382,7 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
         raise ConfigError(f"unsupported schema: {schema!r} (expected {SCHEMA_VERSION})")
     _known_keys("config key", doc, ROOT_KEYS)
     _str("name", doc.get("name", ""))
-    seed = _int("seed", doc.get("seed", 0) if seed_override is None else seed_override, 0)
+    seed = _int("seed", doc.get("seed", 0) if seed_override is None else seed_override, 0, MAX_SEED)
     raw_scenarios = doc.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
         raise ConfigError("'scenarios' must be a list")

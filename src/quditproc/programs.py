@@ -10,13 +10,16 @@ vectors, and the named operators that `harness.CATALOG` builds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gates import (
+    _PER_DIM_CACHE_SIZE,
     BellLabel,
     ShiftDirection,
+    _difference_index,
     bell_basis_matrix,
     bell_state,
     conditional_shift,
@@ -57,14 +60,18 @@ class HsExpansion:
         if q.shape != (self.dim, self.dim):
             raise ValueError(f"coefficient array must be {self.dim}x{self.dim}")
         # Neither table has a program state; the zero operator reaches here
-        # from `hs_expand` as an all-zero table.
-        if not np.all(np.isfinite(q)):
+        # from `hs_expand` as an all-zero table. One pass of |q| serves both
+        # checks and the norm: its maximum is NaN or inf when an entry is not
+        # finite (or its magnitude overflows), and 0 only when all are zero.
+        mags = np.abs(q)
+        peak = mags.max()
+        if not np.isfinite(peak):
             raise ValueError("expansion coefficients must be finite")
-        if np.max(np.abs(q)) == 0.0:
+        if peak == 0.0:
             raise ValueError("cannot expand the zero operator")
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
-        object.__setattr__(self, "gram_norm", float(np.sum(np.abs(q) ** 2)))
+        object.__setattr__(self, "gram_norm", float(np.sum(mags**2)))
 
     def _support_mask(self) -> np.ndarray:
         mags = np.abs(self.coeffs)
@@ -97,8 +104,8 @@ def _expand(op: DenseOperator) -> HsExpansion:
     n = op.dim
     if not np.all(np.isfinite(op.entries)):
         raise ValueError("operator entries must be finite")
-    s = np.arange(n)
-    return HsExpansion(n, np.fft.ifft(op.entries[(s[:, None] - s) % n, s[:, None]], axis=0))
+    # D[s, n] = A[(s - n) mod N, s] is entry (s, (s - n) mod N) of A's transpose.
+    return HsExpansion(n, np.fft.ifft(op.entries.T.take(_difference_index(n)), axis=0))
 
 
 # Kept as a wrapper because quditbench/workload.py reads `.state` from it.
@@ -125,8 +132,13 @@ def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
     return QuditRegisterState(dim, 2, bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size)))
 
 
+@functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)
 def measurement_full(dim: int) -> QuditRegisterState:
-    """Uniform superposition of all N^2 Bell states, weight 1/N each."""
+    """Uniform superposition of all N^2 Bell states, weight 1/N each.
+
+    Built once per N and shared: the value is frozen and its amplitudes are
+    read-only.
+    """
     return _uniform_bell(dim, np.ones((dim, dim), dtype=bool))
 
 

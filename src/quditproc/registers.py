@@ -5,11 +5,16 @@ digit, so the basis state |n>_1 |m>_2 |k>_3 sits at flat index (n*N + m)*N + k.
 Subsystem indices in the public API are 1-based throughout.
 
 Every value is immutable once constructed and every function here is pure, so
-everything is safe to share across threads or processes. The only write after
-construction is `_kept`'s, which computes a derived value (an operator's
-Tr(A†A) or expansion, an expansion's support size) on first use and writes it
-onto the instance once; two threads that race there only compute the same value
-twice.
+everything is safe to share across threads or processes. The only writes after
+construction are `_kept`'s and two per-dimension caches'. `_kept` computes a
+derived value (an operator's Tr(A†A) or expansion, an expansion's support size)
+on first use and writes it onto the instance once; two threads that race there
+only compute the same value twice. `programs.measurement_full(N)` and the
+(i - j) mod N gather index in `gates` are built once per N and kept in a bounded
+`functools.lru_cache`, so callers share one object. Sharing them is safe
+because the values are frozen and their arrays are read-only views that cannot
+be made writable again, and `lru_cache` is thread-safe: threads that race on a
+miss each build an equal value, and the cache keeps one of them.
 
 A register value is built one of two ways. The constructors of
 `QuditRegisterState` and `UnnormalizedVector` copy their amplitudes and check
@@ -75,7 +80,11 @@ class _Register:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        # Flat and owning its data, so the read-only view stored below cannot
+        # be made writable again.
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            amps = amps.reshape(-1).copy()
         if self.dim < 2:
             raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
         if self.arity < 1:
@@ -86,7 +95,9 @@ class _Register:
                 f"for {self.arity} qudit(s) of dimension {self.dim}"
             )
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        # A view, as for `DenseOperator.entries`, so a value that
+        # `measurement_full` shares cannot change.
+        object.__setattr__(self, "amplitudes", amps.view())
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from quditproc.harness import (
     CATALOG,
     GRAM_RANGE,
     MAX_DIM,
+    MAX_SEED,
     MAX_TRIALS,
     ConfigError,
     build_operator,
@@ -249,6 +250,29 @@ def test_trials_bound(override):
         parse(10**15)
 
 
+@pytest.mark.parametrize("where", ["root", "scenario", "override"])
+def test_seed_bound(where):
+    def parse(seed):
+        if where == "override":
+            return parse_config(one_scenario(), seed_override=seed)
+        if where == "root":
+            return parse_config(one_scenario(root={"seed": seed}))
+        return parse_config(one_scenario(seed=seed))
+
+    seed, (scenario,) = parse(MAX_SEED)
+    assert MAX_SEED == 2**64 - 1
+    assert (seed if where != "scenario" else scenario.seed) == MAX_SEED
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 18446744073709551615\]"):
+        parse(MAX_SEED + 1)
+
+
+def test_seed_override_above_u64_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(["run", "--config", "paper-claims", "--out", str(out), "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be in [0, ")
+    assert not out.exists()
+
+
 def test_describe_identity(capsys):
     code = run_cli(["describe", "identity", "--dim", "3"])
     assert code == 0
@@ -406,6 +430,9 @@ RUN_FAULTS = [
     pytest.param(one_scenario(trials=True), id="trials-bool"),
     pytest.param(one_scenario(root={"seed": True}), id="seed-bool"),
     pytest.param(one_scenario(seed=1.0), id="scenario-seed-float"),
+    pytest.param(one_scenario(root={"seed": 2**64}), id="seed-2^64"),
+    pytest.param(one_scenario(seed=2**64), id="scenario-seed-2^64"),
+    pytest.param(one_scenario(root={"seed": int("9" * 4001)}), id="seed-4001-digits"),
     pytest.param(one_scenario(tolerance=float("nan")), id="tolerance-nan"),
     pytest.param(one_scenario(tolerance=-1), id="tolerance-negative"),
     pytest.param(one_scenario(expected_probability="half"), id="expected-string"),

@@ -128,6 +128,8 @@ def test_expand_rejects_zero_operator():
         pytest.param(np.full((2, 2), np.nan), "must be finite", id="nan"),
         pytest.param(np.array([[1, 0], [np.inf, 0]]), "must be finite", id="inf"),
         pytest.param(np.array([[1, 0], [0, complex(0, np.nan)]]), "must be finite", id="nan-imaginary"),
+        # finite parts whose magnitude overflows: sum |q|^2 would be inf
+        pytest.param(np.array([[1.5e308 + 1.5e308j, 0], [0, 0]]), "must be finite", id="magnitude-overflow"),
     ],
 )
 def test_expansion_without_a_program_is_refused_at_construction(table, message):
