@@ -58,11 +58,15 @@ SCENARIO_KEYS = frozenset(
 # entries each for the life of the process: the full measurement (16 N^2
 # bytes) and the (i - j) mod N gather index (8 N^2 bytes), 1 MiB and 0.5 MiB at
 # MAX_DIM, so at most 24 MiB. One N = 256 Haar trial with the full measurement took
-# 0.18-0.22 s at a 310 MB peak RSS, and a row of four such trials
-# 0.70-0.74 s; N = 128, one trial: 0.035-0.045 s at 73 MB. Compiling the
-# index and gathering instead took 1.19-1.40 s at 685 MB, 2.38-2.60 s for the
-# row, and 0.12-0.19 s at 119 MB at N = 128. Timed through `run_config` on a
-# 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# 0.15-0.19 s at a 307 MB peak RSS, and a row of four such trials
+# 0.51-0.64 s; N = 128, one trial: 0.037-0.038 s at 73 MB. Post-selection
+# under the full measurement reads N^2 amplitudes: 65-82 us at N = 256.
+# Contracting the whole joint state instead took 31-35 ms of that, and the
+# rows 0.20-0.36 s, 0.68-0.89 s and 0.038-0.053 s. Compiling the index and
+# gathering (with the whole contraction) took 1.19-1.40 s at 685 MB,
+# 2.38-2.60 s for the row, and 0.12-0.19 s at 119 MB at N = 128. Timed
+# through `run_config` on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and
+# one BLAS thread, on a host whose load varied.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64

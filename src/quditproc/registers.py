@@ -7,10 +7,11 @@ Subsystem indices in the public API are 1-based throughout.
 Every value is immutable once constructed and every function here is pure, so
 everything is safe to share across threads or processes. The only writes after
 construction are `_kept`'s and two per-dimension caches'. `_kept` computes a
-derived value (an operator's Tr(A†A) or expansion, an expansion's support size)
-on first use and writes it onto the instance once; two threads that race there
-only compute the same value twice. `programs.measurement_full(N)` and the
-(i - j) mod N gather index in `gates` are built once per N and kept in a bounded
+derived value (an operator's Tr(A†A) or expansion, an expansion's support size,
+the nonzero span of a bra that `partial_inner_product` contracts) on first use
+and writes it onto the instance once; two threads that race there only compute
+the same value twice. `programs.measurement_full(N)` and the (i - j) mod N
+gather index in `gates` are built once per N and kept in a bounded
 `functools.lru_cache`, so callers share one object. Sharing them is safe
 because the values are frozen and their arrays are read-only views that cannot
 be made writable again, and `lru_cache` is thread-safe: threads that race on a
@@ -229,13 +230,28 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     """Contract <bra| against the trailing `bra.arity` subsystems of `joint`.
 
     With big-endian indexing the trailing subsystems are the fast digits, so
-    this is one reshape to (rest, bra size) and one matrix-vector product. The
-    result lives on the leading subsystems in their original order; its squared
-    norm is the probability of projecting the trailing subsystems onto |bra>.
+    this is one reshape to (rest, bra size) and one matrix-vector product over
+    the columns of the bra's nonzero span [lo, hi), the first and one past the
+    last nonzero amplitude, found once per bra value. For a dense bra that is
+    every column. The full measurement is |0> ⊗ |+>, so its span is [0, N) and
+    the product reads N^2 of the joint state's N^3 amplitudes. The result lives
+    on the leading subsystems in their original order; its squared norm is the
+    probability of projecting the trailing subsystems onto |bra>.
     """
     if bra.dim != joint.dim:
         raise ValueError("dimension mismatch in partial inner product")
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
+    lo, hi = _kept(bra, "_nonzero_span", _nonzero_span)
     rows = joint.amplitudes.reshape(-1, bra.amplitudes.size)
-    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, rows @ bra.amplitudes.conj())
+    overlap = rows[:, lo:hi] @ bra.amplitudes[lo:hi].conj()
+    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, overlap)
+
+
+def _nonzero_span(bra) -> tuple[int, int]:
+    # (0, 0) for an all-zero bra, whose overlap is then all zero. The method
+    # `nonzero` skips `np.flatnonzero`'s wrapper, a microsecond at N <= 8.
+    (nonzero,) = bra.amplitudes.nonzero()
+    if not nonzero.size:
+        return 0, 0
+    return int(nonzero[0]), int(nonzero[-1]) + 1

@@ -36,7 +36,17 @@ def index_to_digits(index: int, dim: int, arity: int) -> tuple[int, ...]:
 
 
 def reconstruct(expansion) -> np.ndarray:
-    """Reference inverse of hs_expand: sum_mn q_mn u(m,n), one basis operator at a time."""
+    """Inverse of hs_expand in its FFT form: sum_mn q_mn u(m,n) = A with
+    A[(s - n) mod N, s] = fft(q, axis=0)[s, n], one FFT and one scatter."""
+    dim = expansion.dim
+    s = np.arange(dim)[:, None]
+    out = np.empty((dim, dim), dtype=complex)
+    out[(s - s.T) % dim, s] = np.fft.fft(expansion.coeffs, axis=0)
+    return out
+
+
+def reconstruct_reference(expansion) -> np.ndarray:
+    """Reference for `reconstruct`: sum_mn q_mn u(m,n), one basis operator at a time."""
     dim = expansion.dim
     total = np.zeros((dim, dim), dtype=complex)
     for m in range(dim):

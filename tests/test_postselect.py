@@ -20,6 +20,7 @@ from quditproc import (
     bell_basis_matrix,
     bell_state,
     example1_operator,
+    family_operator,
     hs_expand,
     inner_product,
     measurement_for_labels,
@@ -37,6 +38,8 @@ from quditproc import (
     run_experiment,
     u_mn,
 )
+
+from quditproc.registers import _adopt
 
 from conftest import bell_coefficients, k_bell, max_abs_diff
 
@@ -326,6 +329,35 @@ def test_outputs_are_built_by_the_public_constructors(dim, seed):
     _assert_constructed_like(post_select(joint, meas).data_state, expected)
 
 
+@pytest.mark.parametrize(
+    "dim, make_op, meas_kind",
+    [pytest.param(n, lambda rng, n=n: random_unitary(n, rng), "full", id=f"full-{n}") for n in (3, 8, 64)]
+    # the l = 1 support measurement is |00>, span [0, 1); at l = 3 it spans all
+    + [pytest.param(2**l, lambda rng, l=l: family_operator(l, 0.4), "support", id=f"family-l{l}") for l in (1, 3)],
+)
+def test_post_select_reads_only_the_measurement_span(dim, make_op, meas_kind, rng):
+    # every joint amplitude outside the measurement's nonzero span is NaN, which
+    # would spread through 0 * NaN if the contraction read it
+    op = make_op(rng)
+    expansion = hs_expand(op)
+    program = program_from_expansion(expansion).state
+    meas = measurement_full(dim) if meas_kind == "full" else measurement_restricted(expansion)
+    nonzero = np.flatnonzero(meas.amplitudes)
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    psi = random_state(dim, 1, rng)
+    joint = apply_processor(QuditShiftNetwork(dim), psi, program)
+    rows = joint.amplitudes.reshape(dim, dim * dim).copy()
+    rows[:, :lo] = np.nan
+    rows[:, hi:] = np.nan
+    poisoned = _adopt(QuditRegisterState, dim, 3, rows.reshape(-1))
+    oracle = oracle_apply(op, psi)
+    clean, dirty = post_select(joint, meas, oracle), post_select(poisoned, meas, oracle)
+    assert np.isfinite(dirty.probability)
+    assert dirty.probability == clean.probability
+    assert np.array_equal(dirty.data_state.amplitudes, clean.data_state.amplitudes)
+    assert dirty.oracle_fidelity == clean.oracle_fidelity >= 1 - 1e-12
+
+
 # --- the paper's Bell-diagonal identity as an independent reference ------------
 
 
@@ -340,7 +372,7 @@ def test_bell_coefficients_are_the_bell_state_overlaps(dim, rng):
 
 @pytest.mark.parametrize(
     "network",
-    [pytest.param(lambda n=n: QuditShiftNetwork(n), id=f"qudit-{n}") for n in (2, 3, 4, 5, 8, 16, 64)]
+    [pytest.param(lambda n=n: QuditShiftNetwork(n), id=f"qudit-{n}") for n in (2, 3, 4, 5, 8, 16, 64, 128)]
     + [pytest.param(QubitCnotNetwork, id="qubit-cnot")],
 )
 def test_network_success_branch_is_the_bell_diagonal_operator(network, rng):

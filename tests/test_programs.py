@@ -21,6 +21,7 @@ from quditproc import (
     measurement_full,
     measurement_restricted,
     orthogonal_qubit_state,
+    partial_inner_product,
     prepare_exchange_program,
     prepare_reflection_program,
     program_from_expansion,
@@ -33,7 +34,7 @@ from quditproc import (
 )
 from quditproc import programs
 
-from conftest import max_abs_diff, reconstruct
+from conftest import max_abs_diff, reconstruct, reconstruct_reference
 
 
 def reflection_coeffs_closed_form(phi):
@@ -74,6 +75,15 @@ def test_expand_reflection_matches_general_closed_form(dim, rng):
         phi = random_state(dim, 1, rng)
         q = hs_expand(reflection_operator(phi)).coeffs
         assert max_abs_diff(q, reflection_coeffs_closed_form(phi)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_reconstruct_matches_the_per_label_sum(dim, rng):
+    # the FFT form of the test reference against the sum over u(m,n)
+    for _ in range(5):
+        exp = HsExpansion(dim, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        expected = reconstruct_reference(exp)
+        assert max_abs_diff(reconstruct(exp), expected) / np.max(np.abs(expected)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -174,6 +184,25 @@ def test_two_term_rotation_program():
 def test_full_measurement_is_normalized(dim):
     m = measurement_full(dim)
     assert abs(np.linalg.norm(m.amplitudes) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [*range(2, 65), 128, 256])
+def test_full_measurement_is_zero_ket_plus(dim):
+    # sum_mn |Xi_mn> / N = |0> ⊗ |+>: 1/sqrt(N) at flat indices 0..N-1, so
+    # post-selection under it reads only those columns of the joint state;
+    # FFT round-off elsewhere (about 1e-17 at N = 5) only widens that span
+    amps = measurement_full(dim).amplitudes
+    assert max_abs_diff(amps[:dim], np.full(dim, 1 / np.sqrt(dim))) <= 1e-15
+    if dim & (dim - 1):
+        assert np.max(np.abs(amps[dim:])) <= 1e-15
+    else:
+        assert np.flatnonzero(amps).tolist() == list(range(dim))
+
+
+def test_full_measurement_span_is_kept_once():
+    meas = measurement_full(64)
+    partial_inner_product(meas, random_state(64, 3, np.random.default_rng(0)))
+    assert vars(meas)["_nonzero_span"] == (0, 64)
 
 
 def test_full_measurement_overlap_with_each_bell():

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quditproc import (
     DenseOperator,
@@ -273,6 +275,58 @@ def test_partial_inner_product_matches_reference(dim, arity, rng):
         trailing = tuple(range(arity - bra_arity + 1, arity + 1))
         assert (out.dim, out.arity) == (dim, arity - bra_arity)
         assert max_abs_diff(out.amplitudes, reference_partial_inner_product(bra, joint, trailing)) < 1e-12
+
+
+# Bra shapes for the nonzero span: zeroed leading and/or trailing blocks, a
+# single nonzero at either end, all zero and dense.
+BRA_KINDS = ("lead", "trail", "both", "first", "last", "zero", "dense")
+
+
+@st.composite
+def span_cases(draw):
+    dim = draw(st.integers(2, 8))
+    arity = draw(st.integers(2, 4 if dim <= 4 else 3))
+    bra_arity = draw(st.integers(1, arity - 1))
+    size = dim**bra_arity
+    lo = draw(st.integers(0, size - 1))
+    hi = draw(st.integers(lo + 1, size))
+    return dim, arity, bra_arity, draw(st.sampled_from(BRA_KINDS)), lo, hi, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(span_cases())
+@example((2, 2, 1, "first", 0, 1, 0))
+@example((8, 3, 2, "last", 0, 64, 1))
+@example((8, 3, 1, "zero", 0, 8, 2))
+@example((3, 4, 3, "dense", 0, 27, 3))
+def test_partial_inner_product_over_the_nonzero_span(case):
+    dim, arity, bra_arity, kind, lo, hi, seed = case
+    rng = np.random.default_rng(seed)
+    size = dim**bra_arity
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    keep = {
+        "lead": slice(lo, size),
+        "trail": slice(0, hi),
+        "both": slice(lo, hi),
+        "first": slice(0, 1),
+        "last": slice(size - 1, size),
+        "zero": slice(0, 0),
+        "dense": slice(0, size),
+    }[kind]
+    zeroed = np.zeros(size, dtype=complex)
+    zeroed[keep] = amps[keep]
+    bra = UnnormalizedVector(dim, bra_arity, zeroed)
+    joint = random_state(dim, arity, rng)
+    out = partial_inner_product(bra, joint)
+    trailing = tuple(range(arity - bra_arity + 1, arity + 1))
+    assert (out.dim, out.arity) == (dim, arity - bra_arity)
+    assert max_abs_diff(out.amplitudes, reference_partial_inner_product(bra, joint, trailing)) < 1e-12
+    if kind == "zero":
+        assert not np.any(out.amplitudes)
+    if kind == "dense":
+        # a dense bra's span is every column: the same product, bit for bit
+        rows = joint.amplitudes.reshape(-1, size)
+        assert np.array_equal(out.amplitudes, rows @ bra.amplitudes.conj())
 
 
 def test_partial_inner_product_rejects_dimension_mismatch(rng):
