@@ -19,7 +19,7 @@ from .harness import (
     parse_config,
     report_csv,
     report_json,
-    run_config,
+    run_scenario,
 )
 
 EXIT_OK = 0
@@ -96,6 +96,15 @@ def _output(out_path: str | None):
         raise ConfigError(f"cannot write --out file: {exc}") from exc
 
 
+def _row_line(row) -> str:
+    """A row's progress line on stderr, the only place its wall time is shown."""
+    fid = "-" if row.min_oracle_fidelity is None else format(row.min_oracle_fidelity, ".12g")
+    return (
+        f"[{'ok' if row.passed else 'FAIL'}] {row.id}: p={row.simulated_probability_mean:.12g} "
+        f"dev={row.max_probability_deviation:.3g} fid={fid} ({row.wall_time_ms:.1f} ms)"
+    )
+
+
 def _cmd_run(args) -> int:
     if args.config in BUNDLED_CONFIGS:
         doc = load_bundled_config(args.config)
@@ -104,9 +113,13 @@ def _cmd_run(args) -> int:
         doc = load_config_file(args.config)
         config_name = doc.get("name", args.config)
     # A config error leaves no --out file, and an unwritable one fails before any scenario runs.
-    parse_config(doc, args.seed, args.trials)
+    seed, scenarios = parse_config(doc, args.seed, args.trials)
     with _output(args.out) as out:
-        seed, rows = run_config(doc, args.seed, args.trials, log=sys.stderr)
+        rows = []
+        for index, scn in enumerate(scenarios):
+            row = run_scenario(scn, seed, index)
+            print(_row_line(row), file=sys.stderr)
+            rows.append(row)
         out.write(report_json(rows, seed, config_name) if args.format == "json" else report_csv(rows))
     failures = [r for r in rows if not r.passed]
     if failures:

@@ -41,39 +41,30 @@ SCENARIO_KEYS = frozenset(
 )
 
 # Largest qudit dimension a config or `describe` may ask for. The largest
-# allocation is the network's N^3 complex joint state, 16 N^3 bytes. The qudit
-# network runs one of two ways (see `processor`). From N = 28 on, each run is
-# one product of strided views, which allocates the output joint state and
-# tiles of 3 N data and 8 N^2 program amplitudes, and keeps nothing on the
-# network. Below that, a network's first run compiles its permutation of the
-# joint index, an int64 array of 8 N^3 bytes kept on the network, with two
-# int64 ramps alive while it compiles; each run then holds two joint states,
-# `tensor`'s output and the gather's. `run_config` drops each scenario after
-# its row, so one network is alive at a time. A batch of trials in
-# `run_scenario` holds at most N^2 data states, so N^3 amplitudes, and as many
-# output amplitudes: one joint state's worth each. At MAX_DIM the worst case
-# is three joint states and the tiles, about 48 N^3 bytes: 0.76 GiB at
-# N = 256. The batch's part of it is reached only by a draw-free row of at
-# least N^2 trials. Besides that, two per-dimension caches keep up to 16
-# entries each for the life of the process: the full measurement (16 N^2
-# bytes) and the (i - j) mod N gather index (8 N^2 bytes), 1 MiB and 0.5 MiB at
-# MAX_DIM, so at most 24 MiB. One N = 256 Haar trial with the full measurement took
-# 0.15-0.19 s at a 307 MB peak RSS, and a row of four such trials
-# 0.51-0.64 s; N = 128, one trial: 0.037-0.038 s at 73 MB. Post-selection
-# under the full measurement reads N^2 amplitudes: 65-82 us at N = 256.
-# Contracting the whole joint state instead took 31-35 ms of that, and the
-# rows 0.20-0.36 s, 0.68-0.89 s and 0.038-0.053 s. Compiling the index and
-# gathering (with the whole contraction) took 1.19-1.40 s at 685 MB,
-# 2.38-2.60 s for the row, and 0.12-0.19 s at 119 MB at N = 128. Timed
-# through `run_config` on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and
-# one BLAS thread, on a host whose load varied.
+# allocation is the network's N^3 complex joint state, 16 N^3 bytes; see
+# `processor` for how a network runs. At MAX_DIM a run is one strided product:
+# it allocates the output joint state and tiles of 3 N data and 8 N^2 program
+# amplitudes, and keeps nothing on the network. A batch of trials in
+# `run_scenario` holds at most N^2 data states and as many outputs, one joint
+# state's worth each, so the worst case is three joint states and the tiles,
+# about 48 N^3 bytes: 0.76 GiB at N = 256, reached only by a draw-free row of
+# at least N^2 trials. `parse_config` builds one network per (processor, dim),
+# and only those below N = 28 keep a compiled index (8 N^3 bytes): at most
+# 1.1 MB over N = 2..27, whatever the config's length. Two per-dimension caches
+# keep up to 16 entries each for the life of the process: the full measurement
+# (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2 bytes), at most
+# 24 MiB. One N = 256 Haar trial with the full measurement took 0.15-0.19 s at
+# a 307 MB peak RSS, and a row of four such trials 0.51-0.64 s; N = 128, one
+# trial: 0.037-0.038 s at 73 MB. Timed through `run_config` on a 2-core Xeon
+# with Python 3.11.7, numpy 2.4.6 and one BLAS thread, on a host whose load
+# varied.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
-# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a quarter of the
-# 1 GiB that four joint states take at MAX_DIM. What bounds it is time: a dim 2
+# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a third of the
+# 0.76 GiB that a row may hold at MAX_DIM. What bounds it is time: a dim 2
 # trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
 # minutes.
 MAX_TRIALS = 10**6
@@ -173,19 +164,13 @@ def _state(what: str, value):
 # --- operator catalog -----------------------------------------------------------
 
 
-def _draw(rng: np.random.Generator | None) -> np.random.Generator:
-    if rng is None:
-        raise ConfigError("this operator draws random numbers; give explicit parameters")
-    return rng
-
-
 def _random_phi(params: dict) -> bool:
     return isinstance(params["phi"], str)  # "random"
 
 
 def _phi(params: dict, dim: int, rng) -> QuditRegisterState:
     if _random_phi(params):
-        return random_state(dim, 1, _draw(rng))
+        return random_state(dim, 1, rng)
     return QuditRegisterState(dim, 1, params["phi"])
 
 
@@ -239,10 +224,10 @@ CATALOG = {
         even_dim=True,
     ),
     "random_unitary": CatalogEntry(
-        lambda p, dim, rng: random_unitary(dim, _draw(rng)), draws=lambda p: True
+        lambda p, dim, rng: random_unitary(dim, rng), draws=lambda p: True
     ),
     "random_operator": CatalogEntry(
-        lambda p, dim, rng: random_operator(dim, _draw(rng)), draws=lambda p: True
+        lambda p, dim, rng: random_operator(dim, rng), draws=lambda p: True
     ),
     "inline": CatalogEntry(
         lambda p, dim, rng: DenseOperator(dim, p["matrix"], label=p["label"]),
@@ -292,7 +277,7 @@ def check_operator(name, params: dict, dim: int | None = None) -> tuple[dict, in
 def build_operator(name: str, params: dict, dim: int, rng: np.random.Generator | None) -> DenseOperator:
     """Build a checked catalog entry from its typed parameters (one per trial).
 
-    Entries that draw need an rng; `describe` passes None and so rejects them.
+    Entries that draw need an rng; `describe_operator` rejects them first.
     """
     return CATALOG[name].build(params, dim, rng)
 
@@ -329,13 +314,15 @@ class ReportRow:
     wall_time_ms: float
 
 
-def _parse_scenario(raw: dict, sid: str, trials_override: int | None) -> Scenario:
+def _parse_scenario(raw: dict, sid: str, trials_override: int | None, networks: dict) -> Scenario:
     _known_keys("scenario key", raw, SCENARIO_KEYS)
     dim = _int("dim", raw.get("dim"), 2, MAX_DIM)
     processor = raw.get("processor", "qudit-shift")
     if not isinstance(processor, str) or processor not in PROCESSORS:
         raise ConfigError(f"unknown processor {processor!r}")
-    gate_array = PROCESSORS[processor](dim)
+    if (processor, dim) not in networks:
+        networks[processor, dim] = PROCESSORS[processor](dim)
+    gate_array = networks[processor, dim]
     if gate_array.dim != dim:
         raise ConfigError(f"{processor} processor needs dim {gate_array.dim}, got {dim}")
     op_spec = raw.get("operator")
@@ -377,7 +364,8 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     """Validate a parsed config document; returns (seed, scenarios).
 
     All scenarios are validated before anything runs, so a bad config never
-    produces partial output.
+    produces partial output. Scenarios with the same processor and dim share
+    one network value, so each network is built once and compiled at most once.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -392,6 +380,7 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
         raise ConfigError("'scenarios' must be a list")
     scenarios = []
     seen_ids = set()
+    networks = {}
     for i, raw in enumerate(raw_scenarios):
         if not isinstance(raw, dict):
             raise ConfigError(f"scenario #{i} must be an object")
@@ -400,7 +389,7 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
             raise ConfigError(f"duplicate scenario id {sid!r}")
         seen_ids.add(sid)
         try:
-            scenarios.append(_parse_scenario(raw, sid, trials_override))
+            scenarios.append(_parse_scenario(raw, sid, trials_override, networks))
         except ConfigError as exc:
             raise ConfigError(f"scenario {sid!r}: {exc}") from None
     return seed, scenarios
@@ -483,29 +472,13 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
     )
 
 
-def run_config(doc, seed_override=None, trials_override=None, log=None):
+def run_config(doc, seed_override=None, trials_override=None):
     """Run all scenarios in config order; returns (seed, rows)."""
     seed, scenarios = parse_config(doc, seed_override, trials_override)
-    rows = []
-    # Each scenario is dropped once its row is done, and with it the index its
-    # processor compiled (8 N^3 bytes), so at most one index is alive at a time.
-    scenarios.reverse()
-    while scenarios:
-        row = run_scenario(scenarios.pop(), seed, len(rows))
-        rows.append(row)
-        if log is not None:
-            status = "ok" if row.passed else "FAIL"
-            print(
-                f"[{status}] {row.id}: p={row.simulated_probability_mean:.12g} "
-                f"dev={row.max_probability_deviation:.3g} "
-                f"fid={'-' if row.min_oracle_fidelity is None else format(row.min_oracle_fidelity, '.12g')} "
-                f"({row.wall_time_ms:.1f} ms)",
-                file=log,
-            )
-    return seed, rows
+    return seed, [run_scenario(scn, seed, i) for i, scn in enumerate(scenarios)]
 
 
-# Wall time is printed to the log only; the serialized report must be
+# Wall time goes only to the CLI's per-row stderr line; the serialized report must be
 # byte-identical across runs with the same config and seed.
 _REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name != "wall_time_ms")
 
@@ -548,6 +521,8 @@ def describe_operator(name: str, dim: int | None, params: dict) -> dict:
     Checked exactly as `run` checks a scenario; dim None takes the entry's rule.
     """
     typed, dim = check_operator(name, params, dim)
+    if CATALOG[name].draws(typed):
+        raise ConfigError("this operator draws random numbers; give explicit parameters")
     op = build_operator(name, typed, dim, rng=None)
     expansion = hs_expand(op)
     support = expansion.support()

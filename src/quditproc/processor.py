@@ -52,12 +52,10 @@ _B = ShiftDirection.BACKWARD
 #     N                  12       16       20       24        28        32
 #     apply, gather    15-16    24-25    38-40    58-62     89-98   129-147
 #     apply, strided   17-19    25-26    35-37    47-52     69-71    85-100
-#     + post_select, g 52-56    64-67    80-83   92-110   138-157   182-221
-#     + post_select, s 51-58    64-66    75-80   94-104   102-128   151-174
 # The gather wins at N = 12 and ties at 16; the strided product pulls ahead
 # from N = 20, but only from N = 28 is it ahead by more than the loops'
-# spread in both columns. It also skips the compile, which a fresh network
-# pays on its first run.
+# spread. It also skips the compile, which a fresh network pays on its first
+# run.
 _STRIDED_MIN_SIZE = 28**3
 
 
@@ -162,26 +160,16 @@ def _source_index(spec: GateArray) -> np.ndarray:
     """Joint index that each output amplitude of the gate array is read from.
 
     The gates only move amplitudes, so running them on the int64 ramp
-    0, 1, ..., N^k - 1 yields the permutation itself. Rebinding `ramp` frees
-    each gate's input once its output exists, so at most two ramps are alive
-    besides the index.
-
-    The index is allocated before every ramp, so the array that stays sits
-    below the joint-sized ones. A kept block above the joint states that each
-    run frees leaves them as holes that the allocator splits for other
-    allocations, and a later run then extends the heap by a whole joint state
-    (N = 64 benchmark, 30 s run: 14% more peak RSS).
+    0, 1, ..., N^k - 1 yields the permutation itself: the last ramp is the
+    index. Rebinding `ramp` frees each gate's input once its output exists, so
+    at most two ramps are alive.
     """
     arity = 3 * spec.width
-    size = spec.dim**arity
-    source = np.empty(size, dtype=np.int64)
     # A permutation of a fresh ramp: wrapped without the constructor's complex copy.
-    ramp = _adopt(UnnormalizedVector, spec.dim, arity, np.arange(size, dtype=np.int64))
+    ramp = _adopt(UnnormalizedVector, spec.dim, arity, np.arange(spec.dim**arity, dtype=np.int64))
     for control, target, direction in spec.gates:
         ramp = conditional_shift(ramp, control, target, direction)
-    source[:] = ramp.amplitudes
-    source.setflags(write=False)
-    return source
+    return ramp.amplitudes
 
 
 def _compiled(spec: GateArray) -> np.ndarray:
@@ -287,10 +275,7 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
     if large and (layout := _strided_layout(spec)) is not None:
         out = _strided_run(spec.dim, layout, data, program)
     else:
-        # Compile before `tensor`: the first call's peak is then two joint
-        # states and the index, not three joint states.
-        source = _compiled(spec)
-        out = tensor(data, program).amplitudes[source]
+        out = tensor(data, program).amplitudes[_compiled(spec)]
     # Either way a permutation of the checked product state: it keeps its norm.
     return _adopt(QuditRegisterState, spec.dim, 3 * spec.width, out)
 

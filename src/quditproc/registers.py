@@ -52,12 +52,18 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     complex128, except the int64 index ramp that `processor` runs a gate array
     on, which never leaves its compile. A vector of any other origin goes
     through the constructor, which copies and checks it.
+
+    As in the constructors, the array that owns the data (`amps.base`, when
+    `amps` is a reshaped view) is locked too and a read-only view is kept, so
+    the amplitudes cannot be made writable again.
     """
     amps.setflags(write=False)
+    if amps.base is not None:
+        amps.base.setflags(write=False)
     value = object.__new__(cls)
     object.__setattr__(value, "dim", dim)
     object.__setattr__(value, "arity", arity)
-    object.__setattr__(value, "amplitudes", amps)
+    object.__setattr__(value, "amplitudes", amps.view())
     return value
 
 

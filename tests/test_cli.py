@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,30 @@ def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
     assert "[ok]" not in err
     assert err.splitlines()[-1].startswith("config error: cannot write --out file")
     assert not (tmp_path / "missing").exists()
+
+
+def test_run_prints_one_stderr_line_per_row(tmp_path, capsys):
+    # The rows' only trace outside the report, and the only place wall time shows.
+    fixed = {"dim": 2, "trials": 2}
+    doc = {
+        "schema": 1,
+        "scenarios": [
+            {"id": "good", **fixed, "operator": {"name": "u_mn", "m": 0, "n": 1},
+             "data_state": [[1, 0], [0, 0]], "measurement": "support", "expected_probability": 1.0},
+            {"id": "bad", **fixed, "operator": {"name": "inline", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+             "data_state": [[0, 0], [1, 0]], "expected_probability": 0.5},
+        ],
+    }
+    cfg, out = tmp_path / "rows.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    good = json.loads(out.read_text())["rows"][0]
+    dev = re.escape(format(good["max_probability_deviation"], ".3g"))
+    lines = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(rf"\[ok\] good: p=1 dev={dev} fid=1 \(\d+\.\d ms\)", lines[0])
+    # annihilated in every trial: no post-selected state, so no fidelity
+    assert re.fullmatch(r"\[FAIL\] bad: p=0 dev=0 fid=- \(\d+\.\d ms\)", lines[1])
+    assert lines[2] == "1 scenario(s) failed:"
 
 
 def test_invalid_json_config_exits_2(tmp_path):
@@ -304,6 +329,19 @@ def test_describe_reflection_with_explicit_phi(capsys):
 
 def test_describe_random_without_rng_exits_2(capsys):
     assert run_cli(["describe", "random_unitary", "--dim", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["random_unitary"], ["random_operator"], ["reflection"], ["exchange", "--param", 'phi="random"']],
+    ids=["random_unitary", "random_operator", "reflection-default", "exchange-random"],
+)
+def test_describe_rejects_every_drawing_entry(argv, capsys):
+    # `describe_operator` asks the catalog's `draws` rule before building
+    assert run_cli(["describe", *argv, "--dim", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: this operator draws random numbers; give explicit parameters\n"
+    )
 
 
 def test_describe_unknown_name_exits_2():

@@ -1,14 +1,14 @@
-"""The catalog's `draws` rule and the batching of draw-free scenarios in
-`run_scenario`, checked against the per-trial reference in conftest."""
+"""The catalog's `draws` rule, the batching of draw-free scenarios in
+`run_scenario`, checked against the per-trial reference in conftest, and one
+network per processor and dim in a parsed config."""
 
 import copy
 import dataclasses
-import weakref
 
 import numpy as np
 import pytest
 
-from quditproc import harness, programs, registers
+from quditproc import cli, harness, processor, programs, registers
 from quditproc.harness import CATALOG, build_operator, check_operator, parse_config, run_scenario
 
 from conftest import reference_row
@@ -105,6 +105,16 @@ def test_batched_row_equals_the_per_trial_reference(scn, expected_sizes, batch_s
     assert dataclasses.replace(row, wall_time_ms=0.0) == reference_row(scn, 5, 0)
 
 
+def spy(record, original):
+    """`original`, recording the first argument of every call in `record`."""
+
+    def counting(first, *args):
+        record.append(first)
+        return original(first, *args)
+
+    return counting
+
+
 @pytest.fixture
 def derived_runs(monkeypatch):
     """Operators built by run_scenario, and the operator values on which the
@@ -115,13 +125,6 @@ def derived_runs(monkeypatch):
     def building(*args):
         built.append(original_build(*args))
         return built[-1]
-
-    def spy(record, original):
-        def counting(op):
-            record.append(op)
-            return original(op)
-
-        return counting
 
     monkeypatch.setattr(harness, "build_operator", building)
     monkeypatch.setattr(programs, "_expand", spy(runs["expansion"], programs._expand))
@@ -150,24 +153,33 @@ def test_expansion_and_gram_trace_run_once_per_operator(scn, operators, derived_
         assert [id(op) for op in ran_on] == [id(op) for op in built], name
 
 
-def test_run_config_frees_each_scenario_before_the_next_row(monkeypatch):
-    # Each processor keeps its compiled index (8 N^3 bytes), so a run must not
-    # hold the networks of rows already done.
-    networks = []
-
-    def spy(scn, global_seed, index):
-        assert [ref() for ref in networks] == [None] * len(networks)
-        networks.append(weakref.ref(scn.processor))
-        return run_scenario(scn, global_seed, index)
-
-    monkeypatch.setattr(harness, "run_scenario", spy)
+def test_each_network_is_built_and_compiled_once(monkeypatch, tmp_path):
+    # A network is fixed by its processor and dim; only the program changes.
     doc = {
         "schema": 1,
         "scenarios": [
-            {"id": f"row-{dim}", "dim": dim, "operator": {"name": "random_unitary"}} for dim in (3, 5, 4)
+            {"id": "a", "dim": 3, "operator": {"name": "random_unitary"}},
+            {"id": "b", "dim": 3, "operator": {"name": "identity"}, "measurement": "support"},
+            {"id": "c", "dim": 2, "operator": {"name": "random_unitary"}},
+            {"id": "d", "dim": 2, "processor": "qubit-cnot", "operator": {"name": "random_unitary"}},
+            {"id": "e", "dim": 2, "processor": "qubit-cnot", "operator": {"name": "identity"}},
+            {"id": "f", "dim": 28, "operator": {"name": "random_unitary"}},
         ],
     }
-    _, rows = harness.run_config(doc)
-    assert [row.id for row in rows] == ["row-3", "row-5", "row-4"]
-    assert all(row.passed for row in rows)
-    assert [ref() for ref in networks] == [None] * 3
+    seed, scenarios = parse_config(doc)
+    a, b, c, d, e, f = (scn.processor for scn in scenarios)
+    assert a is b and d is e
+    assert len({id(network) for network in (a, c, d, f)}) == 4
+    assert all(run_scenario(scn, seed, i).passed for i, scn in enumerate(scenarios))
+    assert all("_source_index" in vars(network) for network in (a, c, d))
+    # from N = 28 on a run is the strided product, which compiles nothing
+    assert "_source_index" not in vars(f)
+
+    # the bundled config holds 7 distinct networks, each compiled by its 4 gates
+    calls, parses = [], []
+    monkeypatch.setattr(processor, "conditional_shift", spy(calls, processor.conditional_shift))
+    monkeypatch.setattr(cli, "parse_config", spy(parses, cli.parse_config))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", "paper-claims", "--out", str(out)]) == 0
+    assert len(parses) == 1
+    assert len(calls) == 28

@@ -29,6 +29,8 @@ from quditproc import (
     tensor,
     u_init,
 )
+from quditproc import processor
+from quditproc.processor import QuditShiftNetwork, apply_processor
 
 from conftest import index_to_digits, max_abs_diff, reference_partial_inner_product
 
@@ -355,6 +357,32 @@ def test_operator_derived_values_cannot_go_stale(rng):
     assert hs_expand(other) is not hs_expand(op)
     assert np.array_equal(hs_expand(other).coeffs, 2 * hs_expand(op).coeffs)
     assert other.gram_trace() == float(np.sum(np.abs(other.entries) ** 2))
+
+
+def _run(dim, rng):
+    return apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), random_state(dim, 2, rng))
+
+
+# Every array that `_adopt` wraps or that a gate array keeps; N = 28 is the
+# smallest qudit network that runs as the strided product.
+ADOPTED = {
+    "tensor": lambda rng: tensor(random_state(3, 1, rng), random_state(3, 2, rng)),
+    "conditional_shift": lambda rng: conditional_shift(random_state(3, 2, rng), 1, 2, ShiftDirection.FORWARD),
+    "apply_processor-gather": lambda rng: _run(3, rng),
+    "apply_processor-strided": lambda rng: _run(28, rng),
+    "compiled-index": lambda rng: processor._compiled(QuditShiftNetwork(3)),
+}
+
+
+@pytest.mark.parametrize("name", ADOPTED)
+def test_adopted_amplitudes_cannot_be_made_writable(name, rng):
+    # as for constructor-built values, the array that owns the data is locked too
+    out = ADOPTED[name](rng)
+    amps = out if isinstance(out, np.ndarray) else out.amplitudes
+    with pytest.raises(ValueError):
+        amps.setflags(write=True)
+    with pytest.raises(ValueError):
+        amps[0] = 0
 
 
 def test_racing_threads_read_equal_derived_values(rng):
