@@ -138,6 +138,8 @@ def _cmd_run(args) -> int:
 def _cmd_describe(args) -> int:
     params = _parse_params(args.param)
     if args.matrix is not None:
+        if "matrix" in params:
+            raise ConfigError("give the matrix either by --matrix or by --param matrix=..., not both")
         raw = args.matrix
         if raw.startswith("@"):
             try:

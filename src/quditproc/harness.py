@@ -40,31 +40,32 @@ SCENARIO_KEYS = frozenset(
      "expected_probability", "tolerance", "seed"}
 )
 
-# Largest qudit dimension a config or `describe` may ask for. The largest
-# allocation is the network's N^3 complex joint state, 16 N^3 bytes; see
-# `processor` for how a network runs. At MAX_DIM a run is one strided product:
-# it allocates the output joint state and tiles of 3 N data and 8 N^2 program
-# amplitudes, and keeps nothing on the network. A batch of trials in
-# `run_scenario` holds at most N^2 data states and as many outputs, one joint
-# state's worth each, so the worst case is three joint states and the tiles,
-# about 48 N^3 bytes: 0.76 GiB at N = 256, reached only by a draw-free row of
-# at least N^2 trials. `parse_config` builds one network per (processor, dim),
-# and only those below N = 28 keep a compiled index (8 N^3 bytes): at most
-# 1.1 MB over N = 2..27, whatever the config's length. Two per-dimension caches
-# keep up to 16 entries each for the life of the process: the full measurement
-# (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2 bytes), at most
-# 24 MiB. One N = 256 Haar trial with the full measurement took 0.15-0.19 s at
-# a 307 MB peak RSS, and a row of four such trials 0.51-0.64 s; N = 128, one
-# trial: 0.037-0.038 s at 73 MB. Timed through `run_config` on a 2-core Xeon
-# with Python 3.11.7, numpy 2.4.6 and one BLAS thread, on a host whose load
-# varied.
+# Largest qudit dimension a config or `describe` may ask for. From N = 28 the
+# network returns a deferred output (see `processor`), and a run that is only
+# post-selected never makes its N^3 joint state: under the full measurement it
+# makes N^2 products, and at any N it allocates tiles of 3 N data and 8 N^2
+# program amplitudes plus the columns it contracts, at most N^3 amplitudes
+# (16 N^3 bytes) only for a bra whose span covers every column. A batch of
+# trials in `run_scenario` holds at most N^2 data states and as many
+# post-selected data states, one joint state's worth each, so the worst case is
+# about 32 N^3 bytes: 0.5 GiB at N = 256, reached only by a draw-free row of at
+# least N^2 trials (at N = 128 such a row of 16384 trials peaked at 120 MB RSS).
+# `parse_config` builds one network per (processor, dim), and only those below
+# N = 28 keep a compiled index (8 N^3 bytes): at most 1.1 MB over N = 2..27,
+# whatever the config's length. Two per-dimension caches keep up to 16 entries
+# each for the life of the process: the full measurement (16 N^2 bytes) and
+# the (i - j) mod N gather index (8 N^2 bytes), at most 24 MiB. One N = 256
+# Haar trial with the full measurement took 0.04-0.05 s at a 52 MB peak RSS,
+# and a row of four such trials 0.10-0.11 s; N = 128, one trial: 0.020-0.021 s
+# at 41 MB. Timed through `run_config` in a fresh process on a 2-core Xeon with
+# Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
-# 10^6 trials take 40 MB, well inside a budget of 256 MiB, a third of the
-# 0.76 GiB that a row may hold at MAX_DIM. What bounds it is time: a dim 2
+# 10^6 trials take 40 MB, well inside a budget of 256 MiB, half of the 0.5 GiB
+# that a row may hold at MAX_DIM. What bounds it is time: a dim 2
 # trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
 # minutes.
 MAX_TRIALS = 10**6

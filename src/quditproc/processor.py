@@ -7,17 +7,21 @@ affine map of them, x -> G x (mod N), and G^-1 is composed from the gates once
 per value. It runs one of two ways, chosen by size:
 
 - a one-data-qudit array with at least `_STRIDED_MIN_SIZE` joint amplitudes
-  is the whole network as one product of two strided views of tiled copies
-  of data and program (`_strided_run`): output (d, a, b) reads
-  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)], and that
-  product is its only joint-sized allocation. It is the whole network at
-  large N, not a second path for one gate: `conditional_shift` keeps its
-  one path of block copies, since its sheared strided views were deleted;
+  returns a deferred output (`registers._deferred`): a `QuditRegisterState`
+  whose amplitudes are the product of two strided views of tiled copies of
+  data and program (`_strided_columns`), output (d, a, b) being
+  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)]. Nothing is
+  multiplied until the output is read. Reading `.amplitudes` makes the whole
+  product, the output's only joint-sized allocation; a post-selection of the
+  unread output makes only the columns of its bra's nonzero span, N^2
+  products under the full measurement |0> ⊗ |+> instead of N^3. It is the
+  whole network at large N, not a second path for one gate:
+  `conditional_shift` keeps its one path of block copies;
 - any other array is compiled once per value by running its gates through
   `conditional_shift` on the int64 index ramp, and the index is kept on the
-  value; each run is then one gather of `tensor(data, program)`. This path is
-  faster on small registers and is the reference the tests hold the strided
-  one to.
+  value; each run is then one eager gather of `tensor(data, program)`. This
+  path is faster on small registers and is the reference the tests hold the
+  strided one to.
 
 The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied to programs in
 the span of its basis. `processor_matrix` materializes either as a
@@ -27,6 +31,7 @@ joint-space matrix for cross-checks at small dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .registers import (
     QuditRegisterState,
     UnnormalizedVector,
     _adopt,
+    _deferred,
     _kept,
     inner_product,
     tensor,
@@ -44,18 +50,25 @@ from .registers import (
 _F = ShiftDirection.FORWARD
 _B = ShiftDirection.BACKWARD
 
-# Smallest joint size N^3 at which a one-data-qudit array runs as a strided
-# product rather than `tensor` plus its compiled gather. CPU per call on a warm
-# qudit network, in µs, the compile excluded: the range of three runs' medians,
-# each over 10 alternating loops of 200 calls (2-core Xeon, Python 3.11.7,
-# numpy 2.4.6, one BLAS thread):
+# Smallest joint size N^3 at which a one-data-qudit array returns the deferred
+# strided output rather than the eager `tensor` plus its compiled gather. CPU
+# per call on a warm qudit network, in µs, the compile excluded: the range of
+# three runs' medians, each over 10 alternating loops of 200 calls (2-core
+# Xeon, Python 3.11.7, numpy 2.4.6, one BLAS thread). Both rows make the whole
+# output: the gather in `apply_processor`, the strided product on the first
+# read of `.amplitudes`:
 #     N                  12       16       20       24        28        32
-#     apply, gather    15-16    24-25    38-40    58-62     89-98   129-147
-#     apply, strided   17-19    25-26    35-37    47-52     69-71    85-100
+#     gather           15-16    24-25    38-40    58-62     89-98   129-147
+#     strided product  17-19    25-26    35-37    47-52     69-71    85-100
 # The gather wins at N = 12 and ties at 16; the strided product pulls ahead
 # from N = 20, but only from N = 28 is it ahead by more than the loops'
 # spread. It also skips the compile, which a fresh network pays on its first
-# run.
+# run. The rule was set on whole outputs. A run that is only post-selected
+# reads fewer products from the deferred output: in one rough loop of
+# `apply_processor` plus `post_select` under the full measurement, the deferred
+# output was already ahead from N = 12 and behind at N = 8. The rule was not
+# re-set; the gather below it keeps `tensor` and `conditional_shift` on the
+# small-N run path.
 _STRIDED_MIN_SIZE = 28**3
 
 
@@ -231,32 +244,47 @@ def _strided_layout(spec: GateArray):
     return _kept(spec, "_strided_layout", _layout)
 
 
-def _strided_run(dim: int, layout, data: QuditRegisterState, program: QuditRegisterState) -> np.ndarray:
-    """The array's output as one product of two strided views: its only joint-sized allocation.
+def _strided_columns(
+    dim: int, layout, data: QuditRegisterState, program: QuditRegisterState, width: int, lo: int, hi: int
+) -> np.ndarray:
+    """Columns [lo, hi) of a width-1 array's output seen as a (N^3 / width, width) matrix.
 
-    The ndarray constructor checks that each view stays inside its tile.
+    The output (d, a, b) is the product of two strided (N, N, N) views of
+    fresh tiles of ψ and P; the ndarray constructor checks that each view stays
+    inside its tile. For `width` = N^k the columns are the trailing k digits,
+    so only the slices of the views along digit 3 - k that cover [lo, hi) are
+    multiplied, into a fresh C-ordered array that is the only allocation
+    besides the tiles: N^3 products for the whole output (`width` = N,
+    [0, N)), N^2 for the span [0, N) of the full measurement. Each product is
+    the same multiply of the same two amplitudes either way, so the columns
+    equal the whole output's bit for bit.
     """
     reps, ((psi_offset, psi_strides), (prog_offset, prog_strides)) = layout
     psi = np.empty((reps[0], dim), dtype=complex)
     psi[:] = data.amplitudes
     prog = np.empty((reps[1], dim, reps[2], dim), dtype=complex)
     prog[:] = program.amplitudes.reshape(dim, 1, dim)
+    # Digit 3 - k, the leading column digit, steps through the columns
+    # N^(k-1) at a time.
+    step = width // dim
+    first, last = lo // step, -(-hi // step)
+    cover = (slice(None),) * (2 if step == 1 else 1) + (slice(first, last),)
     shape = (dim,) * 3
-    out = np.empty(dim**3, dtype=complex)
-    np.multiply(
-        np.ndarray(shape, complex, psi, psi_offset, psi_strides),
-        np.ndarray(shape, complex, prog, prog_offset, prog_strides),
-        out=out.reshape(shape),
-    )
-    return out
+    psi_view = np.ndarray(shape, complex, psi, psi_offset, psi_strides)[cover]
+    prog_view = np.ndarray(shape, complex, prog, prog_offset, prog_strides)[cover]
+    out = np.empty(psi_view.shape, dtype=complex)
+    np.multiply(psi_view, prog_view, out=out)
+    return out.reshape(dim**3 // width, (last - first) * step)[:, lo - first * step : hi - first * step]
 
 
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
     """Run the fixed circuit on data ⊗ program and return the joint output.
 
     A one-data-qudit network with at least `_STRIDED_MIN_SIZE` joint amplitudes
-    runs as one product of strided views of its two inputs (`_strided_run`).
-    Any other shift network runs as `tensor` and one gather by its
+    returns a deferred output: its amplitudes, one product of strided views of
+    the two inputs (`_strided_columns`), are made when first read, and a
+    post-selection of the unread output makes only the columns it contracts.
+    Any other shift network runs at once as `tensor` and one gather by its
     permutation, which the first call on each `GateArray` value compiles and
     keeps on the value. Gate order for the shift networks: data controls shifts
     onto both program qudits, then each program qudit shifts the data back (the
@@ -271,12 +299,11 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
             f"processor needs {spec.width} data and {2 * spec.width} program qudit(s) of dimension {spec.dim}, "
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
+    # Either way a permutation of the checked product state: it keeps its norm.
     large = spec.width == 1 and spec.dim**3 >= _STRIDED_MIN_SIZE
     if large and (layout := _strided_layout(spec)) is not None:
-        out = _strided_run(spec.dim, layout, data, program)
-    else:
-        out = tensor(data, program).amplitudes[_compiled(spec)]
-    # Either way a permutation of the checked product state: it keeps its norm.
+        return _deferred(QuditRegisterState, spec.dim, 3, partial(_strided_columns, spec.dim, layout, data, program))
+    out = tensor(data, program).amplitudes[_compiled(spec)]
     return _adopt(QuditRegisterState, spec.dim, 3 * spec.width, out)
 
 

@@ -17,12 +17,18 @@ because the values are frozen and their arrays are read-only views that cannot
 be made writable again, and `lru_cache` is thread-safe: threads that race on a
 miss each build an equal value, and the cache keeps one of them.
 
-A register value is built one of two ways. The constructors of
+A register value is built one of three ways. The constructors of
 `QuditRegisterState` and `UnnormalizedVector` copy their amplitudes and check
 the dimension, arity and size (and, for a state, the norm). `_adopt` wraps,
 without a copy or a check, only a fresh vector that a norm-preserving
 operation (a permutation of amplitudes, or the product of two states) has just
-made, or the int64 index ramp that a gate array is compiled on.
+made, or the int64 index ramp that a gate array is compiled on. `_deferred`
+wraps, on the same terms, a function that makes such a vector's columns: the
+value's amplitudes are made the first time anything reads them, and
+`partial_inner_product` on an unread value makes only the columns it
+contracts. The first read writes the amplitudes onto the instance through
+`_kept`, so racing first reads are as safe as `_kept`'s; copies, pickles,
+`repr` and equality read them, so a deferred value behaves like any other.
 """
 
 from __future__ import annotations
@@ -57,14 +63,42 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     `amps` is a reshaped view) is locked too and a read-only view is kept, so
     the amplitudes cannot be made writable again.
     """
-    amps.setflags(write=False)
-    if amps.base is not None:
-        amps.base.setflags(write=False)
+    value = _bare(cls, dim, arity)
+    object.__setattr__(value, "amplitudes", _locked(amps))
+    return value
+
+
+def _deferred(cls, dim: int, arity: int, columns):
+    """A `cls` value whose amplitudes `columns` makes the first time they are read.
+
+    `columns(width, lo, hi)` returns columns [lo, hi) of the amplitudes seen as
+    a (dim**arity // width, width) matrix, for `width` a power of `dim`, in a
+    fresh C-ordered array; the whole vector is `columns(dim, 0, dim)`. The same
+    terms as `_adopt`'s hold for what it makes: a norm-preserving operation on
+    checked values, no copy and no check.
+    """
+    value = _bare(cls, dim, arity)
+    object.__setattr__(value, "_columns", columns)
+    return value
+
+
+def _bare(cls, dim: int, arity: int):
     value = object.__new__(cls)
     object.__setattr__(value, "dim", dim)
     object.__setattr__(value, "arity", arity)
-    object.__setattr__(value, "amplitudes", amps.view())
     return value
+
+
+def _locked(amps: np.ndarray) -> np.ndarray:
+    # A read-only view of `amps`, whose owner is locked too.
+    amps.setflags(write=False)
+    if amps.base is not None:
+        amps.base.setflags(write=False)
+    return amps.view()
+
+
+def _read_deferred(value) -> np.ndarray:
+    return _locked(value._columns(value.dim, 0, value.dim).reshape(-1))
 
 
 def _kept(value, name: str, compute):
@@ -105,6 +139,19 @@ class _Register:
         # A view, as for `DenseOperator.entries`, so a value that
         # `measurement_full` shares cannot change.
         object.__setattr__(self, "amplitudes", amps.view())
+
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance dict: the
+        # amplitudes of an unread `_deferred` value.
+        if name == "amplitudes" and "_columns" in vars(self):
+            return _kept(self, "amplitudes", _read_deferred)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # Copies and pickles carry the amplitudes, never the function that makes them.
+        state = dict(vars(self), amplitudes=self.amplitudes)
+        state.pop("_columns", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -240,7 +287,8 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     the columns of the bra's nonzero span [lo, hi), the first and one past the
     last nonzero amplitude, found once per bra value. For a dense bra that is
     every column. The full measurement is |0> ⊗ |+>, so its span is [0, N) and
-    the product reads N^2 of the joint state's N^3 amplitudes. The result lives
+    the product reads N^2 of the joint state's N^3 amplitudes. When `joint` is
+    an unread `_deferred` value, only those columns are made. The result lives
     on the leading subsystems in their original order; its squared norm is the
     probability of projecting the trailing subsystems onto |bra>.
     """
@@ -249,9 +297,17 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
     lo, hi = _kept(bra, "_nonzero_span", _nonzero_span)
-    rows = joint.amplitudes.reshape(-1, bra.amplitudes.size)
-    overlap = rows[:, lo:hi] @ bra.amplitudes[lo:hi].conj()
+    overlap = _column_block(joint, bra.amplitudes.size, lo, hi) @ bra.amplitudes[lo:hi].conj()
     return UnnormalizedVector(joint.dim, joint.arity - bra.arity, overlap)
+
+
+def _column_block(joint, width: int, lo: int, hi: int) -> np.ndarray:
+    # Columns [lo, hi) of the amplitudes as a (size // width, width) matrix,
+    # made alone when the amplitudes of a deferred `joint` are still unread.
+    cache = vars(joint)
+    if "amplitudes" in cache:
+        return cache["amplitudes"].reshape(-1, width)[:, lo:hi]
+    return cache["_columns"](width, lo, hi)
 
 
 def _nonzero_span(bra) -> tuple[int, int]:

@@ -358,6 +358,14 @@ def test_describe_inline_matrix_round_trip(capsys):
     assert np.max(np.abs(parsed - original)) < 1e-15
 
 
+def test_describe_rejects_a_matrix_given_twice(capsys):
+    mat = json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+    assert run_cli(["describe", "inline", "--matrix", mat, "--param", f"matrix={mat}"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: give the matrix either by --matrix or by --param matrix=..., not both\n"
+    )
+
+
 def test_matrix_json_round_trip_exact():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

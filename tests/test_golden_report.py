@@ -1,9 +1,16 @@
-"""`quditproc run --config paper-claims --seed 2024` and five `quditproc describe`
-calls against committed outputs.
+"""`quditproc run --config paper-claims --seed 2024`, the same run of
+tests/data/strided-sizes.json, and five `quditproc describe` calls against
+committed outputs.
 
-tests/data holds that run's JSON and CSV reports and the describe documents.
-Strings, ints, bools and nulls must match exactly; floats may differ by 1e-12,
-so that another LAPACK build or a change that moves a last ulp still passes.
+tests/data holds those runs' reports and the describe documents. In the
+paper-claims reports and the describe documents, strings, ints, bools and
+nulls must match exactly; floats may differ by 1e-12, so that another LAPACK
+build or a change that moves a last ulp still passes. The strided-sizes report
+(N = 28 and 32, which run the deferred strided network output) must match byte
+for byte: it was made when the network wrote its whole output before
+post-selection, and post-selecting only the columns a measurement reads must
+not move a bit. It was generated with numpy 2.4.6; another FFT or LAPACK build
+may move a last ulp, and then needs a report of its own.
 A change that means to alter an output replaces these files and says why.
 """
 
@@ -65,6 +72,13 @@ def test_csv_report_matches_golden(tmp_path):
                 assert abs(float(a) - float(b)) <= FLOAT_TOL, f"line {line}, {col}: {a} vs {b}"
             else:
                 assert a == b, f"line {line}, {col}: {a} vs {b}"
+
+
+def test_strided_sizes_report_matches_golden_byte_for_byte(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["run", "--config", str(DATA / "strided-sizes.json"), "--seed", "2024", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / "strided-sizes-seed2024.json").read_bytes()
 
 
 DESCRIBE_CASES = {

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,14 +18,22 @@ from quditproc import (
     QuditShiftNetwork,
     ShiftDirection,
     TensorQubitArray,
+    UnnormalizedVector,
     apply_processor,
     basis_state,
     bell_state,
     conditional_shift,
+    hs_expand,
     inner_product,
+    measurement_for_labels,
+    measurement_full,
+    measurement_restricted,
+    oracle_apply,
     partial_inner_product,
     pauli_s,
+    post_select,
     processor_matrix,
+    program_from_expansion,
     qubit_network_matches_shift_network,
     random_state,
     random_unitary,
@@ -468,10 +478,10 @@ def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
 
 
 def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
-    # The output is the only joint-sized allocation; ψ and P are tiled 3 and
-    # 2 x 4 times, and the multiply may stage each strided input through a
-    # buffer of getbufsize() elements, whatever N is. Nothing is kept on the
-    # network but G^-1 and its layout.
+    # The first read of the deferred output makes it, the only joint-sized
+    # allocation; ψ and P are tiled 3 and 2 x 4 times, and the multiply may
+    # stage each strided input through a buffer of getbufsize() elements,
+    # whatever N is. Nothing is kept on the network but G^-1 and its layout.
     dim = 32
     joint_bytes, tile_bytes = 16 * dim**3, 16 * (3 * dim + 8 * dim**2)
     buffer_bytes = 2 * 16 * np.getbufsize()
@@ -480,19 +490,106 @@ def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
     tracemalloc.start()
     try:
-        first = apply_processor(spec, data, prog)
+        first = apply_processor(spec, data, prog).amplitudes
         _, first_peak = tracemalloc.get_traced_memory()
         del first
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        second = apply_processor(spec, data, prog)
+        second = apply_processor(spec, data, prog).amplitudes
         _, second_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert first_peak < joint_bytes + tile_bytes + buffer_bytes + slack
     assert second_peak - before < joint_bytes + tile_bytes + buffer_bytes + slack
-    assert second.amplitudes.nbytes == joint_bytes
+    assert second.nbytes == joint_bytes
     assert "_source_index" not in vars(spec)
+
+
+def test_post_selected_strided_run_peaks_at_its_tiles(rng):
+    # Under the full measurement, post-selecting an unread output makes only
+    # the N^2 products of the measurement's span [0, N): the tiles, that block
+    # and the data state, all O(N^2). The whole output would be 16 N^3 bytes,
+    # 33.5 MB at N = 128.
+    dim = 128
+    tile_bytes, block_bytes = 16 * (3 * dim + 8 * dim**2), 16 * dim**2
+    buffer_bytes = 2 * 16 * np.getbufsize()
+    slack = 16 * 1024  # Python objects made along the way
+    spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    post_select(apply_processor(spec, data, prog), meas)  # keeps the layout and the span
+    tracemalloc.start()
+    try:
+        outcome = post_select(apply_processor(spec, data, prog), meas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tile_bytes + block_bytes + buffer_bytes + slack
+    assert outcome.data_state is not None
+
+
+def _bras(dim: int, expansion, rng) -> dict:
+    """Bras that post-select a joint state of three N-level qudits, by name."""
+    return {
+        "full": measurement_full(dim),
+        "restricted": measurement_restricted(expansion),
+        # about |0>|N - 2>: its span starts mid-row, at column N - 2
+        "labels-mid-row": measurement_for_labels(dim, [(m, 2) for m in range(dim)]),
+        "arity-1": random_state(dim, 1, rng),
+        "all-zero": UnnormalizedVector(dim, 2, np.zeros(dim**2)),
+    }
+
+
+@pytest.mark.parametrize("dim", [CROSSOVER, 32, 64])
+def test_post_select_of_an_unread_output_equals_the_read_one(dim, rng):
+    # a two-term operator, so that the support measurement spans part of the columns
+    op = DenseOperator(dim, 0.6 * u_mn(dim, (1, 2)).entries + 0.8j * u_mn(dim, (3, 5)).entries)
+    expansion = hs_expand(op)
+    program = program_from_expansion(expansion).state
+    spec = QuditShiftNetwork(dim)
+    psi = random_state(dim, 1, rng)
+    expected = _gatewise(spec, psi, program)
+    bras = _bras(dim, expansion, rng)
+    assert np.flatnonzero(bras["labels-mid-row"].amplitudes)[0] == dim - 2
+    for name, bra in bras.items():
+        oracle = oracle_apply(op, psi) if bra.arity == 2 else random_state(dim, 2, rng)
+        unread, read = apply_processor(spec, psi, program), apply_processor(spec, psi, program)
+        assert np.array_equal(read.amplitudes, expected), name
+        got, want = post_select(unread, bra, oracle), post_select(read, bra, oracle)
+        assert "amplitudes" not in vars(unread), name
+        assert got.probability == want.probability, name
+        assert got.oracle_fidelity == want.oracle_fidelity and got.global_phase == want.global_phase, name
+        assert (got.data_state is None) == (want.data_state is None) == (name == "all-zero")
+        if want.data_state is not None:
+            assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes), name
+        # read afterwards, the output is the gate-by-gate run and stays read-only
+        assert np.array_equal(unread.amplitudes, expected), name
+        with pytest.raises(ValueError):
+            unread.amplitudes.setflags(write=True)
+        assert unread.amplitudes is unread.amplitudes
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [pickle.dumps, copy.copy, copy.deepcopy, repr, lambda out: out == out],
+    ids=["pickle", "copy", "deepcopy", "repr", "eq"],
+)
+def test_unread_output_is_read_where_a_value_is_copied_shown_or_compared(clone, rng):
+    spec = QuditShiftNetwork(CROSSOVER)
+    data, prog = random_state(CROSSOVER, 1, rng), random_state(CROSSOVER, 2, rng)
+    expected = _gatewise(spec, data, prog)
+    out = apply_processor(spec, data, prog)
+    made = clone(out)
+    assert np.array_equal(vars(out)["amplitudes"], expected)
+    if isinstance(made, bytes):
+        made = pickle.loads(made)
+    if isinstance(made, QuditRegisterState):
+        assert type(made) is QuditRegisterState and "_columns" not in vars(made)
+        assert (made.dim, made.arity) == (CROSSOVER, 3)
+        assert np.array_equal(made.amplitudes, expected)
+    elif isinstance(made, str):
+        assert made == repr(QuditRegisterState(CROSSOVER, 3, expected))
+    else:
+        assert made is True
 
 
 def test_compile_peaks_at_two_index_arrays():

@@ -412,3 +412,41 @@ def test_racing_threads_read_equal_derived_values(rng):
         assert len(out) == len(threads)
         assert all(np.array_equal(exp.coeffs, coeffs) and g == gram for exp, g in out)
         assert hs_expand(op) is hs_expand(op)
+
+
+def test_racing_first_reads_of_a_deferred_output_agree(rng):
+    # a strided network output is made on its first read, through `_kept`:
+    # threads that race there, or on a post-selection of the unread output,
+    # may each make it, but every read must equal the gather's, and the
+    # amplitudes kept afterwards must not change
+    dim = 28
+    spec = QuditShiftNetwork(dim)
+    source = processor._compiled(QuditShiftNetwork(dim))
+    inputs = [(random_state(dim, 1, rng), random_state(dim, 2, rng)) for _ in range(20)]
+    bra = random_state(dim, 2, rng)
+    fresh = [tensor(data, prog).amplitudes[source] for data, prog in inputs]
+    outs = [apply_processor(spec, data, prog) for data, prog in inputs]
+    seen = [[] for _ in outs]
+
+    def read_all(first_projects):
+        for out, got in zip(outs, seen):
+            if first_projects:
+                got.append(partial_inner_product(bra, out).amplitudes)
+            got.append(out.amplitudes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_all, args=(i % 2,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out, got, amps in zip(outs, seen, fresh):
+        overlap = amps.reshape(dim, -1) @ bra.amplitudes.conj()
+        assert len(got) == 6
+        assert all(np.array_equal(a, amps if a.size == amps.size else overlap) for a in got)
+        assert out.amplitudes is out.amplitudes and not out.amplitudes.flags.writeable
