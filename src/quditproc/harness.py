@@ -42,23 +42,26 @@ SCENARIO_KEYS = frozenset(
 
 # Largest qudit dimension a config or `describe` may ask for. From N = 28 the
 # network returns a deferred output (see `processor`), and a run that is only
-# post-selected never makes its N^3 joint state: under the full measurement it
-# makes N^2 products, and at any N it allocates tiles of 3 N data and 8 N^2
-# program amplitudes plus the columns it contracts, at most N^3 amplitudes
-# (16 N^3 bytes) only for a bra whose span covers every column. A batch of
-# trials in `run_scenario` holds at most N^2 data states and as many
-# post-selected data states, one joint state's worth each, so the worst case is
-# about 32 N^3 bytes: 0.5 GiB at N = 256, reached only by a draw-free row of at
-# least N^2 trials (at N = 128 such a row of 16384 trials peaked at 120 MB RSS).
-# `parse_config` builds one network per (processor, dim), and only those below
-# N = 28 keep a compiled index (8 N^3 bytes): at most 1.1 MB over N = 2..27,
-# whatever the config's length. Two per-dimension caches keep up to 16 entries
-# each for the life of the process: the full measurement (16 N^2 bytes) and
-# the (i - j) mod N gather index (8 N^2 bytes), at most 24 MiB. One N = 256
-# Haar trial with the full measurement took 0.04-0.05 s at a 52 MB peak RSS,
-# and a row of four such trials 0.10-0.11 s; N = 128, one trial: 0.020-0.021 s
-# at 41 MB. Timed through `run_config` in a fresh process on a 2-core Xeon with
-# Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# post-selected never makes its N^3 joint state. The full measurement is built
+# exactly as |0> ⊗ |+>, and the support measurement of an operator with every
+# label in its support (every Haar or Ginibre draw) is that same value, so
+# under either it makes N^2 products at every N, of the form 2^a 3^b or not. At
+# any N it allocates tiles of 3 N data and 8 N^2 program amplitudes plus the
+# columns it contracts, at most N^3 amplitudes (16 N^3 bytes) only for a bra
+# whose span covers every column. A batch of trials in `run_scenario` holds at
+# most N^2 data states and as many post-selected data states, one joint state's
+# worth each, so the worst case is about 32 N^3 bytes: 0.5 GiB at N = 256,
+# reached only by a draw-free row of at least N^2 trials (at N = 128 such a row
+# of 16384 trials peaked at 120 MB RSS). `parse_config` builds one network per
+# (processor, dim), and only those below N = 28 keep a compiled index (8 N^3
+# bytes): at most 1.1 MB over N = 2..27, whatever the config's length. Two
+# per-dimension caches keep up to 16 entries each for the life of the process:
+# the full measurement (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2
+# bytes), at most 24 MiB. Haar trials with the full measurement, time and peak
+# RSS: N = 128, one trial, 0.017-0.020 s at 41 MB; N = 255, one trial,
+# 0.030-0.052 s at 52-53 MB; N = 256, one trial, 0.034-0.041 s at 53 MB, and a
+# row of four, 0.072-0.101 s at 53 MB. Timed through `run_config` in a fresh
+# process on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64

@@ -14,7 +14,8 @@ per value. It runs one of two ways, chosen by size:
   multiplied until the output is read. Reading `.amplitudes` makes the whole
   product, the output's only joint-sized allocation; a post-selection of the
   unread output makes only the columns of its bra's nonzero span, N^2
-  products under the full measurement |0> ⊗ |+> instead of N^3. It is the
+  products under the full measurement |0> ⊗ |+> instead of N^3, at every N,
+  because `programs.measurement_full` builds that bra exactly. It is the
   whole network at large N, not a second path for one gate:
   `conditional_shift` keeps its one path of block copies;
 - any other array is compiled once per value by running its gates through

@@ -125,10 +125,16 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
 
 
 def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
-    """sum |Xi_mn> / sqrt(S) over the S labels (m, n) set in the N x N boolean mask."""
+    """sum |Xi_mn> / sqrt(S) over the S labels (m, n) set in the N x N boolean mask.
+
+    A mask of every label gives the shared `measurement_full(N)`; any other
+    goes through the Bell-basis FFT.
+    """
     size = np.count_nonzero(mask)
     if not size:
         raise ValueError("measurement needs at least one Bell label")
+    if size == dim * dim:
+        return measurement_full(dim)
     return QuditRegisterState(dim, 2, bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size)))
 
 
@@ -136,10 +142,16 @@ def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
 def measurement_full(dim: int) -> QuditRegisterState:
     """Uniform superposition of all N^2 Bell states, weight 1/N each.
 
-    Built once per N and shared: the value is frozen and its amplitudes are
-    read-only.
+    Summing |Xi_mn> over m leaves only k = 0, so the sum is |0> ⊗ |+>:
+    1/sqrt(N) at flat indices 0..N-1 and exact zeros elsewhere. It is built in
+    that closed form, not by the FFT, whose round-off away from those indices
+    would widen the span that `partial_inner_product` contracts to almost all
+    N^2 columns. Built once per N and shared: the value is frozen and its
+    amplitudes are read-only.
     """
-    return _uniform_bell(dim, np.ones((dim, dim), dtype=bool))
+    amps = np.zeros(dim * dim, dtype=complex)
+    amps[:dim] = 1 / np.sqrt(dim)
+    return QuditRegisterState(dim, 2, amps)
 
 
 def measurement_for_labels(dim: int, labels) -> QuditRegisterState:

@@ -31,8 +31,9 @@ TOL = 1e-10
 CLAIM = settings(derandomize=True, max_examples=20, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 # Drawn N go up to here, l up to 7; each property's explicit example is the
-# largest case, N = MAX_DIM or l = 8. This file then takes 3.6-4.6 s against
-# 1.6 s when it drew N <= 64 (4.7-6.1 s drawing up to MAX_DIM).
+# largest case, N = MAX_DIM or l = 8, and the Haar properties add N = 255,
+# the largest N not of the form 2^a 3^b. This file then takes 2.5-2.6 s on a
+# 2-core Xeon.
 DRAWN_DIM = 192
 
 
@@ -51,8 +52,8 @@ def _drop_networks():
 
 
 def assert_claim(op, meas_kind: str, claimed: float, rng) -> None:
-    # three data states per operator; one above N = 64, where a trial writes
-    # a joint state of up to 268 MB
+    # three data states per operator; one above N = 64, where each trial
+    # still synthesizes an N^2 program and post-selects N^2 products
     states = [random_state(op.dim, 1, rng) for _ in range(3 if op.dim <= 64 else 1)]
     for psi, outcome in zip(states, run_experiment(network(op.dim), op, states, meas_kind)):
         assert abs(outcome.probability - claimed) <= TOL * claimed
@@ -77,6 +78,7 @@ def test_family_gives_two_over_two_to_the_l_plus_two(l, phi, seed):
 @CLAIM
 @given(st.integers(2, DRAWN_DIM), SEEDS)
 @example(MAX_DIM, 0)
+@example(255, 0)
 def test_haar_unitary_gives_inverse_dim_squared_under_the_full_measurement(dim, seed):
     rng = np.random.default_rng(seed)
     assert_claim(random_unitary(dim, rng), "full", dim**-2, rng)
@@ -85,6 +87,7 @@ def test_haar_unitary_gives_inverse_dim_squared_under_the_full_measurement(dim, 
 @CLAIM
 @given(st.integers(2, DRAWN_DIM), SEEDS)
 @example(MAX_DIM, 0)
+@example(255, 0)
 def test_haar_unitary_gives_inverse_support_size_under_the_support_measurement(dim, seed):
     rng = np.random.default_rng(seed)
     op = random_unitary(dim, rng)
@@ -97,13 +100,14 @@ def test_haar_unitary_gives_inverse_support_size_under_the_support_measurement(d
 @pytest.mark.slow
 def test_claims_hold_across_the_whole_range_up_to_max_dim():
     # the sweep behind the drawn properties above: every even N for the
-    # two-term rotation, every l for the family, and Haar unitaries at the top
+    # two-term rotation, every l for the family, and Haar unitaries at the top,
+    # of the form 2^a 3^b (128, 192, 256) or not (127, 251, 255)
     rng = np.random.default_rng(2024)
     for dim in range(2, MAX_DIM + 1, 2):
         assert_claim(example2_operator(0.7, dim), "support", 0.5, rng)
     for l in range(1, MAX_DIM.bit_length()):
         assert_claim(family_operator(l, 0.3), "support", 2 / (2**l + 2), rng)
-    for dim in (128, 192, 256):
+    for dim in (127, 128, 192, 251, 255, 256):
         op = random_unitary(dim, rng)
         assert_claim(op, "full", dim**-2, rng)
         assert hs_expand(op).support_size() == dim * dim

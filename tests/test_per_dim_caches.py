@@ -2,7 +2,9 @@
 
 Each is built once per N and shared. The reference constructions below are the
 inline index expressions they replaced; the cached paths must equal them bit
-for bit.
+for bit. The full measurement is built in its closed form |0> ⊗ |+>, so its
+reference is that form, and the Bell-basis FFT it replaced must agree with it
+to round-off.
 """
 
 import os
@@ -38,6 +40,12 @@ def reference_coeffs(op):
 
 
 def reference_measurement_full(dim):
+    amps = np.zeros(dim * dim, dtype=complex)
+    amps[:dim] = 1 / np.sqrt(dim)
+    return amps
+
+
+def fft_measurement_full(dim):
     return reference_bell(dim, np.ones(dim * dim, dtype=bool) / np.sqrt(dim * dim))
 
 
@@ -68,7 +76,9 @@ def test_hs_expand_equals_the_inline_gather(dim, seed, haar):
 @given(dim=dims)
 @example(dim=256)
 def test_measurement_full_equals_the_uncached_construction(dim):
-    assert np.array_equal(measurement_full(dim).amplitudes, reference_measurement_full(dim))
+    amps = measurement_full(dim).amplitudes
+    assert np.array_equal(amps, reference_measurement_full(dim))
+    assert np.max(np.abs(amps - fft_measurement_full(dim))) <= 1e-15
 
 
 def test_difference_index_is_the_flat_index_of_the_modular_difference():

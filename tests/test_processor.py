@@ -505,12 +505,14 @@ def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
     assert "_source_index" not in vars(spec)
 
 
-def test_post_selected_strided_run_peaks_at_its_tiles(rng):
+@pytest.mark.parametrize("dim", [127, 128, 129])
+def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
     # Under the full measurement, post-selecting an unread output makes only
     # the N^2 products of the measurement's span [0, N): the tiles, that block
     # and the data state, all O(N^2). The whole output would be 16 N^3 bytes,
-    # 33.5 MB at N = 128.
-    dim = 128
+    # 33.5 MB at N = 128. N = 127 and 129 are not of the form 2^a 3^b: there
+    # a measurement with FFT round-off past index N would span almost every
+    # column and make nearly the whole output.
     tile_bytes, block_bytes = 16 * (3 * dim + 8 * dim**2), 16 * dim**2
     buffer_bytes = 2 * 16 * np.getbufsize()
     slack = 16 * 1024  # Python objects made along the way

@@ -33,6 +33,7 @@ from quditproc import (
     u_mn,
 )
 from quditproc import programs
+from quditproc.registers import _kept, _nonzero_span
 
 from conftest import max_abs_diff, reconstruct, reconstruct_reference
 
@@ -186,17 +187,27 @@ def test_full_measurement_is_normalized(dim):
     assert abs(np.linalg.norm(m.amplitudes) - 1) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [*range(2, 65), 128, 256])
+@pytest.mark.parametrize("dim", range(2, 257))
 def test_full_measurement_is_zero_ket_plus(dim):
-    # sum_mn |Xi_mn> / N = |0> ⊗ |+>: 1/sqrt(N) at flat indices 0..N-1, so
-    # post-selection under it reads only those columns of the joint state;
-    # FFT round-off elsewhere (about 1e-17 at N = 5) only widens that span
-    amps = measurement_full(dim).amplitudes
-    assert max_abs_diff(amps[:dim], np.full(dim, 1 / np.sqrt(dim))) <= 1e-15
-    if dim & (dim - 1):
-        assert np.max(np.abs(amps[dim:])) <= 1e-15
-    else:
-        assert np.flatnonzero(amps).tolist() == list(range(dim))
+    # sum_mn |Xi_mn> / N = |0> ⊗ |+>: 1/sqrt(N) at flat indices 0..N-1 and
+    # exact zeros elsewhere, so post-selection under it reads only those
+    # columns of the joint state. The Bell-basis FFT of N^2 equal weights
+    # leaves round-off (about 1e-17 at N = 5) past index N at every N not of
+    # the form 2^a 3^b, which would widen that span to almost every column.
+    meas = measurement_full(dim)
+    closed_form = np.zeros(dim * dim, dtype=complex)
+    closed_form[:dim] = 1 / np.sqrt(dim)
+    assert np.array_equal(meas.amplitudes, closed_form)
+    assert _kept(meas, "_nonzero_span", _nonzero_span) == (0, dim)
+    assert max_abs_diff(meas.amplitudes, bell_basis_matrix(dim, np.ones(dim * dim) / dim)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [5, 7, 29, 127])
+def test_every_all_labels_measurement_is_the_shared_full_one(dim, rng):
+    # a Haar unitary has every label in its support
+    assert measurement_restricted(hs_expand(random_unitary(dim, rng))) is measurement_full(dim)
+    labels = [(m, n) for m in range(dim) for n in range(dim)]
+    assert measurement_for_labels(dim, labels) is measurement_full(dim)
 
 
 def test_full_measurement_span_is_kept_once():
@@ -277,6 +288,11 @@ def label_sets(draw):
 def test_measurements_equal_the_weight_loop(case, seed):
     dim, labels = case
     expected = weight_loop_measurement(dim, labels)
+    if len(labels) == dim * dim:
+        # every label: the shared closed form |0> ⊗ |+>, which the loop's FFT
+        # meets to round-off
+        assert max_abs_diff(measurement_full(dim).amplitudes, expected) <= 1e-15
+        expected = measurement_full(dim).amplitudes
     assert np.array_equal(measurement_for_labels(dim, labels).amplitudes, expected)
     # an expansion whose support is exactly these labels, magnitudes 1 to 2
     coeffs = np.zeros((dim, dim), dtype=complex)
@@ -284,8 +300,6 @@ def test_measurements_equal_the_weight_loop(case, seed):
     coeffs[reduced[:, 0], reduced[:, 1]] = np.exp(1j * np.random.default_rng(seed).uniform(0, 7, len(labels)))
     coeffs *= 1 + (np.arange(dim * dim).reshape(dim, dim) % 2)
     assert np.array_equal(measurement_restricted(HsExpansion(dim, coeffs)).amplitudes, expected)
-    if len(labels) == dim * dim:
-        assert np.array_equal(measurement_full(dim).amplitudes, expected)
 
 
 @pytest.mark.parametrize(
