@@ -40,7 +40,7 @@ SCENARIO_KEYS = frozenset(
      "expected_probability", "tolerance", "seed"}
 )
 
-# Largest qudit dimension a config or `describe` may ask for. From N = 28 the
+# Largest qudit dimension a config or `describe` may ask for. From N = 9 the
 # network returns a deferred output (see `processor`), and a run that is only
 # post-selected never makes its N^3 joint state. The full measurement is built
 # exactly as |0> ⊗ |+>, and the support measurement of an operator with every
@@ -53,8 +53,8 @@ SCENARIO_KEYS = frozenset(
 # worth each, so the worst case is about 32 N^3 bytes: 0.5 GiB at N = 256,
 # reached only by a draw-free row of at least N^2 trials (at N = 128 such a row
 # of 16384 trials peaked at 120 MB RSS). `parse_config` builds one network per
-# (processor, dim), and only those below N = 28 keep a compiled index (8 N^3
-# bytes): at most 1.1 MB over N = 2..27, whatever the config's length. Two
+# (processor, dim), and only those below N = 9 keep a compiled index (8 N^3
+# bytes): at most 10 KB over N = 2..8, whatever the config's length. Two
 # per-dimension caches keep up to 16 entries each for the life of the process:
 # the full measurement (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2
 # bytes), at most 24 MiB. Haar trials with the full measurement, time and peak

@@ -4,25 +4,25 @@ A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
 array. Every gate is a transvection of the joint digits, so an array is one
 affine map of them, x -> G x (mod N), and G^-1 is composed from the gates once
-per value. It runs one of two ways, chosen by size:
+per value. It runs one of two ways, chosen by `_layout`:
 
-- a one-data-qudit array with at least `_STRIDED_MIN_SIZE` joint amplitudes
-  returns a deferred output (`registers._deferred`): a `QuditRegisterState`
-  whose amplitudes are the product of two strided views of tiled copies of
-  data and program (`_strided_columns`), output (d, a, b) being
+- a one-data-qudit array whose tiles of data and program fit in N^3
+  amplitudes (the qudit network from N = 9) returns a deferred output
+  (`registers._deferred`): a `QuditRegisterState` whose amplitudes are the
+  product of two strided views of the tiles (`_strided_columns`), output
+  (d, a, b) being
   ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)]. Nothing is
   multiplied until the output is read. Reading `.amplitudes` makes the whole
   product, the output's only joint-sized allocation; a post-selection of the
   unread output makes only the columns of its bra's nonzero span, N^2
   products under the full measurement |0> ⊗ |+> instead of N^3, at every N,
   because `programs.measurement_full` builds that bra exactly. It is the
-  whole network at large N, not a second path for one gate:
-  `conditional_shift` keeps its one path of block copies;
-- any other array is compiled once per value by running its gates through
-  `conditional_shift` on the int64 index ramp, and the index is kept on the
-  value; each run is then one eager gather of `tensor(data, program)`. This
-  path is faster on small registers and is the reference the tests hold the
-  strided one to.
+  whole network, not a second path for one gate;
+- any other array (such as the qudit network at N <= 8 or the CNOT network) is
+  compiled once per value by running its gates through `conditional_shift`
+  on the int64 index ramp, and the index is kept on the value; each run is
+  then one eager gather of `tensor(data, program)`, the reference the tests
+  hold the strided one to.
 
 The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied to programs in
 the span of its basis. `processor_matrix` materializes either as a
@@ -50,27 +50,6 @@ from .registers import (
 
 _F = ShiftDirection.FORWARD
 _B = ShiftDirection.BACKWARD
-
-# Smallest joint size N^3 at which a one-data-qudit array returns the deferred
-# strided output rather than the eager `tensor` plus its compiled gather. CPU
-# per call on a warm qudit network, in µs, the compile excluded: the range of
-# three runs' medians, each over 10 alternating loops of 200 calls (2-core
-# Xeon, Python 3.11.7, numpy 2.4.6, one BLAS thread). Both rows make the whole
-# output: the gather in `apply_processor`, the strided product on the first
-# read of `.amplitudes`:
-#     N                  12       16       20       24        28        32
-#     gather           15-16    24-25    38-40    58-62     89-98   129-147
-#     strided product  17-19    25-26    35-37    47-52     69-71    85-100
-# The gather wins at N = 12 and ties at 16; the strided product pulls ahead
-# from N = 20, but only from N = 28 is it ahead by more than the loops'
-# spread. It also skips the compile, which a fresh network pays on its first
-# run. The rule was set on whole outputs. A run that is only post-selected
-# reads fewer products from the deferred output: in one rough loop of
-# `apply_processor` plus `post_select` under the full measurement, the deferred
-# output was already ahead from N = 12 and behind at N = 8. The rule was not
-# re-set; the gather below it keeps `tensor` and `conditional_shift` on the
-# small-N run path.
-_STRIDED_MIN_SIZE = 28**3
 
 
 def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
@@ -209,26 +188,23 @@ def _compose_inverse(spec: GateArray) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _inverse_matrix(spec: GateArray) -> tuple:
-    """`spec`'s G^-1, composed on first use and kept on the value."""
-    return _kept(spec, "_inverse", _compose_inverse)
-
-
 def _layout(spec: GateArray):
-    """How a width-1 array reads its output from tiles of ψ and P; None when the tiles are too big.
+    """How a one-data-qudit array reads its output from tiles of ψ and P; else None.
 
-    Output amplitude y is ψ[G^-1[0]·y] · P[G^-1[1]·y, G^-1[2]·y] (mod N). ψ is
-    tiled r_0 = sum|G^-1[0]| times and P (r_1, r_2) times, so each view indexes
-    its tile at G^-1[a]·y + o_a with o_a = N · (sum of G^-1[a]'s negative
-    entries' magnitudes): inside the tile, and equal to the register's index
-    mod N. Returns the tile counts and each view's byte offset and strides.
-    None when the tiles would hold more than N^3 amplitudes (a long gate list
-    with large G^-1 entries), so that neither path peaks above two joint
-    states.
+    Output amplitude y is ψ[G^-1[0]·y] · P[G^-1[1]·y, G^-1[2]·y] (mod N). With
+    n_a and p_a the summed magnitudes of G^-1[a]'s negative and positive
+    entries, each view indexes its tile at G^-1[a]·y + N n_a, equal to the
+    register's index mod N and in [n_a, N n_a + (N - 1) p_a]: inside
+    n_a + max(p_a, 1) copies of the register. Returns the tile counts and each
+    view's byte offset and strides. None for a wider array, and when the tiles
+    would hold more than N^3 amplitudes, so that neither path peaks above two
+    joint states.
     """
+    if spec.width != 1:
+        return None
     dim, item = spec.dim, np.dtype(complex).itemsize
-    inverse = _inverse_matrix(spec)
-    reps = tuple(sum(map(abs, row)) for row in inverse)
+    inverse = _compose_inverse(spec)
+    reps = tuple(sum(-g for g in row if g < 0) + max(sum(g for g in row if g > 0), 1) for row in inverse)
     if reps[0] * dim + reps[1] * reps[2] * dim**2 > dim**3:
         return None
     views = []
@@ -281,15 +257,15 @@ def _strided_columns(
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
     """Run the fixed circuit on data ⊗ program and return the joint output.
 
-    A one-data-qudit network with at least `_STRIDED_MIN_SIZE` joint amplitudes
-    returns a deferred output: its amplitudes, one product of strided views of
-    the two inputs (`_strided_columns`), are made when first read, and a
-    post-selection of the unread output makes only the columns it contracts.
-    Any other shift network runs at once as `tensor` and one gather by its
-    permutation, which the first call on each `GateArray` value compiles and
-    keeps on the value. Gate order for the shift networks: data controls shifts
-    onto both program qudits, then each program qudit shifts the data back (the
-    first of those two in the subtracting direction for the qudit variant).
+    A shift network with a strided layout (`_layout`) returns a deferred
+    output: its amplitudes, one product of strided views of the two inputs
+    (`_strided_columns`), are made when first read, and a post-selection of
+    the unread output makes only the columns it contracts. Any other shift
+    network runs at once as `tensor` and one gather by its permutation, which
+    the first call on each `GateArray` value compiles and keeps on the value.
+    Gate order for the shift networks: data controls shifts onto both program
+    qudits, then each program qudit shifts the data back (the first of those
+    two in the subtracting direction for the qudit variant).
     """
     if isinstance(spec, GeneralDiagonal):
         return _general_diagonal_apply(spec, data, program)
@@ -301,8 +277,7 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
     # Either way a permutation of the checked product state: it keeps its norm.
-    large = spec.width == 1 and spec.dim**3 >= _STRIDED_MIN_SIZE
-    if large and (layout := _strided_layout(spec)) is not None:
+    if (layout := _strided_layout(spec)) is not None:
         return _deferred(QuditRegisterState, spec.dim, 3, partial(_strided_columns, spec.dim, layout, data, program))
     out = tensor(data, program).amplitudes[_compiled(spec)]
     return _adopt(QuditRegisterState, spec.dim, 3 * spec.width, out)
@@ -336,8 +311,8 @@ def qubit_network_matches_shift_network(dim: int = 2) -> bool:
     agree mod N, so this compares the two G^-1. True exactly at dim 2, where
     adding and subtracting mod 2 coincide.
     """
-    forward = _inverse_matrix(GateArray(dim, 1, QubitCnotNetwork().gates))
-    mixed = _inverse_matrix(QuditShiftNetwork(dim))
+    forward = _compose_inverse(GateArray(dim, 1, QubitCnotNetwork().gates))
+    mixed = _compose_inverse(QuditShiftNetwork(dim))
     return all((f - m) % dim == 0 for rf, rm in zip(forward, mixed) for f, m in zip(rf, rm))
 
 

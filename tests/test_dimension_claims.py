@@ -46,7 +46,7 @@ def network(dim: int) -> QuditShiftNetwork:
 @pytest.fixture(scope="module", autouse=True)
 def _drop_networks():
     # a network below the processor's crossover keeps its compiled index, up to
-    # 8 N^3 B (0.16 MB at N = 27); those at or above it keep no index
+    # 8 N^3 B (4 KB at N = 8); those at or above it, from N = 9, keep no index
     yield
     network.cache_clear()
 

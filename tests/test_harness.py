@@ -172,7 +172,7 @@ def test_each_network_is_built_and_compiled_once(monkeypatch, tmp_path):
     assert len({id(network) for network in (a, c, d, f)}) == 4
     assert all(run_scenario(scn, seed, i).passed for i, scn in enumerate(scenarios))
     assert all("_source_index" in vars(network) for network in (a, c, d))
-    # from N = 28 on a run is the strided product, which compiles nothing
+    # from N = 9 on a run is the strided product, which compiles nothing
     assert "_source_index" not in vars(f)
 
     # the bundled config holds 7 distinct networks, each compiled by its 4 gates

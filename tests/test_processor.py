@@ -43,8 +43,11 @@ from quditproc import (
 
 from conftest import max_abs_diff, reference_shift
 
-# Smallest N whose qudit network runs as one strided product.
-CROSSOVER = next(n for n in itertools.count(2) if n**3 >= processor_module._STRIDED_MIN_SIZE)
+# Smallest N whose qudit network runs as one strided product: the first whose
+# tiles, 3 N + 8 N^2 amplitudes, fit in N^3.
+CROSSOVER = next(
+    n for n in itertools.count(2) if processor_module._strided_layout(QuditShiftNetwork(n)) is not None
+)
 SEEDS = st.integers(0, 2**32 - 1)
 _F, _B = ShiftDirection.FORWARD, ShiftDirection.BACKWARD
 
@@ -321,8 +324,14 @@ def _gate_arrays(draw):
     return GateArray(dim, width, tuple(draw(st.lists(_gates(3 * width), max_size=8))))
 
 
+# G^-1 = ((0, 0, -1), (0, 1, 0), (1, 0, 1)): a row with no positive entry,
+# whose view reaches one register copy past its negative entries' count.
+_NEGATIVE_ROW_GATES = ((3, 1, _F), (1, 3, _B))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_gate_arrays(), SEEDS)
+@example(GateArray(7, 1, _NEGATIVE_ROW_GATES), 0)
 def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
     rng = np.random.default_rng(seed)
     data = random_state(spec.dim, spec.width, rng)
@@ -338,7 +347,7 @@ def test_compiled_gate_array_equals_the_gatewise_run(spec, seed):
 def test_inverse_matrix_gives_the_compiled_index(spec):
     # output digits y read input digits G^-1 y (mod N), in big-endian order
     arity = 3 * spec.width
-    inverse = np.array(processor_module._inverse_matrix(spec))
+    inverse = np.array(processor_module._compose_inverse(spec))
     assert inverse.shape == (arity, arity)
     assert round(abs(np.linalg.det(inverse))) == 1
     digits = np.indices((spec.dim,) * arity).reshape(arity, -1)
@@ -348,7 +357,7 @@ def test_inverse_matrix_gives_the_compiled_index(spec):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 64])
 def test_qudit_network_inverse_is_the_paper_matrix(dim):
-    assert processor_module._inverse_matrix(QuditShiftNetwork(dim)) == ((1, 1, -1), (-1, 0, 1), (-1, -1, 2))
+    assert processor_module._compose_inverse(QuditShiftNetwork(dim)) == ((1, 1, -1), (-1, 0, 1), (-1, -1, 2))
 
 
 @pytest.mark.parametrize("dim", range(2, 8))
@@ -388,9 +397,42 @@ def test_strided_run_equals_the_gatewise_run(spec, seed):
 
 def test_long_gate_list_falls_back_to_the_gather():
     spec = GateArray(CROSSOVER, 1, _LONG_GATES)
-    reps = [sum(map(abs, row)) for row in processor_module._inverse_matrix(spec)]
+    reps = [sum(map(abs, row)) for row in processor_module._compose_inverse(spec)]
     assert reps[1] * reps[2] * CROSSOVER**2 > CROSSOVER**3
     assert processor_module._strided_layout(spec) is None
+
+
+def test_negative_row_tile_holds_its_whole_view(rng):
+    # G^-1's first row has no positive entry: its view reads ψ's tile from
+    # index 1 to N, one past a tile of one copy per negative entry.
+    dim = 28
+    spec = GateArray(dim, 1, _NEGATIVE_ROW_GATES)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    expected = _gatewise(spec, data, prog)
+    meas = measurement_full(dim)
+    unread, read = apply_processor(spec, data, prog), apply_processor(spec, data, prog)
+    assert np.array_equal(read.amplitudes, expected)
+    got, want = post_select(unread, meas), post_select(read, meas)
+    assert "amplitudes" not in vars(unread)
+    assert got.probability == want.probability
+    assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes)
+    assert "_source_index" not in vars(spec)
+    assert processor_module._strided_layout(spec)[0] == (2, 1, 2)
+
+
+def test_the_layout_alone_chooses_the_path(rng):
+    # The qudit network's tiles, 3 N + 8 N^2 amplitudes, first fit in N^3 at
+    # N = 9: below it the network gathers and keeps its index, from it on it
+    # keeps only its layout. The CNOT network's tiles never fit.
+    for dim in range(2, 13):
+        spec = QuditShiftNetwork(dim)
+        apply_processor(spec, random_state(dim, 1, rng), random_state(dim, 2, rng))
+        assert ("_source_index" in vars(spec)) == (dim <= 8), dim
+        assert (processor_module._strided_layout(spec) is None) == (dim <= 8), dim
+    assert processor_module._strided_layout(QuditShiftNetwork(9))[0] == (3, 2, 4)
+    spec = QubitCnotNetwork()
+    apply_processor(spec, random_state(2, 1, rng), random_state(2, 2, rng))
+    assert processor_module._strided_layout(spec) is None and "_source_index" in vars(spec)
 
 
 def _spy_on_the_gather(monkeypatch) -> list:
@@ -454,12 +496,13 @@ def test_each_gate_array_is_compiled_once(monkeypatch, rng):
 def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     # Compiled after `tensor`, with each gate's input freed once its output
     # exists: tensor's output and two ramps while it compiles, then no more
-    # than tensor's output, the gather's and the kept index.
-    # N = 27 is the largest N below the crossover.
+    # than tensor's output, the gather's and the kept index. At N = 27 the
+    # long gate list's tiles exceed N^3 amplitudes, so it still gathers.
     dim = 27
     joint_bytes, index_bytes = 16 * dim**3, 8 * dim**3
     slack = 16 * 1024  # Python objects made along the way
-    spec = QuditShiftNetwork(dim)
+    spec = GateArray(dim, 1, _LONG_GATES)
+    assert processor_module._strided_layout(spec) is None
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
     tracemalloc.start()
     try:
@@ -481,7 +524,7 @@ def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
     # The first read of the deferred output makes it, the only joint-sized
     # allocation; ψ and P are tiled 3 and 2 x 4 times, and the multiply may
     # stage each strided input through a buffer of getbufsize() elements,
-    # whatever N is. Nothing is kept on the network but G^-1 and its layout.
+    # whatever N is. Nothing is kept on the network but its layout.
     dim = 32
     joint_bytes, tile_bytes = 16 * dim**3, 16 * (3 * dim + 8 * dim**2)
     buffer_bytes = 2 * 16 * np.getbufsize()
@@ -541,7 +584,7 @@ def _bras(dim: int, expansion, rng) -> dict:
     }
 
 
-@pytest.mark.parametrize("dim", [CROSSOVER, 32, 64])
+@pytest.mark.parametrize("dim", [CROSSOVER, 28, 32, 64])
 def test_post_select_of_an_unread_output_equals_the_read_one(dim, rng):
     # a two-term operator, so that the support measurement spans part of the columns
     op = DenseOperator(dim, 0.6 * u_mn(dim, (1, 2)).entries + 0.8j * u_mn(dim, (3, 5)).entries)

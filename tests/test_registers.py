@@ -363,8 +363,8 @@ def _run(dim, rng):
     return apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), random_state(dim, 2, rng))
 
 
-# Every array that `_adopt` wraps or that a gate array keeps; N = 28 is the
-# smallest qudit network that runs as the strided product.
+# Every array that `_adopt` wraps or that a gate array keeps; the qudit
+# network runs as the strided product at N = 28, and the gather at N = 3.
 ADOPTED = {
     "tensor": lambda rng: tensor(random_state(3, 1, rng), random_state(3, 2, rng)),
     "conditional_shift": lambda rng: conditional_shift(random_state(3, 2, rng), 1, 2, ShiftDirection.FORWARD),
