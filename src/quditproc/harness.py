@@ -46,9 +46,11 @@ SCENARIO_KEYS = frozenset(
 # exactly as |0> ⊗ |+>, and the support measurement of an operator with every
 # label in its support (every Haar or Ginibre draw) is that same value, so
 # under either it makes N^2 products at every N, of the form 2^a 3^b or not. At
-# any N it allocates tiles of 3 N data and 8 N^2 program amplitudes plus the
-# columns it contracts, at most N^3 amplitudes (16 N^3 bytes) only for a bra
-# whose span covers every column. A batch of trials in `run_scenario` holds at
+# any N it allocates a tile of 3 N data amplitudes plus the columns it
+# contracts, at most N^3 amplitudes (16 N^3 bytes) only for a bra whose span
+# covers every column. A program's tile of 8 N^2 amplitudes is made on its first
+# run and kept on the program value: 128 N^2 bytes, 8 MiB at N = 256, per live
+# program. A batch of trials in `run_scenario` holds at
 # most N^2 data states and as many post-selected data states, one joint state's
 # worth each, so the worst case is about 32 N^3 bytes: 0.5 GiB at N = 256,
 # reached only by a draw-free row of at least N^2 trials (at N = 128 such a row
@@ -57,20 +59,23 @@ SCENARIO_KEYS = frozenset(
 # bytes): at most 10 KB over N = 2..8, whatever the config's length. Two
 # per-dimension caches keep up to 16 entries each for the life of the process:
 # the full measurement (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2
-# bytes), at most 24 MiB. Haar trials with the full measurement, time and peak
-# RSS: N = 128, one trial, 0.017-0.020 s at 41 MB; N = 255, one trial,
-# 0.030-0.052 s at 52-53 MB; N = 256, one trial, 0.034-0.041 s at 53 MB, and a
-# row of four, 0.072-0.101 s at 53 MB. Timed through `run_config` in a fresh
-# process on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one BLAS thread.
+# bytes), at most 24 MiB. Rows with the full measurement, time and peak RSS:
+# N = 128, one Haar trial, 0.014-0.015 s at 41 MB; N = 255, one Haar trial,
+# 0.029-0.030 s at 52-53 MB; N = 256, one Haar trial, 0.028-0.030 s at 52 MB, a
+# row of four, 0.065-0.066 s at 52-53 MB, and a draw-free row of 256 trials,
+# whose one program is tiled once, 0.10-0.17 s at 52 MB. Timed through
+# `run_config` in a fresh process on a 2-core Xeon with Python 3.11.7, numpy
+# 2.4.6 and one BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
 # 10^6 trials take 40 MB, well inside a budget of 256 MiB, half of the 0.5 GiB
-# that a row may hold at MAX_DIM. What bounds it is time: a dim 2
-# trial takes 0.2-0.4 ms on a 2-core Xeon, so a row at the bound runs for
-# minutes.
+# that a row may hold at MAX_DIM. What bounds it is time: a dim 2 trial takes
+# 0.06-0.09 ms in a draw-free row and 0.15-0.16 ms in a drawing one (rows of
+# 20,000 trials through `run_config`, 2-core Xeon, one BLAS thread), so a row
+# at the bound runs for one to three minutes.
 MAX_TRIALS = 10**6
 # Largest seed a config or `--seed` may give: seeds are unsigned 64-bit.
 MAX_SEED = 2**64 - 1
@@ -160,8 +165,15 @@ def _state(what: str, value):
     amps = np.array([complex_from_pair(p) for p in value])
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(amps))
+        if norm in (0.0, np.inf) and amps.any():
+            # The entries are finite, so the sum of squares under- or
+            # overflowed: rescale the real and imaginary parts by the largest
+            # first (dividing the complex array would multiply by 1 / scale).
+            parts = np.abs(amps.view(float))
+            scale = float(parts.max())
+            norm = scale * float(np.linalg.norm(parts / scale))
     if not 1e-12 < norm < np.inf:
-        raise ConfigError(f"{what} has norm {norm!r}; it must be finite and nonzero")
+        raise ConfigError(f"{what} has norm {norm!r}; it must be finite and above 1e-12")
     return amps / norm
 
 

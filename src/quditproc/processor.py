@@ -11,8 +11,11 @@ per value. It runs one of two ways, chosen by `_layout`:
   (`registers._deferred`): a `QuditRegisterState` whose amplitudes are the
   product of two strided views of the tiles (`_strided_columns`), output
   (d, a, b) being
-  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)]. Nothing is
-  multiplied until the output is read. Reading `.amplitudes` makes the whole
+  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)]. ψ is
+  tiled on each run; P's tile is made on the program's first run and kept on
+  the program value, so a program run on many data states is tiled once, as
+  a stored program is prepared once. Nothing is multiplied until the output
+  is read. Reading `.amplitudes` makes the whole
   product, the output's only joint-sized allocation; a post-selection of the
   unread output makes only the columns of its bra's nonzero span, N^2
   products under the full measurement |0> ⊗ |+> instead of N^3, at every N,
@@ -44,6 +47,7 @@ from .registers import (
     _adopt,
     _deferred,
     _kept,
+    _locked,
     inner_product,
     tensor,
 )
@@ -221,26 +225,37 @@ def _strided_layout(spec: GateArray):
     return _kept(spec, "_strided_layout", _layout)
 
 
+def _program_tile(rows: int, cols: int, program: QuditRegisterState) -> np.ndarray:
+    """P as a read-only (rows, N, cols, N) array: row a of P is repeated cols times, the whole rows times."""
+    dim = program.dim
+    tile = np.empty((rows, dim, cols, dim), dtype=complex)
+    tile[:] = program.amplitudes.reshape(dim, 1, dim)
+    return _locked(tile)
+
+
 def _strided_columns(
     dim: int, layout, data: QuditRegisterState, program: QuditRegisterState, width: int, lo: int, hi: int
 ) -> np.ndarray:
     """Columns [lo, hi) of a width-1 array's output seen as a (N^3 / width, width) matrix.
 
     The output (d, a, b) is the product of two strided (N, N, N) views of
-    fresh tiles of ψ and P; the ndarray constructor checks that each view stays
-    inside its tile. For `width` = N^k the columns are the trailing k digits,
-    so only the slices of the views along digit 3 - k that cover [lo, hi) are
-    multiplied, into a fresh C-ordered array that is the only allocation
-    besides the tiles: N^3 products for the whole output (`width` = N,
-    [0, N)), N^2 for the span [0, N) of the full measurement. Each product is
-    the same multiply of the same two amplitudes either way, so the columns
-    equal the whole output's bit for bit.
+    tiles of ψ and P; the ndarray constructor checks that each view stays
+    inside its tile. ψ's tile, 3 N amplitudes for the qudit network, is made
+    fresh on each call. P's, 8 N^2 for it (128 N^2 bytes), is made on the
+    first call for each tile shape and kept on the program value through
+    `_kept`, read-only, under a name that carries its tile counts, so a
+    program run on many data states is tiled once. For `width` = N^k the
+    columns are the trailing k digits, so only the slices of the views along
+    digit 3 - k that cover [lo, hi) are multiplied, into a fresh C-ordered
+    array that is the only other allocation: N^3 products for the whole output
+    (`width` = N, [0, N)), N^2 for the span [0, N) of the full measurement.
+    Each product is the same multiply of the same two amplitudes either way,
+    so the columns equal the whole output's bit for bit.
     """
     reps, ((psi_offset, psi_strides), (prog_offset, prog_strides)) = layout
     psi = np.empty((reps[0], dim), dtype=complex)
     psi[:] = data.amplitudes
-    prog = np.empty((reps[1], dim, reps[2], dim), dtype=complex)
-    prog[:] = program.amplitudes.reshape(dim, 1, dim)
+    prog = _kept(program, f"_program_tile_{reps[1]}x{reps[2]}", partial(_program_tile, reps[1], reps[2]))
     # Digit 3 - k, the leading column digit, steps through the columns
     # N^(k-1) at a time.
     step = width // dim

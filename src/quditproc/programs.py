@@ -32,6 +32,7 @@ from .registers import (
     DenseOperator,
     QuditRegisterState,
     UnnormalizedVector,
+    _equal_values,
     _kept,
     apply_to_register,
     apply_to_subsystem,
@@ -47,7 +48,7 @@ SUPPORT_THRESHOLD = 1e-10
 TRACELESS_QUBIT_LABELS = (BellLabel(0, 1), BellLabel(1, 1), BellLabel(1, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsExpansion:
     """Expansion coefficients q[m, n] of one operator over the u(m,n) basis."""
 
@@ -72,6 +73,9 @@ class HsExpansion:
         q.setflags(write=False)
         object.__setattr__(self, "coeffs", q)
         object.__setattr__(self, "gram_norm", float(np.sum(mags**2)))
+
+    __eq__ = _equal_values
+    __hash__ = None
 
     def _support_mask(self) -> np.ndarray:
         mags = np.abs(self.coeffs)

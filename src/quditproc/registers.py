@@ -8,9 +8,12 @@ Every value is immutable once constructed and every function here is pure, so
 everything is safe to share across threads or processes. The only writes after
 construction are `_kept`'s and two per-dimension caches'. `_kept` computes a
 derived value (an operator's Tr(A†A) or expansion, an expansion's support size,
-the nonzero span of a bra that `partial_inner_product` contracts) on first use
-and writes it onto the instance once; two threads that race there only compute
-the same value twice. `programs.measurement_full(N)` and the (i - j) mod N
+the nonzero span of a bra that `partial_inner_product` contracts, a program's
+read-only tile for a strided network, a gate array's layout or compiled index)
+on first use and writes it onto the instance once; two threads that race there
+only compute the same value twice. Copies and pickles carry the fields alone,
+and values are equal when their class and fields are: arrays by
+`np.array_equal`. `programs.measurement_full(N)` and the (i - j) mod N
 gather index in `gates` are built once per N and kept in a bounded
 `functools.lru_cache`, so callers share one object. Sharing them is safe
 because the values are frozen and their arrays are read-only views that cannot
@@ -33,7 +36,7 @@ contracts. The first read writes the amplitudes onto the instance through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,7 +115,23 @@ def _kept(value, name: str, compute):
     return cache[name]
 
 
-@dataclass(frozen=True)
+def _equal_values(a, b):
+    """Exact value equality of two dataclass values, for their `__eq__`.
+
+    The same class, equal scalar fields and `np.array_equal` arrays. The
+    dataclass's own `__eq__` compares the fields as tuples, where an array's
+    `==` is an array, not a bool.
+    """
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class _Register:
     """The dim**arity amplitudes of `arity` qudits of dimension `dim`, copied flat and read-only."""
 
@@ -148,13 +167,17 @@ class _Register:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __getstate__(self):
-        # Copies and pickles carry the amplitudes, never the function that makes them.
-        state = dict(vars(self), amplitudes=self.amplitudes)
-        state.pop("_columns", None)
-        return state
+        # Copies and pickles carry the fields alone: the amplitudes, never the
+        # function that makes them or what `_kept` derived (a bra's span, a
+        # program's tile), which a copy derives again when it is used.
+        return {"dim": self.dim, "arity": self.arity, "amplitudes": self.amplitudes}
+
+    __eq__ = _equal_values
+    # Values are equal by their amplitudes, which are not hashable.
+    __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuditRegisterState(_Register):
     """Normalized pure state of `arity` qudits, each of dimension `dim`."""
 
@@ -168,7 +191,7 @@ class QuditRegisterState(_Register):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnnormalizedVector(_Register):
     """Register-shaped complex vector of arbitrary norm, zero included.
 
@@ -186,7 +209,7 @@ class UnnormalizedVector(_Register):
         return QuditRegisterState(self.dim, self.arity, self.amplitudes / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Complex square matrix acting on one qudit or one labeled register.
 
@@ -208,6 +231,9 @@ class DenseOperator:
         # A view of a read-only array cannot be made writable again, so the
         # values `_kept` derives from the entries cannot go stale.
         object.__setattr__(self, "entries", mat.view())
+
+    __eq__ = _equal_values
+    __hash__ = None
 
     def gram_trace(self) -> float:
         """Tr(A†A), the squared Hilbert-Schmidt norm of the matrix; summed once per value."""

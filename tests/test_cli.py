@@ -20,6 +20,7 @@ from quditproc.harness import (
     MAX_SEED,
     MAX_TRIALS,
     ConfigError,
+    _state,
     build_operator,
     check_operator,
     describe_operator,
@@ -538,6 +539,47 @@ def test_describe_fault_exits_2(argv, tmp_path, capsys):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _state_scenario(where: str, amps: list) -> dict:
+    if where == "data_state":
+        return one_scenario(data_state=amps)
+    return one_scenario(operator={"name": "reflection", "phi": amps}, measurement="support")
+
+
+# Squared norms that under- or overflow: the norm is taken of the rescaled
+# vector, so an error states the true norm and a representable norm passes.
+@pytest.mark.parametrize(
+    "amps, norm",
+    [([[1e-300, 0], [0, 0]], "1e-300"), ([[0, 5e-324], [0, 0]], "5e-324"), ([[0, 0], [0, 0]], "0.0")],
+    ids=["1e-300", "subnormal", "zero"],
+)
+@pytest.mark.parametrize("where", ["data_state", "phi"])
+def test_a_state_below_the_norm_floor_exits_2_with_its_true_norm(where, amps, norm, tmp_path, capsys):
+    cfg, out = tmp_path / "state.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(_state_scenario(where, amps)))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"has norm {norm};" in capsys.readouterr().err
+    assert not out.exists()
+    if where == "phi":
+        assert run_cli(["describe", "reflection", "--dim", "2", "--param", f"phi={json.dumps(amps)}"]) == 2
+        assert f"has norm {norm};" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["data_state", "phi"])
+def test_a_state_whose_squared_norm_overflows_runs(where, tmp_path, capsys):
+    amps = [[1e200, 0], [1e200, 0]]
+    cfg, out = tmp_path / "state.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(_state_scenario(where, amps)))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"] is True
+    if where == "phi":
+        assert run_cli(["describe", "reflection", "--dim", "2", "--param", f"phi={json.dumps(amps)}"]) == 0
+        assert strict_json(capsys.readouterr().out)["unitary"] is True
+    # normalized as the same direction at unit scale, which stays bit-identical
+    unit = [[1.0, 0], [1.0, 0]]
+    assert np.allclose(_state(where, amps), _state(where, unit), rtol=0, atol=1e-16)
+    assert np.array_equal(_state(where, unit), np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0]))
 
 
 def test_subnormal_gram_trace_error_states_the_bound(tmp_path, capsys):

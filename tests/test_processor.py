@@ -1,6 +1,8 @@
 import copy
 import itertools
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -555,21 +557,114 @@ def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
     # and the data state, all O(N^2). The whole output would be 16 N^3 bytes,
     # 33.5 MB at N = 128. N = 127 and 129 are not of the form 2^a 3^b: there
     # a measurement with FFT round-off past index N would span almost every
-    # column and make nearly the whole output.
-    tile_bytes, block_bytes = 16 * (3 * dim + 8 * dim**2), 16 * dim**2
+    # column and make nearly the whole output. The program's first run makes
+    # its tile of 8 N^2 amplitudes and keeps it; a repeat makes only ψ's tile
+    # of 3 N and the block.
+    psi_bytes, prog_bytes, block_bytes = 16 * 3 * dim, 16 * 8 * dim**2, 16 * dim**2
     buffer_bytes = 2 * 16 * np.getbufsize()
     slack = 16 * 1024  # Python objects made along the way
     spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
-    post_select(apply_processor(spec, data, prog), meas)  # keeps the layout and the span
+    post_select(apply_processor(spec, data, random_state(dim, 2, rng)), meas)  # keeps the layout and the span
     tracemalloc.start()
     try:
+        post_select(apply_processor(spec, data, prog), meas)
+        _, first_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
         outcome = post_select(apply_processor(spec, data, prog), meas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < tile_bytes + block_bytes + buffer_bytes + slack
+    assert first_peak < psi_bytes + prog_bytes + block_bytes + buffer_bytes + slack
+    assert peak - before < psi_bytes + block_bytes + buffer_bytes + slack
     assert outcome.data_state is not None
+
+
+def _tile_name(spec) -> str:
+    reps = processor_module._strided_layout(spec)[0]
+    return f"_program_tile_{reps[1]}x{reps[2]}"
+
+
+@pytest.mark.parametrize("dim", [CROSSOVER, 28, 64, 127])
+def test_a_reused_program_is_tiled_once_and_runs_as_the_gatewise_run(dim, rng):
+    # The program's tile is made on its first run and kept on it, read-only;
+    # each later run, on other data, reads whole and post-selects unread
+    # exactly as the gate-by-gate run.
+    spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
+    program = random_state(dim, 2, rng)
+    tiles = []
+    for _ in range(2):
+        psi = random_state(dim, 1, rng)
+        expected = _gatewise(spec, psi, program)
+        unread, read = apply_processor(spec, psi, program), apply_processor(spec, psi, program)
+        got, want = post_select(unread, meas), post_select(read, meas)
+        assert np.array_equal(read.amplitudes, expected)
+        assert "amplitudes" not in vars(unread)
+        assert got.probability == want.probability
+        assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes)
+        tiles.append(vars(program)[_tile_name(spec)])
+    assert tiles[0] is tiles[1] and tiles[0].shape == (2, dim, 4, dim)
+    with pytest.raises(ValueError):
+        tiles[0].setflags(write=True)
+    with pytest.raises(ValueError):
+        tiles[0][0, 0, 0, 0] = 0
+
+
+def test_each_network_keeps_its_own_tile_on_a_shared_program(rng):
+    # The qudit network tiles P 2 x 4 times, the negative-row array 1 x 2
+    # times: the name of each kept tile carries its counts, so runs of the two
+    # on one program, in turn, each read their own.
+    dim = 28
+    specs = (QuditShiftNetwork(dim), GateArray(dim, 1, _NEGATIVE_ROW_GATES))
+    program, psi = random_state(dim, 2, rng), random_state(dim, 1, rng)
+    for _ in range(2):
+        for spec in specs:
+            assert np.array_equal(apply_processor(spec, psi, program).amplitudes, _gatewise(spec, psi, program))
+    tiles = {name: tile.shape for name, tile in vars(program).items() if name.startswith("_program_tile_")}
+    assert tiles == {"_program_tile_2x4": (2, dim, 4, dim), "_program_tile_1x2": (1, dim, 2, dim)}
+    assert [_tile_name(spec) for spec in specs] == list(tiles)
+
+
+def test_threads_racing_a_programs_first_run_agree(rng):
+    # `_kept` takes no lock: threads that race on a fresh program may each
+    # tile it, but every run must equal the gate-by-gate run, and the tile
+    # kept afterwards must not change
+    dim = 28
+    spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
+    name = _tile_name(spec)
+    psi = random_state(dim, 1, rng)
+    programs = [random_state(dim, 2, rng) for _ in range(20)]
+    fresh = [_gatewise(spec, psi, program) for program in programs]
+    seen = [[] for _ in programs]
+
+    def run_all(first_projects):
+        for program, got in zip(programs, seen):
+            out = apply_processor(spec, psi, program)
+            if first_projects:
+                got.append(post_select(out, meas).data_state.amplitudes)
+            got.append(out.amplitudes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run_all, args=(i % 2,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for program, got, amps in zip(programs, seen, fresh):
+        overlap = amps.reshape(-1, dim**2)[:, :dim] @ meas.amplitudes[:dim].conj()
+        state = overlap / np.linalg.norm(overlap)
+        assert len(got) == 6
+        assert all(np.array_equal(a, amps if a.size == amps.size else state) for a in got)
+        tile = vars(program)[name]
+        post_select(apply_processor(spec, psi, program), meas)
+        assert vars(program)[name] is tile
+        assert np.array_equal(tile, processor_module._program_tile(2, 4, copy.copy(program)))
 
 
 def _bras(dim: int, expansion, rng) -> dict:

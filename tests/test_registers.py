@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 import threading
 
@@ -151,6 +153,63 @@ def test_public_constructors_copy_their_input(kind):
     source[:] = [1.0, 0.0]
     assert value.amplitudes.tolist() == [0.6, 0.8j]
     assert not value.amplitudes.flags.writeable
+
+
+def test_distinct_equal_values_are_equal_and_unhashable(rng):
+    amps = random_state(3, 2, rng).amplitudes
+    mat = random_operator(3, rng).entries
+    pairs = [
+        (QuditRegisterState(2, 1, [1, 0]), QuditRegisterState(2, 1, [1, 0])),
+        (UnnormalizedVector(3, 2, 2 * amps), UnnormalizedVector(3, 2, 2 * amps)),
+        (DenseOperator(3, mat, "a"), DenseOperator(3, mat, "a")),
+        (hs_expand(DenseOperator(3, mat)), hs_expand(DenseOperator(3, mat))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and not a != b
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_values_differing_in_a_field_or_class_are_unequal():
+    one = QuditRegisterState(2, 1, [1, 0])
+    assert one != QuditRegisterState(2, 1, [0, 1])
+    assert one != UnnormalizedVector(2, 1, [1, 0])
+    assert one != "one"
+    assert QuditRegisterState(4, 1, [1, 0, 0, 0]) != QuditRegisterState(2, 2, [1, 0, 0, 0])
+    assert DenseOperator(2, np.eye(2), "a") != DenseOperator(2, np.eye(2), "b")
+    assert DenseOperator(2, np.eye(2)) != DenseOperator(2, -np.eye(2))
+    assert hs_expand(DenseOperator(2, np.eye(2))) != hs_expand(DenseOperator(2, 2 * np.eye(2)))
+
+
+def test_a_deferred_output_equals_its_read_copy(rng):
+    dim = 28
+    spec = QuditShiftNetwork(dim)
+    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    read = apply_processor(spec, data, prog)
+    unread = apply_processor(spec, data, prog)
+    assert "amplitudes" not in vars(unread)
+    assert unread == QuditRegisterState(dim, 3, read.amplitudes) == read
+    assert "amplitudes" in vars(unread)
+    assert apply_processor(spec, random_state(dim, 1, rng), prog) != read
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_carry_only_the_fields(clone, rng):
+    # A run keeps the program's tile (8 N^2 amplitudes) on the program and the
+    # bra's nonzero span on the bra; a copy derives them again when it is used.
+    dim = 64
+    program, bra = random_state(dim, 2, rng), random_state(dim, 2, rng)
+    partial_inner_product(bra, apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), program))
+    assert "_program_tile_2x4" in vars(program) and "_nonzero_span" in vars(bra)
+    for value in (program, bra):
+        made = clone(value)
+        assert type(made) is type(value) and made == value
+        assert set(vars(made)) == {"dim", "arity", "amplitudes"}
+    assert len(pickle.dumps(program)) < program.amplitudes.nbytes + 1024
 
 
 def test_apply_identity_leaves_state(rng):
