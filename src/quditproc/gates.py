@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .registers import DenseOperator, QuditRegisterState, _adopt
+from .registers import DenseOperator, QuditRegisterState, _adopt, _locked
 
 
 class ShiftDirection(Enum):
@@ -168,9 +168,7 @@ def _difference_index(dim: int) -> np.ndarray:
     the same gather by two broadcast index arrays.
     """
     k = np.arange(dim)
-    table = k[:, None] * dim + (k[:, None] - k) % dim
-    table.setflags(write=False)
-    return table.view()
+    return _locked(k[:, None] * dim + (k[:, None] - k) % dim)
 
 
 def bell_basis_matrix(dim: int, weights) -> np.ndarray:

@@ -48,6 +48,7 @@ from .registers import (
     _deferred,
     _kept,
     _locked,
+    _Value,
     inner_product,
     tensor,
 )
@@ -68,12 +69,12 @@ def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
 
 
 @dataclass(frozen=True)
-class GateArray:
+class GateArray(_Value):
     """A fixed array of conditional shifts on `width` data and 2·`width` program qudits.
 
     The joint register is the data qudits followed by the program qudits;
     `gates` holds the (control, target, direction) shifts in application order,
-    on distinct 1-based subsystems.
+    on distinct 1-based subsystems. Hashable fields: it keeps the dataclass `==` and hash.
     """
 
     dim: int
@@ -243,8 +244,8 @@ def _strided_columns(
     inside its tile. ψ's tile, 3 N amplitudes for the qudit network, is made
     fresh on each call. P's, 8 N^2 for it (128 N^2 bytes), is made on the
     first call for each tile shape and kept on the program value through
-    `_kept`, read-only, under a name that carries its tile counts, so a
-    program run on many data states is tiled once. For `width` = N^k the
+    `_kept` under a name that carries its tile counts, so a program run on
+    many data states is tiled once. For `width` = N^k the
     columns are the trailing k digits, so only the slices of the views along
     digit 3 - k that cover [lo, hi) are multiplied, into a fresh C-ordered
     array that is the only other allocation: N^3 products for the whole output
@@ -280,8 +281,11 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
     the first call on each `GateArray` value compiles and keeps on the value.
     Gate order for the shift networks: data controls shifts onto both program
     qudits, then each program qudit shifts the data back (the first of those
-    two in the subtracting direction for the qudit variant).
+    two in the subtracting direction for the qudit variant). Data or a
+    program that is not a `QuditRegisterState` is a TypeError.
     """
+    if not (isinstance(data, QuditRegisterState) and isinstance(program, QuditRegisterState)):
+        raise TypeError("the data and the program must be QuditRegisterStates")
     if isinstance(spec, GeneralDiagonal):
         return _general_diagonal_apply(spec, data, program)
     if not isinstance(spec, GateArray):

@@ -32,8 +32,9 @@ from .registers import (
     DenseOperator,
     QuditRegisterState,
     UnnormalizedVector,
-    _equal_values,
     _kept,
+    _locked,
+    _Value,
     apply_to_register,
     apply_to_subsystem,
 )
@@ -49,7 +50,7 @@ TRACELESS_QUBIT_LABELS = (BellLabel(0, 1), BellLabel(1, 1), BellLabel(1, 0))
 
 
 @dataclass(frozen=True, eq=False)
-class HsExpansion:
+class HsExpansion(_Value):
     """Expansion coefficients q[m, n] of one operator over the u(m,n) basis."""
 
     dim: int
@@ -70,12 +71,8 @@ class HsExpansion:
             raise ValueError("expansion coefficients must be finite")
         if peak == 0.0:
             raise ValueError("cannot expand the zero operator")
-        q.setflags(write=False)
-        object.__setattr__(self, "coeffs", q)
+        object.__setattr__(self, "coeffs", _locked(q))
         object.__setattr__(self, "gram_norm", float(np.sum(mags**2)))
-
-    __eq__ = _equal_values
-    __hash__ = None
 
     def _support_mask(self) -> np.ndarray:
         mags = np.abs(self.coeffs)
@@ -150,8 +147,7 @@ def measurement_full(dim: int) -> QuditRegisterState:
     1/sqrt(N) at flat indices 0..N-1 and exact zeros elsewhere. It is built in
     that closed form, not by the FFT, whose round-off away from those indices
     would widen the span that `partial_inner_product` contracts to almost all
-    N^2 columns. Built once per N and shared: the value is frozen and its
-    amplitudes are read-only.
+    N^2 columns. Built once per N and shared.
     """
     amps = np.zeros(dim * dim, dtype=complex)
     amps[:dim] = 1 / np.sqrt(dim)

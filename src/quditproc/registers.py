@@ -4,21 +4,19 @@ Amplitude indexing is big-endian base N: subsystem 1 is the most significant
 digit, so the basis state |n>_1 |m>_2 |k>_3 sits at flat index (n*N + m)*N + k.
 Subsystem indices in the public API are 1-based throughout.
 
-Every value is immutable once constructed and every function here is pure, so
-everything is safe to share across threads or processes. The only writes after
-construction are `_kept`'s and two per-dimension caches'. `_kept` computes a
-derived value (an operator's Tr(A†A) or expansion, an expansion's support size,
-the nonzero span of a bra that `partial_inner_product` contracts, a program's
-read-only tile for a strided network, a gate array's layout or compiled index)
-on first use and writes it onto the instance once; two threads that race there
-only compute the same value twice. Copies and pickles carry the fields alone,
-and values are equal when their class and fields are: arrays by
-`np.array_equal`. `programs.measurement_full(N)` and the (i - j) mod N
-gather index in `gates` are built once per N and kept in a bounded
-`functools.lru_cache`, so callers share one object. Sharing them is safe
-because the values are frozen and their arrays are read-only views that cannot
-be made writable again, and `lru_cache` is thread-safe: threads that race on a
-miss each build an equal value, and the cache keeps one of them.
+The rule for values is kept here alone. A value (a register, an operator, an
+expansion, a gate array) is frozen once constructed and every function here is
+pure, so all are safe to share across threads or processes. Every array a value
+exposes goes through `_locked`: a read-only view whose owner is locked too, so
+it cannot be made writable again. `_kept` writes a value derived on first use
+(an operator's Tr(A†A) or expansion, an expansion's support size, a bra's
+nonzero span, a program's strided-network tile, a gate array's layout or
+compiled index) onto the instance once; threads that race there only compute
+the same value twice. `_Value` gives copies and pickles the fields alone, their
+arrays locked again, and exact, unhashable equality: the same class and fields,
+arrays by `np.array_equal`. `programs.measurement_full(N)` and the gather index
+in `gates` are built once per N and shared through a bounded, thread-safe
+`functools.lru_cache`.
 
 A register value is built one of three ways. The constructors of
 `QuditRegisterState` and `UnnormalizedVector` copy their amplitudes and check
@@ -61,10 +59,6 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     complex128, except the int64 index ramp that `processor` runs a gate array
     on, which never leaves its compile. A vector of any other origin goes
     through the constructor, which copies and checks it.
-
-    As in the constructors, the array that owns the data (`amps.base`, when
-    `amps` is a reshaped view) is locked too and a read-only view is kept, so
-    the amplitudes cannot be made writable again.
     """
     value = _bare(cls, dim, arity)
     object.__setattr__(value, "amplitudes", _locked(amps))
@@ -93,9 +87,10 @@ def _bare(cls, dim: int, arity: int):
 
 
 def _locked(amps: np.ndarray) -> np.ndarray:
-    # A read-only view of `amps`, whose owner is locked too.
+    # A read-only view of `amps`, whose owning array is locked too (an
+    # unpickled array may instead sit on immutable bytes).
     amps.setflags(write=False)
-    if amps.base is not None:
+    if isinstance(amps.base, np.ndarray):
         amps.base.setflags(write=False)
     return amps.view()
 
@@ -116,11 +111,9 @@ def _kept(value, name: str, compute):
 
 
 def _equal_values(a, b):
-    """Exact value equality of two dataclass values, for their `__eq__`.
+    """The same class, equal scalar fields and `np.array_equal` arrays.
 
-    The same class, equal scalar fields and `np.array_equal` arrays. The
-    dataclass's own `__eq__` compares the fields as tuples, where an array's
-    `==` is an array, not a bool.
+    A dataclass `==` compares fields as tuples, where an array's `==` is not a bool.
     """
     if type(a) is not type(b):
         return NotImplemented
@@ -131,8 +124,21 @@ def _equal_values(a, b):
     return True
 
 
+class _Value:
+    """A frozen dataclass value: field-only copies and pickles, exact unhashable equality."""
+
+    __eq__ = _equal_values
+    __hash__ = None
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        vars(self).update({k: _locked(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
+
+
 @dataclass(frozen=True, eq=False)
-class _Register:
+class _Register(_Value):
     """The dim**arity amplitudes of `arity` qudits of dimension `dim`, copied flat and read-only."""
 
     dim: int
@@ -140,11 +146,9 @@ class _Register:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        # Flat and owning its data, so the read-only view stored below cannot
-        # be made writable again.
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
-            amps = amps.reshape(-1).copy()
+            amps = amps.reshape(-1)
         if self.dim < 2:
             raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
         if self.arity < 1:
@@ -154,10 +158,7 @@ class _Register:
                 f"amplitude vector has length {amps.size}, expected {self.dim**self.arity} "
                 f"for {self.arity} qudit(s) of dimension {self.dim}"
             )
-        amps.setflags(write=False)
-        # A view, as for `DenseOperator.entries`, so a value that
-        # `measurement_full` shares cannot change.
-        object.__setattr__(self, "amplitudes", amps.view())
+        object.__setattr__(self, "amplitudes", _locked(amps))
 
     def __getattr__(self, name):
         # Reached only for a name missing from the instance dict: the
@@ -165,16 +166,6 @@ class _Register:
         if name == "amplitudes" and "_columns" in vars(self):
             return _kept(self, "amplitudes", _read_deferred)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __getstate__(self):
-        # Copies and pickles carry the fields alone: the amplitudes, never the
-        # function that makes them or what `_kept` derived (a bra's span, a
-        # program's tile), which a copy derives again when it is used.
-        return {"dim": self.dim, "arity": self.arity, "amplitudes": self.amplitudes}
-
-    __eq__ = _equal_values
-    # Values are equal by their amplitudes, which are not hashable.
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +201,7 @@ class UnnormalizedVector(_Register):
 
 
 @dataclass(frozen=True, eq=False)
-class DenseOperator:
+class DenseOperator(_Value):
     """Complex square matrix acting on one qudit or one labeled register.
 
     Not required to be unitary; program synthesis accepts any matrix with
@@ -227,13 +218,7 @@ class DenseOperator:
             raise ValueError(
                 f"operator entries must be {self.dim}x{self.dim}, got shape {mat.shape}"
             )
-        mat.setflags(write=False)
-        # A view of a read-only array cannot be made writable again, so the
-        # values `_kept` derives from the entries cannot go stale.
-        object.__setattr__(self, "entries", mat.view())
-
-    __eq__ = _equal_values
-    __hash__ = None
+        object.__setattr__(self, "entries", _locked(mat))
 
     def gram_trace(self) -> float:
         """Tr(A†A), the squared Hilbert-Schmidt norm of the matrix; summed once per value."""
@@ -261,12 +246,13 @@ def basis_state(dim: int, arity: int, digits) -> QuditRegisterState:
     return QuditRegisterState(dim, arity, amps)
 
 
-def tensor(a: QuditRegisterState, b: QuditRegisterState) -> QuditRegisterState:
-    """Kronecker product with `a`'s qudits most significant; arities add."""
+def tensor(a, b):
+    """Kronecker product with `a`'s qudits most significant; a state only if both factors are."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     amps = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
-    return _adopt(QuditRegisterState, a.dim, a.arity + b.arity, amps)
+    normalized = isinstance(a, QuditRegisterState) and isinstance(b, QuditRegisterState)
+    return _adopt(QuditRegisterState if normalized else UnnormalizedVector, a.dim, a.arity + b.arity, amps)
 
 
 def apply_to_subsystem(op: DenseOperator, target: int, state) -> UnnormalizedVector:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,50 @@ def test_trees_must_share_the_benchmark_files(tmp_path):
     (tmp_path / "change" / "quditbench" / "run.py").write_text("pass  # edited\n")
     with pytest.raises(SystemExit, match="quditbench/run.py"):
         bench_pairs.check_same_benchmark(tmp_path / "parent", tmp_path / "change")
+
+
+# A stand-in for quditbench/run.py: every declared metric of every workload
+# reads the seed, and every run is correct.
+_FAKE_RUN = """
+import json, sys
+declared = json.load(open("BENCHMARK.json"))
+seed = float(sys.argv[sys.argv.index("--seed") + 1])
+metrics = {f"{w['name']}.{m['name']}": {"value": seed, "unit": m["unit"]}
+           for w in declared["workloads"] for m in declared["end_to_end"]}
+print(json.dumps({"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}))
+"""
+
+
+def _pairs(tmp_path, monkeypatch, *extra) -> dict:
+    for side in ("parent", "change"):
+        (tmp_path / side / "quditbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+        (tmp_path / side / "quditbench" / "run.py").write_text(_FAKE_RUN)
+    argv = ["bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "1", "2", "--seconds", "1", "--number", "0", "--parent-commit", "abc",
+            "--summary", "a change", "--out-dir", str(tmp_path), *extra]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    return json.loads((tmp_path / "BENCH_0.json").read_text("utf-8"))
+
+
+def test_a_change_without_a_claim_records_null_and_every_bound(tmp_path, monkeypatch):
+    report = _pairs(tmp_path, monkeypatch)
+    assert report["claim"] is None
+    assert report["correct"] == {"parent": True, "change": True}
+    rows = [row for by_metric in report["end_to_end"].values() for row in by_metric.values()]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    assert len(rows) == len(declared["workloads"]) * len(declared["end_to_end"])
+    assert all(row["within_bound"] is True for row in rows)
+
+
+def test_a_claim_is_recorded_with_its_expectation(tmp_path, monkeypatch):
+    report = _pairs(tmp_path, monkeypatch, "--claim", "paper-claims", "setup_s", "--expected", "falls")
+    assert report["claim"]["expected"] == "falls" and report["claim"]["met"] is False
+    assert report["claim"]["change_wins"] == "0/2"
+
+
+@pytest.mark.parametrize("extra", [["--claim", "paper-claims", "setup_s"], ["--expected", "falls"]])
+def test_a_claim_and_its_expectation_go_together(extra, tmp_path, monkeypatch):
+    with pytest.raises(SystemExit):
+        _pairs(tmp_path, monkeypatch, *extra)

@@ -32,7 +32,9 @@ from quditproc import (
     u_init,
 )
 from quditproc import processor
+from quditproc.gates import _difference_index
 from quditproc.processor import QuditShiftNetwork, apply_processor
+from quditproc.programs import measurement_full
 
 from conftest import index_to_digits, max_abs_diff, reference_partial_inner_product
 
@@ -123,6 +125,28 @@ def test_tensor_preserves_norm(rng):
     assert abs(np.linalg.norm(tensor(a, b).amplitudes) - 1) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        (QuditRegisterState, QuditRegisterState),
+        (QuditRegisterState, UnnormalizedVector),
+        (UnnormalizedVector, QuditRegisterState),
+        (UnnormalizedVector, UnnormalizedVector),
+    ],
+    ids=["state-state", "state-vector", "vector-state", "vector-vector"],
+)
+def test_tensor_is_a_state_only_when_both_factors_are(kinds, rng):
+    # a factor of norm 2 makes a product of squared norm 4, which must not
+    # come out as a normalized state
+    scales = [1.0 if kind is QuditRegisterState else 2.0 for kind in kinds]
+    a, b = (kind(3, k, scale * random_state(3, k, rng).amplitudes) for kind, k, scale in zip(kinds, (1, 2), scales))
+    out = tensor(a, b)
+    normalized = kinds == (QuditRegisterState, QuditRegisterState)
+    assert type(out) is (QuditRegisterState if normalized else UnnormalizedVector)
+    assert np.array_equal(out.amplitudes, np.kron(a.amplitudes, b.amplitudes))
+    assert np.vdot(out.amplitudes, out.amplitudes).real == pytest.approx(scales[0] ** 2 * scales[1] ** 2)
+
+
 def _assert_fresh_and_read_only(out, *inputs):
     assert not out.amplitudes.flags.writeable
     for value in inputs:
@@ -200,16 +224,34 @@ def test_a_deferred_output_equals_its_read_copy(rng):
 )
 def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     # A run keeps the program's tile (8 N^2 amplitudes) on the program and the
-    # bra's nonzero span on the bra; a copy derives them again when it is used.
+    # bra's nonzero span on the bra; an operator keeps its expansion and
+    # Tr(A†A), an expansion its support size, a network its layout and
+    # compiled index. A copy derives them again when it is used.
     dim = 64
     program, bra = random_state(dim, 2, rng), random_state(dim, 2, rng)
     partial_inner_product(bra, apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), program))
-    assert "_program_tile_2x4" in vars(program) and "_nonzero_span" in vars(bra)
-    for value in (program, bra):
+    op = random_operator(dim, rng)
+    op.gram_trace()
+    hs_expand(op).support_size()
+    network = QuditShiftNetwork(8)
+    apply_processor(network, random_state(8, 1, rng), random_state(8, 2, rng))
+    used = [
+        (program, "_program_tile_2x4", {"dim", "arity", "amplitudes"}),
+        (bra, "_nonzero_span", {"dim", "arity", "amplitudes"}),
+        (op, "_hs_expansion", {"dim", "entries", "label"}),
+        (hs_expand(op), "_support_size", {"dim", "coeffs", "gram_norm"}),
+        (network, "_source_index", {"dim", "width", "gates"}),
+    ]
+    for value, derived, names in used:
+        assert derived in vars(value)
         made = clone(value)
         assert type(made) is type(value) and made == value
-        assert set(vars(made)) == {"dim", "arity", "amplitudes"}
+        assert set(vars(made)) == names
     assert len(pickle.dumps(program)) < program.amplitudes.nbytes + 1024
+    assert len(pickle.dumps(op)) < op.entries.nbytes + 1024
+    assert len(pickle.dumps(network)) < 1024
+    # a gate array's fields are hashable, so it keeps the dataclass hash
+    assert hash(clone(network)) == hash(network)
 
 
 def test_apply_identity_leaves_state(rng):
@@ -402,12 +444,9 @@ def test_partial_inner_product_must_leave_a_subsystem(rng):
 
 def test_operator_derived_values_cannot_go_stale(rng):
     # an operator's expansion and Tr(A†A) are computed once and kept on the
-    # value, which is sound only because its entries cannot change
+    # value, which is sound only because its entries cannot change (see
+    # `test_frozen_arrays_cannot_be_made_writable`)
     op = random_operator(5, rng)
-    with pytest.raises(ValueError):
-        op.entries[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        op.entries.setflags(write=True)
     assert hs_expand(op) is hs_expand(op)
     for _ in range(2):
         assert op.gram_trace() == float(np.sum(np.abs(op.entries) ** 2))
@@ -422,22 +461,38 @@ def _run(dim, rng):
     return apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), random_state(dim, 2, rng))
 
 
-# Every array that `_adopt` wraps or that a gate array keeps; the qudit
-# network runs as the strided product at N = 28, and the gather at N = 3.
-ADOPTED = {
-    "tensor": lambda rng: tensor(random_state(3, 1, rng), random_state(3, 2, rng)),
-    "conditional_shift": lambda rng: conditional_shift(random_state(3, 2, rng), 1, 2, ShiftDirection.FORWARD),
-    "apply_processor-gather": lambda rng: _run(3, rng),
-    "apply_processor-strided": lambda rng: _run(28, rng),
+def _tile(rng) -> np.ndarray:
+    # the tile that a program's first strided run keeps on it
+    program = random_state(28, 2, rng)
+    apply_processor(QuditShiftNetwork(28), random_state(28, 1, rng), program).amplitudes
+    return vars(program)["_program_tile_2x4"]
+
+
+# Every array that a value exposes, keeps or shares, by how it was made; the
+# qudit network runs as the strided product at N = 28, and the gather at N = 3.
+FROZEN = {
+    "constructed": lambda rng: random_state(3, 2, rng).amplitudes,
+    "tensor": lambda rng: tensor(random_state(3, 1, rng), random_state(3, 2, rng)).amplitudes,
+    "conditional_shift": lambda rng: conditional_shift(random_state(3, 2, rng), 1, 2, ShiftDirection.FORWARD).amplitudes,
+    "apply_processor-gather": lambda rng: _run(3, rng).amplitudes,
+    # a deferred output, read
+    "apply_processor-strided": lambda rng: _run(28, rng).amplitudes,
+    "operator-entries": lambda rng: random_operator(3, rng).entries,
+    "expansion-coeffs": lambda rng: hs_expand(random_operator(3, rng)).coeffs,
+    "difference-index": lambda rng: _difference_index(5),
+    "measurement_full": lambda rng: measurement_full(5).amplitudes,
     "compiled-index": lambda rng: processor._compiled(QuditShiftNetwork(3)),
+    "program-tile": _tile,
+    "deep-copied": lambda rng: copy.deepcopy(random_operator(3, rng)).entries,
+    "unpickled": lambda rng: pickle.loads(pickle.dumps(random_state(3, 2, rng))).amplitudes,
 }
 
 
-@pytest.mark.parametrize("name", ADOPTED)
-def test_adopted_amplitudes_cannot_be_made_writable(name, rng):
-    # as for constructor-built values, the array that owns the data is locked too
-    out = ADOPTED[name](rng)
-    amps = out if isinstance(out, np.ndarray) else out.amplitudes
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_arrays_cannot_be_made_writable(name, rng):
+    # the array that owns the data is locked too, so what `_kept` derived from
+    # a value cannot go stale and a shared array cannot change
+    amps = FROZEN[name](rng)
     with pytest.raises(ValueError):
         amps.setflags(write=True)
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@
         --number 24 --claim stored-program-n64 trials_per_ref_s --expected "rises" \
         --parent-commit SHA --summary "what the change does"
 
+A change that claims no gain leaves out --claim and --expected; its record's
+`claim` is null, and every metric still reports whether it is within bound.
+
 DIR is the root of a source checkout of each side (for instance a `git archive`
 of the parent commit and a copy of the working tree). Their `quditbench/`
 files and `BENCHMARK.json` must be identical, so that only the program
@@ -103,6 +106,21 @@ def claim_met(summary: dict, better: str) -> bool:
     return wins >= WIN_SHARE * pairs and gain > parent["q3"] - parent["q1"]
 
 
+def claim_record(end_to_end: dict, workload: str, metric: str, expected: str) -> dict:
+    """The claimed metric's medians, parent quartile distance and wins, and whether the claim is met."""
+    claimed = end_to_end[workload][metric]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "expected": expected,
+        "met": claim_met(claimed, claimed["better"]),
+        "parent_median": claimed["parent"]["median"],
+        "parent_iqr": claimed["parent"]["q3"] - claimed["parent"]["q1"],
+        "change_median": claimed["change"]["median"],
+        "change_wins": claimed["change_wins"],
+    }
+
+
 def summarize(declared: dict, runs: dict) -> dict:
     """End-to-end summaries by workload and metric from each side's list of run results."""
     out = {}
@@ -135,14 +153,16 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"), required=True)
-    parser.add_argument("--expected", required=True, help="the claimed movement, in words")
+    parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"), help="default: no claim")
+    parser.add_argument("--expected", help="the claimed movement, in words; needs --claim")
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--summary", required=True, help="what the change does")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error("need at least two seeds for quartiles")
+    if (args.claim is None) != (args.expected is None):
+        parser.error("--claim and --expected go together")
 
     check_same_benchmark(args.parent, args.change)
     declared = json.loads((args.parent / "BENCHMARK.json").read_text("utf-8"))
@@ -158,23 +178,13 @@ def main() -> int:
             print(f"seed {seed} {side}: correct={runs[side][-1]['correct']}", file=sys.stderr, flush=True)
 
     end_to_end = summarize(declared, runs)
-    workload, metric = args.claim
-    claimed = end_to_end[workload][metric]
+    claim = None if args.claim is None else claim_record(end_to_end, *args.claim, args.expected)
     report = {
         "change": args.summary,
         "parent_commit": args.parent_commit,
         "command": f"python3 quditbench/run.py --workload all --seed S --seconds {seconds:g} --trace 0, "
                    "one run per side and seed, alternating which side runs first",
-        "claim": {
-            "workload": workload,
-            "metric": metric,
-            "expected": args.expected,
-            "met": claim_met(claimed, claimed["better"]),
-            "parent_median": claimed["parent"]["median"],
-            "parent_iqr": claimed["parent"]["q3"] - claimed["parent"]["q1"],
-            "change_median": claimed["change"]["median"],
-            "change_wins": claimed["change_wins"],
-        },
+        "claim": claim,
         "note": NOTE,
         "pairs": len(args.seeds),
         "seeds": args.seeds,
@@ -187,7 +197,7 @@ def main() -> int:
     }
     out = args.out_dir / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", "utf-8")
-    print(f"wrote {out}: claim met = {report['claim']['met']}", file=sys.stderr)
+    print(f"wrote {out}: " + ("no claim" if claim is None else f"claim met = {claim['met']}"), file=sys.stderr)
     return 0
 
 
