@@ -53,26 +53,32 @@ def build_parser() -> argparse.ArgumentParser:
         "describe",
         help="print an operator's matrix, coefficient table and predicted probabilities",
     )
-    desc_p.add_argument("name", help="catalog operator name, or 'inline' with --matrix")
+    desc_p.add_argument("name", help="catalog operator name, or 'inline' with --param matrix=...")
     desc_p.add_argument("--dim", type=int, help="qudit dimension (required unless implied)")
     desc_p.add_argument(
         "--param",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="operator parameter; VALUE parsed as JSON, falling back to a string",
+        help="operator parameter; VALUE (or @FILE, read from FILE) parsed as JSON, falling back to a string",
     )
-    desc_p.add_argument("--matrix", help="inline matrix as JSON [[..,[re,im],..],..] or @file")
     desc_p.add_argument("--out", help="write the description here instead of stdout")
     return parser
 
 
 def _parse_params(pairs) -> dict:
+    """Each --param KEY=VALUE as params[KEY]; a VALUE of @FILE is read from FILE."""
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--param needs KEY=VALUE, got {pair!r}")
         key, raw = pair.split("=", 1)
+        if raw.startswith("@"):
+            try:
+                with open(raw[1:], "r", encoding="utf-8") as fh:
+                    raw = fh.read()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read --param {key} file: {exc}") from exc
         try:
             params[key] = json.loads(raw)
         except (ValueError, RecursionError):
@@ -106,14 +112,11 @@ def _row_line(row) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.config in BUNDLED_CONFIGS:
-        doc = load_bundled_config(args.config)
-        config_name = args.config
-    else:
-        doc = load_config_file(args.config)
-        config_name = doc.get("name", args.config)
+    load = load_bundled_config if args.config in BUNDLED_CONFIGS else load_config_file
+    doc = load(args.config)
     # A config error leaves no --out file, and an unwritable one fails before any scenario runs.
     seed, scenarios = parse_config(doc, args.seed, args.trials)
+    config_name = doc.get("name", args.config)
     with _output(args.out) as out:
         rows = []
         for index, scn in enumerate(scenarios):
@@ -136,22 +139,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    params = _parse_params(args.param)
-    if args.matrix is not None:
-        if "matrix" in params:
-            raise ConfigError("give the matrix either by --matrix or by --param matrix=..., not both")
-        raw = args.matrix
-        if raw.startswith("@"):
-            try:
-                with open(raw[1:], "r", encoding="utf-8") as fh:
-                    raw = fh.read()
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read matrix file: {exc}") from exc
-        try:
-            params["matrix"] = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"--matrix is not valid JSON: {exc}") from exc
-    doc = describe_operator(args.name, args.dim, params)
+    doc = describe_operator(args.name, args.dim, _parse_params(args.param))
     with _output(args.out) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK

@@ -28,7 +28,7 @@ from .programs import (
     reflection_operator,
     u_mn,
 )
-from .registers import DenseOperator, QuditRegisterState
+from .registers import DenseOperator, QuditRegisterState, _locked, _Value
 from .sampling import random_operator, random_state, random_unitary
 
 SCHEMA_VERSION = 1
@@ -40,29 +40,27 @@ SCENARIO_KEYS = frozenset(
      "expected_probability", "tolerance", "seed"}
 )
 
-# Largest qudit dimension a config or `describe` may ask for. From N = 9 the
-# network returns a deferred output (see `processor`), and a run that is only
-# post-selected never makes its N^3 joint state. The full measurement is built
-# exactly as |0> ⊗ |+>, and the support measurement of an operator with every
-# label in its support (every Haar or Ginibre draw) is that same value, so
-# under either it makes N^2 products at every N, of the form 2^a 3^b or not. At
-# any N it allocates a tile of 3 N data amplitudes plus the columns it
-# contracts, at most N^3 amplitudes (16 N^3 bytes) only for a bra whose span
-# covers every column. A program's tile of 8 N^2 amplitudes is made on its first
-# run and kept on the program value: 128 N^2 bytes, 8 MiB at N = 256, per live
-# program. A batch of trials in `run_scenario` holds at
-# most N^2 data states and as many post-selected data states, one joint state's
-# worth each, so the worst case is about 32 N^3 bytes: 0.5 GiB at N = 256,
-# reached only by a draw-free row of at least N^2 trials (at N = 128 such a row
-# of 16384 trials peaked at 120 MB RSS). `parse_config` builds one network per
-# (processor, dim), and only those below N = 9 keep a compiled index (8 N^3
-# bytes): at most 10 KB over N = 2..8, whatever the config's length. Two
-# per-dimension caches keep up to 16 entries each for the life of the process:
-# the full measurement (16 N^2 bytes) and the (i - j) mod N gather index (8 N^2
-# bytes), at most 24 MiB. Rows with the full measurement, time and peak RSS:
-# N = 128, one Haar trial, 0.014-0.015 s at 41 MB; N = 255, one Haar trial,
-# 0.029-0.030 s at 52-53 MB; N = 256, one Haar trial, 0.028-0.030 s at 52 MB, a
-# row of four, 0.065-0.066 s at 52-53 MB, and a draw-free row of 256 trials,
+# Largest qudit dimension a config or `describe` may ask for. How a network
+# runs is the `processor` docstring's; what that costs at this bound is here.
+# From N = 9 a run that is only post-selected never makes its N^3 joint state:
+# it allocates a tile of 3 N data amplitudes plus the columns it contracts, N^2
+# products under the full measurement (and the support measurement of every
+# Haar or Ginibre draw) and at most N^3 amplitudes (16 N^3 bytes) for a bra
+# whose span covers every column. A program's tile of 8 N^2 amplitudes is kept
+# on the program value: 128 N^2 bytes, 8 MiB at N = 256, per live program. A
+# batch of trials in `run_scenario` holds at most N^2 data states and as many
+# post-selected data states, one joint state's worth each, so the worst case is
+# about 32 N^3 bytes: 0.5 GiB at N = 256, reached only by a draw-free row of at
+# least N^2 trials (at N = 128 such a row of 16384 trials peaked at 120 MB
+# RSS). `parse_config` builds one network per (processor, dim), and only those
+# below N = 9 keep a compiled index (8 N^3 bytes): at most 10 KB over
+# N = 2..8, whatever the config's length. Two per-dimension caches keep up to
+# 16 entries each for the life of the process: the full measurement (16 N^2
+# bytes) and the (i - j) mod N gather index (8 N^2 bytes), at most 24 MiB.
+# Rows with the full measurement, time and peak RSS: N = 128, one Haar trial,
+# 0.014-0.015 s at 41 MB; N = 255, one Haar trial, 0.029-0.030 s at 52-53 MB;
+# N = 256, one Haar trial, 0.028-0.030 s at 52 MB, a row of four,
+# 0.065-0.066 s at 52-53 MB, and a draw-free row of 256 `example2` trials,
 # whose one program is tiled once, 0.10-0.17 s at 52 MB. Timed through
 # `run_config` in a fresh process on a 2-core Xeon with Python 3.11.7, numpy
 # 2.4.6 and one BLAS thread.
@@ -153,7 +151,7 @@ def _matrix(what: str, rows) -> np.ndarray:
             f"{what}: Tr(A†A) is {gram!r}; it must lie in [{low:g}, {high:g}]. The outcome "
             "does not depend on the matrix's scale, so rescale the matrix into that range"
         )
-    return mat
+    return _locked(mat)
 
 
 def _state(what: str, value):
@@ -174,7 +172,7 @@ def _state(what: str, value):
             norm = scale * float(np.linalg.norm(parts / scale))
     if not 1e-12 < norm < np.inf:
         raise ConfigError(f"{what} has norm {norm!r}; it must be finite and above 1e-12")
-    return amps / norm
+    return _locked(amps / norm)
 
 
 # --- operator catalog -----------------------------------------------------------
@@ -257,13 +255,12 @@ CATALOG = {
 def check_operator(name, params: dict, dim: int | None = None) -> tuple[dict, int]:
     """Type an operator spec against its catalog entry; returns (typed params, dim).
 
-    A "dim" parameter must agree with `dim`; with neither given, the entry's
-    dimension rule supplies it.
+    `dim` None takes the entry's dimension rule, which a given `dim` must meet.
     """
     entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
         raise ConfigError(f"unknown operator name: {name!r}")
-    unknown = sorted(params.keys() - entry.params.keys() - entry.optional.keys() - {"dim"})
+    unknown = sorted(params.keys() - entry.params.keys() - entry.optional.keys())
     if unknown:
         raise ConfigError(f"operator {name!r} takes no parameter {unknown[0]!r}")
     typed = {}
@@ -273,12 +270,11 @@ def check_operator(name, params: dict, dim: int | None = None) -> tuple[dict, in
         typed[key] = kind(f"{name} parameter {key!r}", params[key])
     for key, (kind, default) in entry.optional.items():
         typed[key] = kind(f"{name} parameter {key!r}", params[key]) if key in params else default
-    own = _int(f"{name} parameter 'dim'", params["dim"]) if "dim" in params else None
-    for implied in (own, entry.dim(typed) if entry.dim else None):
-        if dim is None:
-            dim = implied
-        elif implied is not None and implied != dim:
-            raise ConfigError(f"operator {name!r} needs dim {implied}, got {dim}")
+    implied = entry.dim(typed) if entry.dim else None
+    if dim is None:
+        dim = implied
+    elif implied is not None and implied != dim:
+        raise ConfigError(f"operator {name!r} needs dim {implied}, got {dim}")
     if dim is None:
         raise ConfigError(f"operator {name!r} needs an explicit dim")
     dim = _int("dim", dim, 2, MAX_DIM)
@@ -298,8 +294,8 @@ def build_operator(name: str, params: dict, dim: int, rng: np.random.Generator |
     return CATALOG[name].build(params, dim, rng)
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(_Value):
     id: str
     dim: int
     processor: GateArray
@@ -411,8 +407,8 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     return seed, scenarios
 
 
-def load_config_file(path) -> dict:
-    """Read and parse a JSON config; every failure maps to ConfigError."""
+def load_config_file(path):
+    """Read a JSON document, which `parse_config` checks; a read or JSON failure is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -420,8 +416,6 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     return doc
 
 

@@ -18,6 +18,7 @@ from .programs import hs_expand, measurement_full, measurement_restricted, progr
 from .registers import (
     DenseOperator,
     QuditRegisterState,
+    _Value,
     inner_product,
     partial_inner_product,
 )
@@ -34,8 +35,8 @@ class StateAnnihilatedError(ValueError):
     """The operator maps this state to (numerically) zero; no oracle state exists."""
 
 
-@dataclass(frozen=True)
-class PostSelectionOutcome:
+@dataclass(frozen=True, eq=False)
+class PostSelectionOutcome(_Value):
     """Result of one post-selected run.
 
     data_state is absent when the success probability falls below the cutoff;

@@ -116,8 +116,8 @@ class TensorQubitArray(GateArray):
         super().__init__(2, l, gates)
 
 
-@dataclass(frozen=True)
-class GeneralDiagonal:
+@dataclass(frozen=True, eq=False)
+class GeneralDiagonal(_Value):
     """Processor of the form sum_n V_n ⊗ |y_n><y_n|.
 
     The V_n must be unitary on the data qudit and the program basis vectors

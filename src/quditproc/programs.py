@@ -110,8 +110,8 @@ def _expand(op: DenseOperator) -> HsExpansion:
 
 
 # Kept as a wrapper because quditbench/workload.py reads `.state` from it.
-@dataclass(frozen=True)
-class ProgramVector:
+@dataclass(frozen=True, eq=False)
+class ProgramVector(_Value):
     """Normalized two-qudit program state for one operator."""
 
     state: QuditRegisterState

@@ -5,9 +5,10 @@ digit, so the basis state |n>_1 |m>_2 |k>_3 sits at flat index (n*N + m)*N + k.
 Subsystem indices in the public API are 1-based throughout.
 
 The rule for values is kept here alone. A value (a register, an operator, an
-expansion, a gate array) is frozen once constructed and every function here is
-pure, so all are safe to share across threads or processes. Every array a value
-exposes goes through `_locked`: a read-only view whose owner is locked too, so
+expansion, a processor, a program, an outcome, a scenario) is frozen once
+constructed and every function here is pure, so all are safe to share across
+threads or processes. Every array a value exposes, in a dict field too, goes
+through `_locked`: a read-only view whose owner is locked too, so
 it cannot be made writable again. `_kept` writes a value derived on first use
 (an operator's Tr(A†A) or expansion, an expansion's support size, a bra's
 nonzero span, a program's strided-network tile, a gate array's layout or
@@ -111,17 +112,21 @@ def _kept(value, name: str, compute):
 
 
 def _equal_values(a, b):
-    """The same class, equal scalar fields and `np.array_equal` arrays.
+    """The same class, equal scalar fields and `np.array_equal` arrays, in a dict field too.
 
     A dataclass `==` compares fields as tuples, where an array's `==` is not a bool.
     """
     if type(a) is not type(b):
         return NotImplemented
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
-            return False
-    return True
+    return all(_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _equal(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_equal(x[k], y[k]) for k in x)
+    return x == y
 
 
 class _Value:
@@ -134,7 +139,15 @@ class _Value:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state):
-        vars(self).update({k: _locked(v) if isinstance(v, np.ndarray) else v for k, v in state.items()})
+        vars(self).update({k: _relocked(v) for k, v in state.items()})
+
+
+def _relocked(value):
+    if isinstance(value, np.ndarray):
+        return _locked(value)
+    if isinstance(value, dict):
+        return {k: _relocked(v) for k, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditproc import DenseOperator, hs_expand, predicted_probability, program_from_expansion, random_state
+from quditproc import (
+    DenseOperator,
+    hs_expand,
+    predicted_probability,
+    program_from_expansion,
+    random_state,
+    random_unitary,
+)
 from quditproc.cli import main
 from quditproc.harness import (
     CATALOG,
@@ -142,52 +149,16 @@ def test_invalid_json_config_exits_2(tmp_path):
     assert run_cli(["run", "--config", str(cfg)]) == 2
 
 
-def test_operator_dim_key_checked_against_scenario(tmp_path):
-    cfg = tmp_path / "dimkey.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "seed": 1,
-                "scenarios": [
-                    {
-                        "id": "redundant-dim",
-                        "dim": 2,
-                        "operator": {"name": "identity", "dim": 3},
-                        "measurement": "full",
-                    }
-                ],
-            }
-        )
-    )
-    assert run_cli(["run", "--config", str(cfg)]) == 2
-
-
-def test_operator_dim_key_accepted_when_consistent(tmp_path):
-    cfg = tmp_path / "dimok.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "seed": 1,
-                "scenarios": [
-                    {
-                        "id": "inline-with-dim",
-                        "dim": 2,
-                        "operator": {
-                            "dim": 2,
-                            "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
-                            "label": "flip",
-                        },
-                        "measurement": "support",
-                        "expected_probability": 1.0,
-                    }
-                ],
-            }
-        )
-    )
-    out = tmp_path / "report.json"
-    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+# The scenario's `dim` is the operator's: an operator `dim` key is unknown, equal or not.
+@pytest.mark.parametrize("dim", [2, 3], ids=["same-dim", "other-dim"])
+def test_an_operator_dim_key_is_a_config_error(dim, tmp_path, capsys):
+    cfg, out = tmp_path / "dimkey.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(one_scenario(operator={"matrix": FLIP, "dim": dim})))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: scenario 's': operator 'inline' takes no parameter 'dim'\n"
+    assert not out.exists()
+    assert run_cli(["describe", "identity", "--dim", "2", "--param", f"dim={dim}"]) == 2
+    assert capsys.readouterr().err == "config error: operator 'identity' takes no parameter 'dim'\n"
 
 
 def test_dim_mismatch_config_exits_2_without_output(tmp_path):
@@ -351,7 +322,7 @@ def test_describe_unknown_name_exits_2():
 
 def test_describe_inline_matrix_round_trip(capsys):
     mat = [[[0.25, -0.125], [1.0, 0.5]], [[0.75, 0.0], [-0.33203125, 2.0]]]
-    code = run_cli(["describe", "inline", "--matrix", json.dumps(mat)])
+    code = run_cli(["describe", "inline", "--param", f"matrix={json.dumps(mat)}"])
     assert code == 0
     doc = strict_json(capsys.readouterr().out)
     parsed = matrix_from_json(doc["matrix"])
@@ -359,12 +330,46 @@ def test_describe_inline_matrix_round_trip(capsys):
     assert np.max(np.abs(parsed - original)) < 1e-15
 
 
-def test_describe_rejects_a_matrix_given_twice(capsys):
-    mat = json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
-    assert run_cli(["describe", "inline", "--matrix", mat, "--param", f"matrix={mat}"]) == 2
-    assert capsys.readouterr().err == (
-        "config error: give the matrix either by --matrix or by --param matrix=..., not both\n"
-    )
+# A 64 x 64 matrix is more JSON than Linux lets one command-line argument hold
+# (128 KiB), so only a file can give it to the console command.
+HAAR_64 = matrix_to_json(random_unitary(64, np.random.default_rng(2)).entries)
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["inline"], "matrix", [[[0.5, 0.25], [1, 0]], [[0, -0.75], [0.125, 2]]]),
+        (["inline"], "matrix", HAAR_64),
+        (["reflection", "--dim", "2"], "phi", [[0.6, 0], [0.8, 0]]),
+        (["example2", "--dim", "4"], "theta", 0.3),
+    ],
+    ids=["matrix", "matrix-64", "phi", "theta"],
+)
+def test_describe_reads_a_param_file_as_its_inline_json(argv, key, value, tmp_path, capsys):
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(value, indent=1) + "\n")
+    assert run_cli(["describe", *argv, "--param", f"{key}={json.dumps(value)}"]) == 0
+    inline = capsys.readouterr().out
+    assert run_cli(["describe", *argv, "--param", f"{key}=@{path}"]) == 0
+    assert capsys.readouterr().out == inline
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_an_unreadable_param_file_exits_2(target, tmp_path, capsys):
+    path = tmp_path / "missing.json" if target == "missing" else tmp_path
+    out = tmp_path / "description.json"
+    assert run_cli(["describe", "inline", "--param", f"matrix=@{path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read --param matrix file:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_describe_has_no_matrix_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["describe", "inline", "--matrix", json.dumps(FLIP)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --matrix" in capsys.readouterr().err
 
 
 def test_matrix_json_round_trip_exact():
@@ -500,6 +505,8 @@ RUN_FAULTS = [
     pytest.param(one_scenario(root={"name": {"a": 1}}), id="name-object"),
     pytest.param(one_scenario(root={"name": 3}), id="name-int"),
     pytest.param(one_scenario(processor=["qubit-cnot"]), id="processor-list"),
+    pytest.param([one_scenario()], id="root-list"),
+    pytest.param("paper-claims", id="root-string"),
 ]
 
 
@@ -520,10 +527,10 @@ DESCRIBE_FAULTS = [
     pytest.param(["family", "--dim", "2", "--param", "l=3", "--param", "phi=0.1"], id="family-dim-mismatch"),
     pytest.param(["example1", "--param", "phi=nan"], id="phi-nan-string"),
     pytest.param(["example1", "--param", "phi=NaN"], id="phi-nan"),
-    pytest.param(["inline", "--matrix", json.dumps(ZERO)], id="inline-zero"),
-    pytest.param(["inline", "--matrix", json.dumps(HUGE)], id="inline-overflow"),
-    pytest.param(["inline", "--matrix", json.dumps(SUBNORMAL)], id="inline-subnormal"),
-    *(pytest.param(["inline", "--matrix", json.dumps(m)], id=k) for k, m in SCALE_FAULTS.items()),
+    pytest.param(["inline", "--param", f"matrix={json.dumps(ZERO)}"], id="inline-zero"),
+    pytest.param(["inline", "--param", f"matrix={json.dumps(HUGE)}"], id="inline-overflow"),
+    pytest.param(["inline", "--param", f"matrix={json.dumps(SUBNORMAL)}"], id="inline-subnormal"),
+    *(pytest.param(["inline", "--param", f"matrix={json.dumps(m)}"], id=k) for k, m in SCALE_FAULTS.items()),
     pytest.param(["family", "--param", "l=-1", "--param", "phi=0.1"], id="family-l-negative"),
     pytest.param(["identity", "--dim", "1000"], id="dim-above-max"),
     pytest.param(["family", "--param", "l=100", "--param", "phi=0.1"], id="family-l-above-max"),
@@ -746,7 +753,7 @@ DELETE = object()
 VALID_SCENARIOS = load_bundled_config("paper-claims")["scenarios"] + [
     {"id": "flip", "dim": 2, "operator": {"matrix": FLIP, "label": "flip"}, "data_state": [[1, 0], [0, 0]]},
     {"id": "axis", "dim": 2, "operator": {"name": "reflection", "phi": [[0.6, 0], [0.8, 0]]}, "seed": 4},
-    {"id": "basis", "dim": 3, "operator": {"name": "u_mn", "m": 1, "n": 2, "dim": 3}},
+    {"id": "basis", "dim": 3, "operator": {"name": "u_mn", "m": 1, "n": 2}},
 ]
 SCENARIO_KEYS = sorted({key for scn in VALID_SCENARIOS for key in scn} | {"seed"})
 OPERATOR_KEYS = sorted(

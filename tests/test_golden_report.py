@@ -90,7 +90,7 @@ DESCRIBE_CASES = {
     "describe-example2-dim6.json": ["example2", "--dim", "6", "--param", "theta=0.3"],
     "describe-reflection-dim2.json": ["reflection", "--dim", "2", "--param", "phi=[[0.6,0],[0.8,0]]"],
     "describe-family-l3.json": ["family", "--param", "l=3", "--param", "phi=0.43"],
-    "describe-inline-2x2.json": ["inline", "--matrix", "[[[0.5,0.25],[1,0]],[[0,-0.75],[0.125,2]]]"],
+    "describe-inline-2x2.json": ["inline", "--param", "matrix=[[[0.5,0.25],[1,0]],[[0,-0.75],[0.125,2]]]"],
 }
 
 

@@ -4,6 +4,7 @@ network per processor and dim in a parsed config."""
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -50,6 +51,31 @@ def test_draws_says_whether_build_moves_the_rng(name, dim, params):
     build_operator(name, typed, dim, rng)
     moved = rng.bit_generator.state != before
     assert CATALOG[name].draws(typed) == moved
+
+
+def test_two_parses_of_one_config_are_equal_scenarios():
+    # An inline matrix and an explicit phi are arrays in `operator_params`,
+    # where the generated dataclass `==` raised comparing them.
+    doc = {
+        "schema": 1,
+        "scenarios": [
+            {"id": "flip", "dim": 2, "operator": {"matrix": FLIP}, "data_state": [[1, 0], [0, 0]]},
+            {"id": "axis", "dim": 2, "operator": {"name": "reflection", "phi": [[0.6, 0], [0.8, 0]]}},
+        ],
+    }
+    first, second = parse_config(doc)[1], parse_config(doc)[1]
+    assert first == second and first[0] is not second[0]
+    assert first[0] != first[1]
+    assert first[1] != dataclasses.replace(first[1], operator_params={"phi": "random"})
+    with pytest.raises(TypeError, match="^unhashable type: 'Scenario'$"):
+        hash(first[0])
+    copies = [pickle.loads(pickle.dumps(scn)) for scn in first]
+    assert copies == first
+    arrays = [v for scn in first + copies for v in scn.operator_params.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
 
 
 def scenario(operator, **fields):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from quditproc import (
     DenseOperator,
+    GeneralDiagonal,
     QuditRegisterState,
     ShiftDirection,
     UnnormalizedVector,
@@ -25,6 +26,8 @@ from quditproc import (
     negation_w,
     partial_inner_product,
     pauli_s,
+    post_select,
+    program_from_expansion,
     random_operator,
     random_state,
     random_unitary,
@@ -192,6 +195,38 @@ def test_distinct_equal_values_are_equal_and_unhashable(rng):
         assert a is not b and a == b and not a != b
         with pytest.raises(TypeError):
             hash(a)
+
+
+def _diagonal(rng):
+    labels = [(0, 0), (1, 1)]
+    return GeneralDiagonal(tuple(random_unitary(3, rng) for _ in labels), tuple(bell_state(3, lab) for lab in labels))
+
+
+def _outcome(rng):
+    data, program = random_state(3, 1, rng), bell_state(3, (1, 2))
+    return post_select(apply_processor(QuditShiftNetwork(3), data, program), bell_state(3, (1, 2)), data)
+
+
+# Frozen dataclasses whose fields hold registers or operators: the generated
+# `hash` failed naming a field's type, and `==` is `_Value`'s.
+COMPOSITE_VALUES = {
+    "GeneralDiagonal": _diagonal,
+    "ProgramVector": lambda rng: program_from_expansion(hs_expand(random_operator(3, rng))),
+    "PostSelectionOutcome": _outcome,
+}
+
+
+@pytest.mark.parametrize("kind", COMPOSITE_VALUES)
+def test_composite_values_compare_exactly_and_refuse_hash_in_their_own_name(kind):
+    a, b = (COMPOSITE_VALUES[kind](np.random.default_rng(4)) for _ in range(2))
+    assert a is not b and a == b and not a != b
+    assert a != COMPOSITE_VALUES[kind](np.random.default_rng(5))
+    with pytest.raises(TypeError, match=f"^unhashable type: '{kind}'$"):
+        hash(a)
+    for clone in (copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        made = clone(a)
+        assert type(made) is type(a) and made == a
+        assert set(vars(made)) == {f.name for f in dataclasses.fields(a)}
 
 
 def test_values_differing_in_a_field_or_class_are_unequal():
