@@ -13,6 +13,7 @@ import sys
 from .harness import (
     MAX_TRIALS,
     ConfigError,
+    _load_json,
     describe_operator,
     load_bundled_config,
     load_config_file,
@@ -60,29 +61,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="operator parameter; VALUE (or @FILE, read from FILE) parsed as JSON, falling back to a string",
+        help="operator parameter; VALUE (or @FILE, read from FILE) is JSON, so a string is quoted",
     )
     desc_p.add_argument("--out", help="write the description here instead of stdout")
     return parser
 
 
 def _parse_params(pairs) -> dict:
-    """Each --param KEY=VALUE as params[KEY]; a VALUE of @FILE is read from FILE."""
+    """Each --param KEY=VALUE as params[KEY], VALUE read as JSON; a VALUE of @FILE is read from FILE."""
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--param needs KEY=VALUE, got {pair!r}")
         key, raw = pair.split("=", 1)
+        if key in params:
+            raise ConfigError(f"--param {key} is given twice")
+        what = f"--param {key}"
         if raw.startswith("@"):
+            what = f"--param {key} file {raw[1:]!r}"
             try:
                 with open(raw[1:], "r", encoding="utf-8") as fh:
                     raw = fh.read()
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read --param {key} file: {exc}") from exc
-        try:
-            params[key] = json.loads(raw)
-        except (ValueError, RecursionError):
-            params[key] = raw
+        params[key] = _load_json(raw, what)
     return params
 
 

@@ -407,16 +407,34 @@ def parse_config(doc, seed_override: int | None = None, trials_override: int | N
     return seed, scenarios
 
 
+def _unique_keys(pairs) -> dict:
+    # A JSON object with a key given twice would keep only the last value.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is given twice")
+        doc[key] = value
+    return doc
+
+
+def _load_json(text: str, what: str):
+    """The JSON value in `text`; broken JSON or a repeated key is a ConfigError naming `what`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config_file(path):
     """Read a JSON document, which `parse_config` checks; a read or JSON failure is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    return doc
+    return _load_json(text, f"config {path!r}")
 
 
 def load_bundled_config(name: str) -> dict:
@@ -425,7 +443,7 @@ def load_bundled_config(name: str) -> dict:
         text = resources.files("quditproc").joinpath("configs").joinpath(filename).read_text("utf-8")
     except (FileNotFoundError, ModuleNotFoundError) as exc:
         raise ConfigError(f"no bundled config named {name!r}") from exc
-    return json.loads(text)
+    return _load_json(text, f"bundled config {name!r}")
 
 
 def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:

@@ -19,8 +19,8 @@ per value. It runs one of two ways, chosen by `_layout`:
   product, the output's only joint-sized allocation; a post-selection of the
   unread output makes only the columns of its bra's nonzero span, N^2
   products under the full measurement |0> ⊗ |+> instead of N^3, at every N,
-  because `programs.measurement_full` builds that bra exactly. It is the
-  whole network, not a second path for one gate;
+  because `programs` builds every full Bell column of a measurement exactly,
+  with one nonzero. It is the whole network, not a second path for one gate;
 - any other array (such as the qudit network at N <= 8 or the CNOT network) is
   compiled once per value by running its gates through `conditional_shift`
   on the int64 index ramp, and the index is kept on the value; each run is

@@ -5,7 +5,9 @@ A = sum_mn q_mn u(m,n) with q_mn = Tr[u(m,n)† A] / N. The normalized vector of
 those coefficients over the Bell basis is the program state that makes the
 processor apply A (up to normalization) after a successful program-register
 measurement. This module provides the expansion, the program and measurement
-vectors, and the named operators that `harness.CATALOG` builds.
+vectors, and the named operators that `harness.CATALOG` builds. Every
+measurement vector comes from one rule, `_uniform_bell`, over a mask of Bell
+labels; `measurement_full(N)` is built once per N and shared.
 """
 
 from __future__ import annotations
@@ -128,30 +130,25 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
 def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
     """sum |Xi_mn> / sqrt(S) over the S labels (m, n) set in the N x N boolean mask.
 
-    A mask of every label gives the shared `measurement_full(N)`; any other
-    goes through the Bell-basis FFT.
+    The Bell-basis FFT, then each full column (every m set) in its closed form,
+    sqrt(N / S) at k = 0 and +0.0 where the FFT leaves round-off that would
+    widen the span `partial_inner_product` contracts.
     """
     size = np.count_nonzero(mask)
     if not size:
         raise ValueError("measurement needs at least one Bell label")
-    if size == dim * dim:
-        return measurement_full(dim)
-    return QuditRegisterState(dim, 2, bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size)))
+    amps = bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size))
+    # Column n sits at flat indices F[:, n], its k = 0 entry at F[0, n].
+    full = _difference_index(dim)[:, mask.all(axis=0)]
+    amps[full] = 0.0
+    amps[full[0]] = 1 / np.sqrt(size / dim)
+    return QuditRegisterState(dim, 2, amps)
 
 
 @functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)
 def measurement_full(dim: int) -> QuditRegisterState:
-    """Uniform superposition of all N^2 Bell states, weight 1/N each.
-
-    Summing |Xi_mn> over m leaves only k = 0, so the sum is |0> ⊗ |+>:
-    1/sqrt(N) at flat indices 0..N-1 and exact zeros elsewhere. It is built in
-    that closed form, not by the FFT, whose round-off away from those indices
-    would widen the span that `partial_inner_product` contracts to almost all
-    N^2 columns. Built once per N and shared.
-    """
-    amps = np.zeros(dim * dim, dtype=complex)
-    amps[:dim] = 1 / np.sqrt(dim)
-    return QuditRegisterState(dim, 2, amps)
+    """All N^2 Bell states, weight 1/N each: |0> ⊗ |+> exactly, built once per N and shared."""
+    return _uniform_bell(dim, np.ones((dim, dim), dtype=bool))
 
 
 def measurement_for_labels(dim: int, labels) -> QuditRegisterState:
@@ -168,9 +165,11 @@ def measurement_restricted(expansion: HsExpansion) -> QuditRegisterState:
     """Measurement restricted to the expansion's support labels.
 
     For a unitary operator this boosts the success probability from 1/N^2 to
-    1/S, S the support size.
+    1/S, S the support size. A full support (every Haar or Ginibre draw) gives
+    the shared `measurement_full(N)`.
     """
-    return _uniform_bell(expansion.dim, expansion._support_mask())
+    mask = expansion._support_mask()
+    return measurement_full(expansion.dim) if mask.all() else _uniform_bell(expansion.dim, mask)
 
 
 # --- named operator catalog ------------------------------------------------

@@ -311,9 +311,10 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     this is one reshape to (rest, bra size) and one matrix-vector product over
     the columns of the bra's nonzero span [lo, hi), the first and one past the
     last nonzero amplitude, found once per bra value. For a dense bra that is
-    every column. The full measurement is built exactly as |0> ⊗ |+>, with no
-    round-off past index N, so its span is [0, N) at every N and the product
-    reads N^2 of the joint state's N^3 amplitudes. When `joint` is
+    every column. Every full Bell column of a measurement is built exactly,
+    one nonzero and exact zeros, so the full measurement |0> ⊗ |+> spans
+    [0, N) at every N and the product reads N^2 of the joint state's N^3
+    amplitudes. When `joint` is
     an unread `_deferred` value, only those columns are made. The result lives
     on the leading subsystems in their original order; its squared norm is the
     probability of projecting the trailing subsystems onto |bra>.

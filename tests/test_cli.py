@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditproc.harness as harness_module
 from quditproc import (
     DenseOperator,
     hs_expand,
@@ -88,6 +89,18 @@ def test_csv_format(tmp_path):
     assert len(lines) == 14  # header + 13 scenarios
 
 
+def test_csv_leaves_an_absent_value_empty(tmp_path):
+    # a row with no expected_probability has nothing in that column
+    doc = one_scenario(operator={"name": "u_mn", "m": 1, "n": 0})
+    cfg, out = tmp_path / "open.json", tmp_path / "report.csv"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["expected_probability"] == ""
+    assert cells["passed"] == "true"
+
+
 def test_empty_scenario_list_is_valid(tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"schema": 1, "seed": 1, "scenarios": []}))
@@ -147,6 +160,39 @@ def test_invalid_json_config_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert run_cli(["run", "--config", str(cfg)]) == 2
+
+
+# A JSON object that repeats a key would keep only the last value; json.dumps
+# cannot write one, so these configs are raw text.
+REPEATED_KEYS = {
+    "root": ('{"schema": 1, "seed": 1, "seed": 2, "scenarios": []}', "seed"),
+    "scenario": (
+        '{"schema": 1, "scenarios": [{"id": "s", "dim": 2, "dim": 3, "operator": {"name": "identity"}}]}',
+        "dim",
+    ),
+    "operator": (
+        '{"schema": 1, "scenarios": [{"id": "s", "dim": 4, "operator": {"name": "example2", "theta": 0.1, "theta": 0.9}}]}',
+        "theta",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, key", REPEATED_KEYS.values(), ids=REPEATED_KEYS)
+def test_a_repeated_config_key_exits_2(text, key, tmp_path, capsys):
+    cfg, out = tmp_path / "twice.json", tmp_path / "report.json"
+    cfg.write_text(text)
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config {str(cfg)!r}: key {key!r} is given twice\n"
+    assert not out.exists()
+
+
+def test_a_repeated_key_in_the_bundled_config_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "paper_claims.json").write_text(REPEATED_KEYS["root"][0])
+    monkeypatch.setattr(harness_module.resources, "files", lambda package: tmp_path)
+    assert run_cli(["run", "--config", "paper-claims"]) == 2
+    assert capsys.readouterr().err == "config error: bundled config 'paper-claims': key 'seed' is given twice\n"
 
 
 # The scenario's `dim` is the operator's: an operator `dim` key is unknown, equal or not.
@@ -365,6 +411,28 @@ def test_an_unreadable_param_file_exits_2(target, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_broken_json_in_a_param_file_says_where_it_broke(tmp_path, capsys):
+    # the JSON breaks at its end, where the last bracket is missing
+    path, out = tmp_path / "matrix.json", tmp_path / "description.json"
+    text = json.dumps(FLIP)[:-1]
+    path.write_text(text)
+    assert run_cli(["describe", "inline", "--param", f"matrix=@{path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: --param matrix file {str(path)!r} is not valid JSON: "
+        f"Expecting ',' delimiter: line 1 column {len(text) + 1} (char {len(text)})\n"
+    )
+    assert not out.exists()
+
+
+def test_a_param_string_is_quoted_json(capsys):
+    argv = ["describe", "inline", "--param", f"matrix={json.dumps(FLIP)}"]
+    assert run_cli([*argv, "--param", 'label="mine"']) == 0
+    assert strict_json(capsys.readouterr().out)["label"] == "mine"
+    assert run_cli([*argv, "--param", "label=mine"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --param label is not valid JSON:")
+
+
 def test_describe_has_no_matrix_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["describe", "inline", "--matrix", json.dumps(FLIP)])
@@ -507,6 +575,12 @@ RUN_FAULTS = [
     pytest.param(one_scenario(processor=["qubit-cnot"]), id="processor-list"),
     pytest.param([one_scenario()], id="root-list"),
     pytest.param("paper-claims", id="root-string"),
+    pytest.param(one_scenario(processor="qubit-cnot", dim=3), id="qubit-cnot-dim-3"),
+    pytest.param(one_scenario(data_state=[[1, 0], [0, 0], [0, 0]]), id="data-state-length"),
+    pytest.param(one_scenario(data_state=[1, 0]), id="data-state-not-pairs"),
+    pytest.param(one_scenario(operator={"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]]}), id="matrix-entry-triple"),
+    pytest.param(one_scenario(operator={"matrix": [[[1, 0], [0, 0]], [[1, 0]]]}), id="matrix-ragged"),
+    pytest.param({"schema": 1, "scenarios": [one_scenario()["scenarios"][0]] * 2}, id="scenario-id-twice"),
 ]
 
 
@@ -535,6 +609,10 @@ DESCRIBE_FAULTS = [
     pytest.param(["identity", "--dim", "1000"], id="dim-above-max"),
     pytest.param(["family", "--param", "l=100", "--param", "phi=0.1"], id="family-l-above-max"),
     pytest.param(["identity"], id="no-dim"),
+    pytest.param(["example2", "--dim", "4", "--param", "theta=0.1", "--param", "theta=0.9"], id="param-twice"),
+    pytest.param(["example2", "--dim", "4", "--param", "theta"], id="param-without-value"),
+    pytest.param(["inline", "--param", f"matrix={json.dumps(FLIP)[:-1]}"], id="param-broken-json"),
+    pytest.param(["example2", "--dim", "4", "--param", 'theta={"a": 1, "a": 2}'], id="param-repeated-key"),
 ]
 
 

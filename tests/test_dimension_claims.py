@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 
 from quditproc import (
     QuditShiftNetwork,
+    basis_state,
     example2_operator,
     family_operator,
     hs_expand,
+    measurement_restricted,
     predicted_probability,
     random_state,
     random_unitary,
+    reflection_operator,
     run_experiment,
 )
 from quditproc.harness import MAX_DIM
@@ -100,11 +103,19 @@ def test_haar_unitary_gives_inverse_support_size_under_the_support_measurement(d
 @pytest.mark.slow
 def test_claims_hold_across_the_whole_range_up_to_max_dim():
     # the sweep behind the drawn properties above: every even N for the
-    # two-term rotation, every l for the family, and Haar unitaries at the top,
-    # of the form 2^a 3^b (128, 192, 256) or not (127, 251, 255)
+    # two-term rotation, every N for the reflection about |1>, every l for the
+    # family, and Haar unitaries at the top, of the form 2^a 3^b (128, 192,
+    # 256) or not (127, 251, 255)
     rng = np.random.default_rng(2024)
     for dim in range(2, MAX_DIM + 1, 2):
         assert_claim(example2_operator(0.7, dim), "support", 0.5, rng)
+    for dim in range(3, MAX_DIM + 1):
+        # its support is the whole column n = 0, S = N, so its bra is one
+        # closed-form entry; FFT round-off there would span up to N^2 columns
+        op = reflection_operator(basis_state(dim, 1, [1]))
+        assert hs_expand(op).support_size() == dim
+        assert np.count_nonzero(measurement_restricted(hs_expand(op)).amplitudes) == 1
+        assert_claim(op, "support", 1 / dim, rng)
     for l in range(1, MAX_DIM.bit_length()):
         assert_claim(family_operator(l, 0.3), "support", 2 / (2**l + 2), rng)
     for dim in (127, 128, 192, 251, 255, 256):

@@ -2,9 +2,9 @@
 
 Each is built once per N and shared. The reference constructions below are the
 inline index expressions they replaced; the cached paths must equal them bit
-for bit. The full measurement is built in its closed form |0> ⊗ |+>, so its
-reference is that form, and the Bell-basis FFT it replaced must agree with it
-to round-off.
+for bit. Every Bell column of the full measurement is full, so it is built in
+its closed form |0> ⊗ |+>; its reference is that form, and the plain
+Bell-basis FFT must agree with it to round-off.
 """
 
 import os

@@ -39,6 +39,7 @@ from quditproc import (
     qubit_network_matches_shift_network,
     random_state,
     random_unitary,
+    reflection_operator,
     run_experiment,
     tensor,
     u_mn,
@@ -601,6 +602,33 @@ def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
     assert first_peak < psi_bytes + prog_bytes + block_bytes + buffer_bytes + slack
     assert peak - before < psi_bytes + block_bytes + buffer_bytes + slack
     assert outcome.data_state is not None
+
+
+def test_support_measurement_with_a_full_column_post_selects_one_column(rng):
+    # The reflection about |1> has every label of column n = 0 in its support
+    # (S = N for N >= 3), so its support bra is sqrt(N / S) |0>|0>: one
+    # nonzero, span [0, 1), and post-selection makes N products. Built by the
+    # FFT alone, the column's round-off left nonzeros across up to N^2 columns
+    # at N = 255, and the same run peaked at 240 MiB. The program's tile,
+    # 128 N^2 B, is made on its first run and kept, so the traced run is a
+    # stored program's.
+    dim = 255
+    op = reflection_operator(basis_state(dim, 1, [1]))
+    expansion = hs_expand(op)
+    program = program_from_expansion(expansion).state
+    spec, meas = QuditShiftNetwork(dim), measurement_restricted(expansion)
+    psi = random_state(dim, 1, rng)
+    assert np.flatnonzero(meas.amplitudes).tolist() == [0]
+    post_select(apply_processor(spec, psi, program), meas)
+    tracemalloc.start()
+    try:
+        outcome = post_select(apply_processor(spec, psi, program), meas, oracle_apply(op, psi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert abs(outcome.probability - 1 / dim) <= 1e-10 / dim
+    assert outcome.oracle_fidelity >= 1 - 1e-10
 
 
 def _tile_name(spec) -> str:

@@ -190,24 +190,60 @@ def test_full_measurement_is_normalized(dim):
 @pytest.mark.parametrize("dim", range(2, 257))
 def test_full_measurement_is_zero_ket_plus(dim):
     # sum_mn |Xi_mn> / N = |0> ⊗ |+>: 1/sqrt(N) at flat indices 0..N-1 and
-    # exact zeros elsewhere, so post-selection under it reads only those
-    # columns of the joint state. The Bell-basis FFT of N^2 equal weights
-    # leaves round-off (about 1e-17 at N = 5) past index N at every N not of
-    # the form 2^a 3^b, which would widen that span to almost every column.
+    # +0.0 elsewhere, bit for bit (the bytes compare the sign of zero too), so
+    # post-selection under it reads only those columns of the joint state. The
+    # Bell-basis FFT of N^2 equal weights leaves round-off (about 1e-17 at
+    # N = 5) past index N at every N not of the form 2^a 3^b, which would widen
+    # that span to almost every column.
     meas = measurement_full(dim)
     closed_form = np.zeros(dim * dim, dtype=complex)
     closed_form[:dim] = 1 / np.sqrt(dim)
-    assert np.array_equal(meas.amplitudes, closed_form)
+    assert meas.amplitudes.tobytes() == closed_form.tobytes()
     assert _kept(meas, "_nonzero_span", _nonzero_span) == (0, dim)
     assert max_abs_diff(meas.amplitudes, bell_basis_matrix(dim, np.ones(dim * dim) / dim)) <= 1e-15
 
 
 @pytest.mark.parametrize("dim", [5, 7, 29, 127])
 def test_every_all_labels_measurement_is_the_shared_full_one(dim, rng):
-    # a Haar unitary has every label in its support
+    # a Haar unitary has every label in its support, and its measurement is
+    # the one shared value; the same labels by name build an equal one
     assert measurement_restricted(hs_expand(random_unitary(dim, rng))) is measurement_full(dim)
     labels = [(m, n) for m in range(dim) for n in range(dim)]
-    assert measurement_for_labels(dim, labels) is measurement_full(dim)
+    assert measurement_for_labels(dim, labels) == measurement_full(dim)
+
+
+def column_kind_mask(dim, rng) -> np.ndarray:
+    """A Bell-label mask whose columns are full, empty or partial, at least one set."""
+    kinds = rng.integers(0, 3, dim)
+    kinds[rng.integers(dim)] = 0
+    mask = (kinds == 0) | ((kinds == 2) & (rng.random((dim, dim)) < 0.5))
+    if dim > 2:
+        # one column with every label but one, the partial column nearest full
+        mask[:, 1] = True
+        mask[rng.integers(dim), 1] = False
+    return mask
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3, 5, 6, 28, 29, 64, 127])
+def test_full_columns_are_closed_form_and_the_rest_is_the_fft(dim, seed):
+    # Summed over every m, column n of the measurement is sqrt(N / S) at k = 0,
+    # flat index (0, -n mod N), and exactly zero at its other N - 1 entries;
+    # every entry of a partial or empty column is the Bell-basis FFT's, bit for bit.
+    mask = column_kind_mask(dim, np.random.default_rng([dim, seed]))
+    size = np.count_nonzero(mask)
+    amps = measurement_for_labels(dim, np.argwhere(mask)).amplitudes.reshape(dim, dim)
+    fft = bell_basis_matrix(dim, mask.reshape(-1) / np.sqrt(size)).reshape(dim, dim)
+    k = np.arange(dim)
+    in_full_column = np.zeros((dim, dim), dtype=bool)
+    for n in np.flatnonzero(mask.all(axis=0)):
+        column = amps[k, (k - n) % dim]
+        assert np.flatnonzero(column).tolist() == [0]
+        assert column[0] == pytest.approx(np.sqrt(dim / size), rel=1e-15, abs=0)
+        assert not np.signbit(column.real[1:]).any() and not np.signbit(column.imag).any()
+        in_full_column[k, (k - n) % dim] = True
+    rest = ~in_full_column
+    assert amps[rest].tobytes() == fft[rest].tobytes()
 
 
 def test_full_measurement_span_is_kept_once():
@@ -264,12 +300,21 @@ def test_measurement_rejects_labels_equal_mod_n():
 
 
 def weight_loop_measurement(dim, labels) -> np.ndarray:
-    """Reference: the uniform Bell superposition built one weight per label."""
+    """Reference: the uniform Bell superposition built one weight per label.
+
+    Each full column (every m set) is then written in closed form: 1 / sqrt(S / N)
+    at k = 0, the loop's FFT's round-off replaced by zeros elsewhere.
+    """
     labels = tuple(BellLabel(*lab).reduced(dim) for lab in labels)
     weights = np.zeros(dim * dim, dtype=complex)
     for m, n in labels:
         weights[m * dim + n] = 1.0 / np.sqrt(len(labels))
-    return bell_basis_matrix(dim, weights)
+    amps = bell_basis_matrix(dim, weights)
+    for n in range(dim):
+        if all(weights[m * dim + n] for m in range(dim)):
+            amps[[k * dim + (k - n) % dim for k in range(dim)]] = 0.0
+            amps[(-n) % dim] = 1 / np.sqrt(len(labels) / dim)
+    return amps
 
 
 @st.composite
@@ -289,10 +334,8 @@ def test_measurements_equal_the_weight_loop(case, seed):
     dim, labels = case
     expected = weight_loop_measurement(dim, labels)
     if len(labels) == dim * dim:
-        # every label: the shared closed form |0> ⊗ |+>, which the loop's FFT
-        # meets to round-off
-        assert max_abs_diff(measurement_full(dim).amplitudes, expected) <= 1e-15
-        expected = measurement_full(dim).amplitudes
+        # every label: the shared closed form |0> ⊗ |+>
+        assert np.array_equal(measurement_full(dim).amplitudes, expected)
     assert np.array_equal(measurement_for_labels(dim, labels).amplitudes, expected)
     # an expansion whose support is exactly these labels, magnitudes 1 to 2
     coeffs = np.zeros((dim, dim), dtype=complex)
