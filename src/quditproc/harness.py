@@ -46,22 +46,22 @@ SCENARIO_KEYS = frozenset(
 # it allocates a tile of 3 N data amplitudes plus the columns it contracts, N^2
 # products under the full measurement (and the support measurement of every
 # Haar or Ginibre draw) and at most N^3 amplitudes (16 N^3 bytes) for a bra
-# whose span covers every column. A program's tile of 8 N^2 amplitudes is kept
-# on the program value: 128 N^2 bytes, 8 MiB at N = 256, per live program. A
-# batch of trials in `run_scenario` holds at most N^2 data states and as many
-# post-selected data states, one joint state's worth each, so the worst case is
-# about 32 N^3 bytes: 0.5 GiB at N = 256, reached only by a draw-free row of at
-# least N^2 trials (at N = 128 such a row of 16384 trials peaked at 120 MB
-# RSS). `parse_config` builds one network per (processor, dim), and only those
-# below N = 9 keep a compiled index (8 N^3 bytes): at most 10 KB over
-# N = 2..8, whatever the config's length. Two per-dimension caches keep up to
-# 16 entries each for the life of the process: the full measurement (16 N^2
-# bytes) and the (i - j) mod N gather index (8 N^2 bytes), at most 24 MiB.
+# whose span covers every column. A live operator keeps, besides its own
+# 16 N^2 bytes, its expansion (16 N^2), its program (16 N^2), the program's
+# tile of 8 N^2 amplitudes (128 N^2) and, when its support is partial, that
+# support's measurement (16 N^2): at most 176 N^2 bytes, 11 MiB at N = 256.
+# `run_scenario` holds one operator and one data state's run at a time, so a
+# row's memory does not grow with its trial count. `parse_config` builds one
+# network per (processor, dim), and only those below N = 9 keep a compiled
+# index (8 N^3 bytes): at most 10 KB over N = 2..8, whatever the config's
+# length. Two per-dimension caches keep up to 16 entries each for the life of
+# the process: the full measurement (16 N^2 bytes) and the (i - j) mod N
+# gather index (8 N^2 bytes), at most 24 MiB.
 # Rows with the full measurement, time and peak RSS: N = 128, one Haar trial,
 # 0.014-0.015 s at 41 MB; N = 255, one Haar trial, 0.029-0.030 s at 52-53 MB;
 # N = 256, one Haar trial, 0.028-0.030 s at 52 MB, a row of four,
 # 0.065-0.066 s at 52-53 MB, and a draw-free row of 256 `example2` trials,
-# whose one program is tiled once, 0.10-0.17 s at 52 MB. Timed through
+# whose one program is tiled once, 0.16-0.20 s at 51 MB. Timed through
 # `run_config` in a fresh process on a 2-core Xeon with Python 3.11.7, numpy
 # 2.4.6 and one BLAS thread.
 MAX_DIM = 256
@@ -69,11 +69,10 @@ MAX_DIM = 256
 # the simulated probabilities, predictions and fidelities in three float64
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
-# 10^6 trials take 40 MB, well inside a budget of 256 MiB, half of the 0.5 GiB
-# that a row may hold at MAX_DIM. What bounds it is time: a dim 2 trial takes
-# 0.06-0.09 ms in a draw-free row and 0.15-0.16 ms in a drawing one (rows of
+# 10^6 trials take 40 MB. What bounds it is time: a dim 2 trial takes
+# 0.07-0.10 ms in a draw-free row and 0.19-0.34 ms in a drawing one (rows of
 # 20,000 trials through `run_config`, 2-core Xeon, one BLAS thread), so a row
-# at the bound runs for one to three minutes.
+# at the bound runs for one to six minutes.
 MAX_TRIALS = 10**6
 # Largest seed a config or `--seed` may give: seeds are unsigned 64-bit.
 MAX_SEED = 2**64 - 1
@@ -450,29 +449,25 @@ def run_scenario(scn: Scenario, global_seed: int, index: int) -> ReportRow:
     """Run one scenario's trials and aggregate into a report row.
 
     An operator that draws is built anew for each trial, before that trial's
-    data state. One that does not is the same in every trial, so its program
-    serves a batch of up to N^2 trials (N^3 amplitudes, one joint state's
-    worth). Both keep the rng order of building per trial, so the report does
-    not depend on the batching.
+    data state. One that does not is built once, before the first state, and
+    its program serves every trial through `run_experiment`. Building draws
+    nothing then, so the rng order is that of building per trial.
     """
     rng = np.random.default_rng(scn.seed if scn.seed is not None else [global_seed, index])
     started = time.perf_counter()
-    batch = 1 if CATALOG[scn.operator_name].draws(scn.operator_params) else scn.dim**2
+    draws = CATALOG[scn.operator_name].draws(scn.operator_params)
     sims, preds, fids = np.empty(scn.trials), np.empty(scn.trials), np.empty(scn.trials)
     n_fids = 0
-    for first in range(0, scn.trials, batch):
-        op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
-        states = [
-            random_state(scn.dim, 1, rng) if scn.data_state == "random" else scn.data_state
-            for _ in range(min(batch, scn.trials - first))
-        ]
-        outcomes = run_experiment(scn.processor, op, states, scn.measurement)
-        for i, psi, outcome in zip(range(first, scn.trials), states, outcomes):
-            sims[i] = outcome.probability
-            preds[i] = predicted_probability(op, psi, scn.measurement)
-            if outcome.data_state is not None:
-                fids[n_fids] = outcome.oracle_fidelity
-                n_fids += 1
+    for i in range(scn.trials):
+        if draws or i == 0:
+            op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
+        psi = random_state(scn.dim, 1, rng) if scn.data_state == "random" else scn.data_state
+        outcome = run_experiment(scn.processor, op, psi, scn.measurement)
+        sims[i] = outcome.probability
+        preds[i] = predicted_probability(op, psi, scn.measurement)
+        if outcome.data_state is not None:
+            fids[n_fids] = outcome.oracle_fidelity
+            n_fids += 1
     wall_ms = (time.perf_counter() - started) * 1e3
     devs = np.abs(sims - preds)
     sim_mean = float(np.mean(sims))

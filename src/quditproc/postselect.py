@@ -8,7 +8,6 @@ the relating global phase reported for diagnostics.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,34 +115,25 @@ def predicted_probability(op: DenseOperator, psi: QuditRegisterState, meas_kind:
 def run_experiment(
     proc: ProcessorSpec,
     op: DenseOperator,
-    states: Sequence[QuditRegisterState],
+    psi: QuditRegisterState,
     meas_kind: str = "full",
-) -> list[PostSelectionOutcome]:
-    """Synthesize the program for `op` once, then run each data state through it.
+) -> PostSelectionOutcome:
+    """Run one data state through the program for `op`, post-select it and compare it with the oracle.
 
-    The program register encodes only the operator, so one program and one
-    measurement serve every state: each state is run through the processor,
-    post-selected and compared with the oracle on its own, and the outcomes
-    come back in the order of `states`. Supports the single-data-qudit
-    networks; the tensor array and the general diagonal processor need program
-    encodings of their own. An operator or state whose dimension does not fit
-    the network is a ValueError from `apply_processor`.
+    The program register encodes only the operator, so the program and the
+    support measurement are kept on the operator's expansion: every call with
+    the same `op` value reuses them, whatever the data state. Supports the
+    single-data-qudit networks; the tensor array and the general diagonal
+    processor need program encodings of their own. An operator or state whose
+    dimension does not fit the network is a ValueError from `apply_processor`.
     """
     if not isinstance(proc, (QuditShiftNetwork, QubitCnotNetwork)):
         raise TypeError("run_experiment supports the shift and CNOT networks only")
-    if isinstance(states, QuditRegisterState):
-        raise TypeError("run_experiment takes a sequence of data states, not one state")
     if meas_kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind: {meas_kind!r}")
     expansion = hs_expand(op)
     program = program_from_expansion(expansion).state
     meas = measurement_full(op.dim) if meas_kind == "full" else measurement_restricted(expansion)
-    return [_run_state(proc, op, psi, program, meas) for psi in states]
-
-
-def _run_state(proc, op, psi, program, meas) -> PostSelectionOutcome:
-    # A function of its own, so each joint state is freed before the next one
-    # is built.
     joint = apply_processor(proc, psi, program)
     try:
         oracle = oracle_apply(op, psi)

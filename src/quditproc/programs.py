@@ -120,7 +120,11 @@ class ProgramVector(_Value):
 
 
 def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
-    """Program state sqrt(N / Tr(A†A)) sum_mn q_mn |Xi_mn>."""
+    """Program state sqrt(N / Tr(A†A)) sum_mn q_mn |Xi_mn>, built once per expansion and kept on it."""
+    return _kept(expansion, "_program", _program)
+
+
+def _program(expansion: HsExpansion) -> ProgramVector:
     scale = 1.0 / np.sqrt(expansion.gram_norm)
     weights = (expansion.coeffs * scale).reshape(-1)
     amps = bell_basis_matrix(expansion.dim, weights)
@@ -166,8 +170,12 @@ def measurement_restricted(expansion: HsExpansion) -> QuditRegisterState:
 
     For a unitary operator this boosts the success probability from 1/N^2 to
     1/S, S the support size. A full support (every Haar or Ginibre draw) gives
-    the shared `measurement_full(N)`.
+    the shared `measurement_full(N)`. Kept on the expansion, like its program.
     """
+    return _kept(expansion, "_support_measurement", _support_measurement)
+
+
+def _support_measurement(expansion: HsExpansion) -> QuditRegisterState:
     mask = expansion._support_mask()
     return measurement_full(expansion.dim) if mask.all() else _uniform_bell(expansion.dim, mask)
 

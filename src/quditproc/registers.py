@@ -10,12 +10,13 @@ constructed and every function here is pure, so all are safe to share across
 threads or processes. Every array a value exposes, in a dict field too, goes
 through `_locked`: a read-only view whose owner is locked too, so
 it cannot be made writable again. `_kept` writes a value derived on first use
-(an operator's Tr(A†A) or expansion, an expansion's support size, a bra's
-nonzero span, a program's strided-network tile, a gate array's layout or
-compiled index) onto the instance once; threads that race there only compute
-the same value twice. `_Value` gives copies and pickles the fields alone, their
-arrays locked again, and exact, unhashable equality: the same class and fields,
-arrays by `np.array_equal`. `programs.measurement_full(N)` and the gather index
+(an operator's Tr(A†A) or expansion, an expansion's support size, program
+and support measurement, a bra's nonzero span, a program's strided-network
+tile, a gate array's layout or compiled index) onto the instance once;
+threads that race there only compute the same value twice. `_Value` gives
+copies and pickles the fields alone, their arrays locked again, and exact,
+unhashable equality: the same class and fields, arrays by `np.array_equal`.
+`programs.measurement_full(N)` and the gather index
 in `gates` are built once per N and shared through a bounded, thread-safe
 `functools.lru_cache`.
 

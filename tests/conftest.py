@@ -106,7 +106,7 @@ def reference_row(scn, global_seed: int, index: int) -> ReportRow:
     for _ in range(scn.trials):
         op = build_operator(scn.operator_name, scn.operator_params, scn.dim, rng)
         psi = random_state(scn.dim, 1, rng) if isinstance(scn.data_state, str) else scn.data_state
-        outcome = run_experiment(scn.processor, op, [psi], scn.measurement)[0]
+        outcome = run_experiment(scn.processor, op, psi, scn.measurement)
         sims.append(outcome.probability)
         preds.append(predicted_probability(op, psi, scn.measurement))
         if outcome.probability > ZERO_PROBABILITY_CUTOFF:

@@ -134,12 +134,12 @@ def test_c05_general_unitary_probability():
         proc = QuditShiftNetwork(dim)
         for _ in range(100):
             u = random_unitary(dim, rng)
-            outcome = run_experiment(proc, u, [random_state(dim, 1, rng)], "full")[0]
+            outcome = run_experiment(proc, u, random_state(dim, 1, rng), "full")
             worst_p = max(worst_p, abs(outcome.probability - 1 / dim**2))
             worst_f = min(worst_f, outcome.oracle_fidelity)
         probe = random_unitary(dim, rng)
         probs = [
-            run_experiment(proc, probe, [random_state(dim, 1, rng)], "full")[0].probability
+            run_experiment(proc, probe, random_state(dim, 1, rng), "full").probability
             for _ in range(20)
         ]
         worst_spread = max(worst_spread, max(probs) - min(probs))
@@ -169,7 +169,7 @@ def test_c06_restricted_probability_is_inverse_support_size():
     worst = 0.0
     for dim, op in catalog:
         support_size = len(hs_expand(op).support())
-        outcome = run_experiment(QuditShiftNetwork(dim), op, [random_state(dim, 1, rng)], "support")[0]
+        outcome = run_experiment(QuditShiftNetwork(dim), op, random_state(dim, 1, rng), "support")
         worst = max(worst, abs(outcome.probability - 1 / support_size))
     _report(
         6,
@@ -184,8 +184,8 @@ def test_c07_one_parameter_family_at_dim_four():
     worst_p = 0.0
     for phi in np.linspace(0.05, 1.5, 20):
         outcome = run_experiment(
-            QuditShiftNetwork(4), example1_operator(phi), [random_state(4, 1, rng)], "support"
-        )[0]
+            QuditShiftNetwork(4), example1_operator(phi), random_state(4, 1, rng), "support"
+        )
         worst_p = max(worst_p, abs(outcome.probability - 1 / 3))
     bracket = (1 + 1j) / 2 * u_mn(4, (1, 0)).entries + (1 - 1j) / 2 * u_mn(4, (3, 0)).entries
     bracket_err = float(np.max(np.abs(bracket - np.kron(np.diag([1, -1]), np.eye(2)))))
@@ -203,8 +203,8 @@ def test_c08_family_probability_follows_support_growth():
     for l in (1, 2, 3):
         expected = 2 / (2**l + 2)
         outcome = run_experiment(
-            QuditShiftNetwork(2**l), family_operator(l, 0.43), [random_state(2**l, 1, rng)], "support"
-        )[0]
+            QuditShiftNetwork(2**l), family_operator(l, 0.43), random_state(2**l, 1, rng), "support"
+        )
         worst = max(worst, abs(outcome.probability - expected))
     _report(8, "l-qubit family succeeds with probability 2/(2^l+2)", worst <= 1e-10, f"max err {worst:.2e}")
 
@@ -217,7 +217,7 @@ def test_c09_two_term_rotation_probability_half():
             op = example2_operator(theta, dim)
             delta = op.entries.conj().T @ op.entries - np.eye(dim)
             worst_u = max(worst_u, float(np.max(np.abs(delta))))
-            outcome = run_experiment(QuditShiftNetwork(dim), op, [random_state(dim, 1, rng)], "support")[0]
+            outcome = run_experiment(QuditShiftNetwork(dim), op, random_state(dim, 1, rng), "support")
             worst_p = max(worst_p, abs(outcome.probability - 0.5))
     _report(
         9,
@@ -277,7 +277,7 @@ def test_c12_non_unitary_transformations():
             op = random_operator(dim, rng)
             psi = random_state(dim, 1, rng)
             for kind in ("full", "support"):
-                outcome = run_experiment(proc, op, [psi], kind)[0]
+                outcome = run_experiment(proc, op, psi, kind)
                 worst_dev = max(
                     worst_dev, abs(outcome.probability - predicted_probability(op, psi, kind))
                 )

@@ -41,6 +41,7 @@ from quditproc.harness import (
 from quditproc.registers import NORM_TOL
 
 from conftest import max_abs_diff, strict_json
+from test_golden_report import DATA as GOLDEN, _assert_matches
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -453,6 +454,11 @@ def test_bundled_config_is_valid():
     assert all(s.trials >= 1 for s in scenarios)
 
 
+def test_an_unknown_bundled_config_is_a_config_error():
+    with pytest.raises(ConfigError, match="no bundled config named 'nope'"):
+        load_bundled_config("nope")
+
+
 def test_run_config_in_process_matches_cli(tmp_path):
     doc = load_bundled_config("paper-claims")
     seed, rows = run_config(doc, seed_override=7)
@@ -487,30 +493,25 @@ def test_explicit_data_state_round_trip(tmp_path):
     assert abs(doc["rows"][0]["simulated_probability_mean"] - 1.0) < 1e-12
 
 
-def test_console_entry_point_runs_in_subprocess(tmp_path):
+def python_m_quditproc(*argv) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = tmp_path / "report.json"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "quditproc",
-            "run",
-            "--config",
-            "paper-claims",
-            "--out",
-            str(out),
-            "--seed",
-            "11",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    argv = [sys.executable, "-m", "quditproc", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_quditproc_writes_the_golden_report_to_stdout():
+    proc = python_m_quditproc("run", "--config", "paper-claims", "--seed", "2024")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["all_passed"] is True
+    ref = json.loads((GOLDEN / "paper-claims-seed2024.json").read_text(encoding="utf-8"))
+    _assert_matches(json.loads(proc.stdout), ref)
+
+
+def test_python_m_quditproc_exits_2_on_an_unknown_operator():
+    proc = python_m_quditproc("describe", "nope")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: unknown operator name: 'nope'")
+    assert "Traceback" not in proc.stderr
 
 
 # --- config faults: exit 2, a "config error:" line, no report ------------------

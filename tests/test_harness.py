@@ -1,10 +1,11 @@
-"""The catalog's `draws` rule, the batching of draw-free scenarios in
-`run_scenario`, checked against the per-trial reference in conftest, and one
-network per processor and dim in a parsed config."""
+"""The catalog's `draws` rule, `run_scenario`'s one operator per draw-free
+row, checked against the per-trial reference in conftest, and one network per
+processor and dim in a parsed config."""
 
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,31 +84,14 @@ def scenario(operator, **fields):
     return parse_config({"schema": 1, "seed": 5, "scenarios": [raw]})[1][0]
 
 
-@pytest.fixture
-def batch_sizes(monkeypatch):
-    """Number of data states in each run_experiment call that run_scenario makes."""
-    sizes = []
-    original = harness.run_experiment
-
-    def recording(proc, op, states, meas_kind="full"):
-        sizes.append(len(states))
-        return original(proc, op, states, meas_kind)
-
-    monkeypatch.setattr(harness, "run_experiment", recording)
-    return sizes
-
-
 @pytest.mark.parametrize(
-    "scn,expected_sizes",
+    "scn",
     [
         pytest.param(
-            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"),
-            [4, 4, 1],
-            id="family-support",
+            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"), id="family-support"
         ),
         pytest.param(
             scenario({"name": "reflection", "phi": [[1, 0], [0, 1]]}, processor="qubit-cnot"),
-            [4, 4, 1],
             id="reflection-explicit-cnot",
         ),
         pytest.param(
@@ -116,18 +100,15 @@ def batch_sizes(monkeypatch):
                 data_state=[[0, 0], [1, 0]],
                 trials=3,
             ),
-            [3],
             id="annihilated-fixed-state",
         ),
-        pytest.param(
-            scenario({"name": "reflection", "phi": "random"}, trials=3), [1, 1, 1], id="reflection-random"
-        ),
-        pytest.param(scenario({"name": "random_unitary"}, trials=3), [1, 1, 1], id="random-unitary"),
+        pytest.param(scenario({"name": "reflection", "phi": "random"}, trials=3), id="reflection-random"),
+        pytest.param(scenario({"name": "random_unitary"}, trials=3), id="random-unitary"),
     ],
 )
-def test_batched_row_equals_the_per_trial_reference(scn, expected_sizes, batch_sizes):
+def test_batched_row_equals_the_per_trial_reference(scn):
+    # The reference builds a fresh operator per trial; a draw-free row builds one.
     row = run_scenario(scn, 5, 0)
-    assert batch_sizes == expected_sizes
     assert dataclasses.replace(row, wall_time_ms=0.0) == reference_row(scn, 5, 0)
 
 
@@ -162,7 +143,7 @@ def derived_runs(monkeypatch):
     "scn,operators",
     [
         pytest.param(
-            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"), 3, id="draw-free-support"
+            scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support"), 1, id="draw-free-support"
         ),
         pytest.param(
             scenario({"name": "random_unitary"}, measurement="support", trials=3), 3, id="drawing-support"
@@ -177,6 +158,36 @@ def test_expansion_and_gram_trace_run_once_per_operator(scn, operators, derived_
     assert len({id(op) for op in built}) == len(built) == operators
     for name, ran_on in runs.items():
         assert [id(op) for op in ran_on] == [id(op) for op in built], name
+
+
+def test_a_draw_free_row_makes_its_program_and_measurement_once(monkeypatch):
+    # family(l=1) has a two-label support, so its support measurement is a
+    # Bell-basis FFT of its own, as its program is.
+    scn = scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support")
+    calls = []
+    monkeypatch.setattr(programs, "bell_basis_matrix", spy(calls, programs.bell_basis_matrix))
+    assert run_scenario(scn, 5, 0).passed
+    assert calls == [2, 2]
+
+
+def test_a_draw_free_row_peaks_the_same_at_any_trial_count():
+    # A draw-free row keeps one operator, with its program and tile, and runs
+    # one data state at a time; only its four float64 arrays grow with trials.
+    def row(trials):
+        raw = {"id": "s", "dim": 32, "operator": {"name": "example2", "theta": 0.3}, "trials": trials}
+        return parse_config({"schema": 1, "seed": 5, "scenarios": [raw]})[1][0]
+
+    def peak(scn):
+        tracemalloc.start()
+        try:
+            assert run_scenario(scn, 5, 0).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = row(32), row(1024)
+    run_scenario(few, 5, 0)  # fills the per-dimension caches
+    assert peak(many) - peak(few) <= 0.25 * 2**20
 
 
 def test_each_network_is_built_and_compiled_once(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -75,8 +76,8 @@ def test_qubit_reflection_probability_one_third(rng):
 def test_generic_unitary_full_measurement_probability(rng):
     dim = 3
     outcome = run_experiment(
-        QuditShiftNetwork(dim), random_unitary(dim, rng), [random_state(dim, 1, rng)], "full"
-    )[0]
+        QuditShiftNetwork(dim), random_unitary(dim, rng), random_state(dim, 1, rng), "full"
+    )
     assert abs(outcome.probability - 1 / 9) < 1e-10
 
 
@@ -116,7 +117,7 @@ def test_oracle_cutoff_scales_with_the_operator(rng):
     tiny = DenseOperator(dim, 1e-100 * u.entries)
     expected = oracle_apply(u, psi).amplitudes
     assert max_abs_diff(oracle_apply(tiny, psi).amplitudes, expected) < 1e-12
-    outcome = run_experiment(QuditShiftNetwork(dim), tiny, [psi], "full")[0]
+    outcome = run_experiment(QuditShiftNetwork(dim), tiny, psi, "full")
     assert abs(outcome.probability - 1 / dim**2) < 1e-12
     assert outcome.oracle_fidelity > 1 - 1e-12
 
@@ -130,7 +131,7 @@ def test_oracle_raises_on_null_vector_at_any_scale(scale):
 
 def test_run_experiment_handles_annihilated_state():
     proj = DenseOperator(2, np.diag([1.0, 0.0]))
-    outcome = run_experiment(QuditShiftNetwork(2), proj, [basis_state(2, 1, [1])], "full")[0]
+    outcome = run_experiment(QuditShiftNetwork(2), proj, basis_state(2, 1, [1]), "full")
     assert outcome.probability < 1e-14
     assert outcome.data_state is None
     assert outcome.global_phase is None
@@ -151,7 +152,7 @@ def test_predicted_probability_projector_case():
     psi = QuditRegisterState(2, 1, plus)
     proj = DenseOperator(2, np.diag([1.0, 0.0]))
     assert abs(predicted_probability(proj, psi, "full") - 0.25) < 1e-12
-    outcome = run_experiment(QuditShiftNetwork(2), proj, [psi], "full")[0]
+    outcome = run_experiment(QuditShiftNetwork(2), proj, psi, "full")
     assert abs(outcome.probability - 0.25) < 1e-10
     assert outcome.oracle_fidelity >= 1 - 1e-10
 
@@ -163,7 +164,7 @@ def test_simulation_matches_closed_form_for_random_operators(dim, rng):
         op = random_operator(dim, rng)
         psi = random_state(dim, 1, rng)
         for kind in ("full", "support"):
-            outcome = run_experiment(proc, op, [psi], kind)[0]
+            outcome = run_experiment(proc, op, psi, kind)
             assert abs(outcome.probability - predicted_probability(op, psi, kind)) < 1e-10
 
 
@@ -171,7 +172,7 @@ def test_probability_never_exceeds_one(rng):
     for dim in (2, 3):
         op = random_operator(dim, rng)
         psi = random_state(dim, 1, rng)
-        outcome = run_experiment(QuditShiftNetwork(dim), op, [psi], "support")[0]
+        outcome = run_experiment(QuditShiftNetwork(dim), op, psi, "support")
         assert outcome.probability <= 1 + 1e-12
 
 
@@ -179,8 +180,8 @@ def test_restricted_beats_full_for_unitaries(rng):
     for dim in (2, 3, 4):
         u = random_unitary(dim, rng)
         psi = random_state(dim, 1, rng)
-        full = run_experiment(QuditShiftNetwork(dim), u, [psi], "full")[0].probability
-        restricted = run_experiment(QuditShiftNetwork(dim), u, [psi], "support")[0].probability
+        full = run_experiment(QuditShiftNetwork(dim), u, psi, "full").probability
+        restricted = run_experiment(QuditShiftNetwork(dim), u, psi, "support").probability
         assert restricted >= full - 1e-12
 
 
@@ -188,7 +189,7 @@ def test_probability_state_independent_for_unitaries(rng):
     dim = 3
     u = random_unitary(dim, rng)
     probs = [
-        run_experiment(QuditShiftNetwork(dim), u, [random_state(dim, 1, rng)], "full")[0].probability
+        run_experiment(QuditShiftNetwork(dim), u, random_state(dim, 1, rng), "full").probability
         for _ in range(10)
     ]
     assert max(probs) - min(probs) < 1e-10
@@ -196,30 +197,47 @@ def test_probability_state_independent_for_unitaries(rng):
 
 def test_run_experiment_one_parameter_family(rng):
     outcome = run_experiment(
-        QuditShiftNetwork(4), example1_operator(0.7), [random_state(4, 1, rng)], "support"
-    )[0]
+        QuditShiftNetwork(4), example1_operator(0.7), random_state(4, 1, rng), "support"
+    )
     assert abs(outcome.probability - 1 / 3) < 1e-10
     assert outcome.oracle_fidelity >= 1 - 1e-10
 
 
 def test_run_experiment_validates_processor(rng):
     with pytest.raises(ValueError):
-        run_experiment(QubitCnotNetwork(), random_unitary(3, rng), [random_state(3, 1, rng)])
+        run_experiment(QubitCnotNetwork(), random_unitary(3, rng), random_state(3, 1, rng))
     with pytest.raises(ValueError):
-        run_experiment(QuditShiftNetwork(3), random_unitary(2, rng), [random_state(2, 1, rng)])
+        run_experiment(QuditShiftNetwork(3), random_unitary(2, rng), random_state(2, 1, rng))
     with pytest.raises(ValueError):
-        run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), [random_state(2, 1, rng)], "typo")
+        run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), random_state(2, 1, rng), "typo")
 
 
 def test_run_experiment_leaves_dimension_checks_to_the_processor(rng):
     diagonal = GeneralDiagonal((u_mn(2, (0, 0)),), (bell_state(2, (0, 0)),))
     for proc in (TensorQubitArray(1), diagonal):
         with pytest.raises(TypeError):
-            run_experiment(proc, random_unitary(2, rng), [random_state(2, 1, rng)])
+            run_experiment(proc, random_unitary(2, rng), random_state(2, 1, rng))
     with pytest.raises(ValueError):
-        run_experiment(QuditShiftNetwork(3), random_unitary(4, rng), [random_state(4, 1, rng)])
+        run_experiment(QuditShiftNetwork(3), random_unitary(4, rng), random_state(4, 1, rng))
     with pytest.raises(ValueError):
-        run_experiment(QubitCnotNetwork(), random_unitary(3, rng), [random_state(3, 1, rng)])
+        run_experiment(QubitCnotNetwork(), random_unitary(3, rng), random_state(3, 1, rng))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(oracle_apply, "does not match register size", id="oracle-size"),
+        pytest.param(predicted_probability, "do not match", id="prediction-size"),
+        pytest.param(
+            lambda op, psi: predicted_probability(op, basis_state(3, 1, [0]), "typo"),
+            "unknown measurement kind",
+            id="prediction-kind",
+        ),
+    ],
+)
+def test_oracle_and_prediction_reject_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(DenseOperator(3, np.eye(3)), basis_state(2, 1, [0]))
 
 
 def test_post_select_zero_probability_reports_not_raises(rng):
@@ -237,7 +255,7 @@ def test_global_phase_relates_data_to_oracle(rng):
     dim = 3
     op = random_unitary(dim, rng)
     psi = random_state(dim, 1, rng)
-    outcome = run_experiment(QuditShiftNetwork(dim), op, [psi], "full")[0]
+    outcome = run_experiment(QuditShiftNetwork(dim), op, psi, "full")
     oracle = oracle_apply(op, psi)
     assert abs(abs(outcome.global_phase) - 1) < 1e-12
     assert max_abs_diff(
@@ -273,6 +291,8 @@ def test_fixed_measurement_independent_of_reflection_axis():
 )
 @pytest.mark.parametrize("kind", ["full", "support"])
 def test_a_batch_equals_one_state_calls(proc, kind, rng):
+    # One operator value run on a batch of states, which reuses the program and
+    # measurement kept on its expansion, equals a fresh copy of it per state.
     dim = proc.dim
     # A unitary with its first column zeroed annihilates |0>, the second state.
     entries = random_unitary(dim, rng).entries.copy()
@@ -280,24 +300,9 @@ def test_a_batch_equals_one_state_calls(proc, kind, rng):
     op = DenseOperator(dim, entries)
     states = [random_state(dim, 1, rng) for _ in range(3)]
     states.insert(1, basis_state(dim, 1, [0]))
-    batch = run_experiment(proc, op, states, kind)
-    assert len(batch) == len(states)
+    batch = [run_experiment(proc, op, psi, kind) for psi in states]
     assert batch[1].data_state is None
-    for psi, outcome in zip(states, batch):
-        (single,) = run_experiment(proc, op, [psi], kind)
-        assert outcome.probability == single.probability
-        assert outcome.oracle_fidelity == single.oracle_fidelity
-        assert outcome.global_phase == single.global_phase
-        if single.data_state is None:
-            assert outcome.data_state is None
-        else:
-            assert np.array_equal(outcome.data_state.amplitudes, single.data_state.amplitudes)
-
-
-def test_run_experiment_takes_a_sequence_of_states(rng):
-    with pytest.raises(TypeError):
-        run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), random_state(2, 1, rng))
-    assert run_experiment(QuditShiftNetwork(2), random_unitary(2, rng), [], "support") == []
+    assert batch == [run_experiment(proc, copy.copy(op), psi, kind) for psi in states]
 
 
 def _assert_constructed_like(value, expected):

@@ -291,6 +291,42 @@ def test_general_diagonal_rejects_count_mismatch():
         GeneralDiagonal((u_mn(dim, (0, 0)),), (bell_state(dim, (0, 0)), bell_state(dim, (0, 1))))
 
 
+@pytest.mark.parametrize(
+    "operators, basis, message",
+    [
+        pytest.param((), (), "at least one operator", id="no-operators"),
+        pytest.param(
+            (u_mn(2, (0, 0)), u_mn(3, (0, 0))),
+            (bell_state(2, (0, 0)), bell_state(2, (0, 1))),
+            "share one dimension",
+            id="mixed-dimension",
+        ),
+        pytest.param(
+            (u_mn(2, (0, 0)), u_mn(2, (0, 1))),
+            (bell_state(2, (0, 0)), basis_state(2, 1, [0])),
+            "share shape and dimension",
+            id="mixed-basis-shape",
+        ),
+    ],
+)
+def test_general_diagonal_rejects_malformed_parts(operators, basis, message):
+    with pytest.raises(ValueError, match=message):
+        GeneralDiagonal(operators, basis)
+
+
+@pytest.mark.parametrize(
+    "data, program, message",
+    [
+        pytest.param(basis_state(3, 1, [0]), bell_state(2, (0, 0)), "data register", id="data-dimension"),
+        pytest.param(basis_state(2, 2, [0, 0]), bell_state(2, (0, 0)), "data register", id="data-arity"),
+        pytest.param(basis_state(2, 1, [0]), basis_state(2, 1, [0]), "program register shape", id="program-shape"),
+    ],
+)
+def test_general_diagonal_rejects_registers_of_the_wrong_shape(data, program, message):
+    spec = GeneralDiagonal((u_mn(2, (0, 0)),), (bell_state(2, (0, 0)),))
+    with pytest.raises(ValueError, match=message):
+        apply_processor(spec, data, program)
+
 def _gatewise(spec, data, program):
     """Reference run of a gate array: its gates one by one as `reference_shift` gathers.
 
@@ -723,10 +759,10 @@ def test_copied_and_unpickled_values_run_as_the_originals(dim, rng):
     psi, meas = random_state(dim, 1, rng), measurement_full(dim)
     oracle = oracle_apply(op, psi)
     want = post_select(apply_processor(spec, psi, program), meas, oracle)
-    [want_run] = run_experiment(spec, op, [psi])
+    want_run = run_experiment(spec, op, psi)
     spec_copy, program_copy = (pickle.loads(pickle.dumps(value)) for value in (spec, program))
     got = post_select(apply_processor(spec_copy, psi, program_copy), meas, oracle)
-    [got_run] = run_experiment(spec, copy.copy(op), [psi])
+    got_run = run_experiment(spec, copy.copy(op), psi)
     for a, b in ((got, want), (got_run, want_run)):
         assert (a.probability, a.oracle_fidelity, a.global_phase) == (b.probability, b.oracle_fidelity, b.global_phase)
         assert np.array_equal(a.data_state.amplitudes, b.data_state.amplitudes)

@@ -141,6 +141,7 @@ def test_expand_rejects_zero_operator():
         pytest.param(np.array([[1, 0], [0, complex(0, np.nan)]]), "must be finite", id="nan-imaginary"),
         # finite parts whose magnitude overflows: sum |q|^2 would be inf
         pytest.param(np.array([[1.5e308 + 1.5e308j, 0], [0, 0]]), "must be finite", id="magnitude-overflow"),
+        pytest.param(np.eye(3), "must be 2x2", id="wrong-shape"),
     ],
 )
 def test_expansion_without_a_program_is_refused_at_construction(table, message):
@@ -148,6 +149,27 @@ def test_expansion_without_a_program_is_refused_at_construction(table, message):
     # its norm (the suite turns a RuntimeWarning into an error)
     with pytest.raises(ValueError, match=message):
         HsExpansion(2, table)
+
+
+def test_expand_rejects_a_non_finite_operator():
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        hs_expand(DenseOperator(2, [[np.nan, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: orthogonal_qubit_state(basis_state(3, 1, [0])), "single-qubit", id="partner-of-a-qutrit"),
+        pytest.param(lambda: reflection_operator(bell_state(2, (0, 0))), "single-qudit", id="reflection-two-qudits"),
+        pytest.param(
+            lambda: reflection_program_factored(bell_state(2, (0, 0))), "single-qudit", id="factored-two-qudits"
+        ),
+        pytest.param(lambda: family_operator(0, 0.3), "at least one qubit", id="family-of-no-qubits"),
+    ],
+)
+def test_named_operators_reject_inputs_outside_their_domain(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_program_for_basis_operator_is_its_bell_state():
@@ -210,6 +232,20 @@ def test_every_all_labels_measurement_is_the_shared_full_one(dim, rng):
     assert measurement_restricted(hs_expand(random_unitary(dim, rng))) is measurement_full(dim)
     labels = [(m, n) for m in range(dim) for n in range(dim)]
     assert measurement_for_labels(dim, labels) == measurement_full(dim)
+
+
+def test_an_expansion_keeps_its_program_and_support_measurement():
+    # one program and one support measurement per expansion, as one expansion
+    # per operator; a copy of the operator builds equal values afresh
+    op = example2_operator(0.3, 6)
+    expansion = hs_expand(op)
+    program, meas = program_from_expansion(expansion), measurement_restricted(expansion)
+    assert program_from_expansion(expansion) is program
+    assert measurement_restricted(expansion) is meas
+    assert meas is not measurement_full(6)
+    fresh = hs_expand(DenseOperator(6, op.entries))
+    assert program_from_expansion(fresh) == program and program_from_expansion(fresh) is not program
+    assert measurement_restricted(fresh) == meas and measurement_restricted(fresh) is not meas
 
 
 def column_kind_mask(dim, rng) -> np.ndarray:

@@ -21,6 +21,7 @@ from quditproc import (
     basis_state,
     bell_state,
     conditional_shift,
+    example2_operator,
     hs_expand,
     inner_product,
     negation_w,
@@ -37,7 +38,7 @@ from quditproc import (
 from quditproc import processor
 from quditproc.gates import _difference_index
 from quditproc.processor import QuditShiftNetwork, apply_processor
-from quditproc.programs import measurement_full
+from quditproc.programs import measurement_full, measurement_restricted
 
 from conftest import index_to_digits, max_abs_diff, reference_partial_inner_product
 
@@ -84,6 +85,18 @@ def test_register_state_requires_exact_length():
         for dim, arity, amps, message in cases:
             with pytest.raises(ValueError, match=message):
                 kind(dim, arity, np.array(amps))
+
+
+def test_a_register_from_a_2d_array_equals_the_flat_one():
+    square = np.array([[1, 1j], [0, -1]]) / np.sqrt(3)
+    assert QuditRegisterState(2, 2, square) == QuditRegisterState(2, 2, square.reshape(-1))
+
+
+def test_an_operator_and_a_register_of_the_wrong_size_are_refused():
+    with pytest.raises(ValueError, match="must be 2x2"):
+        DenseOperator(2, np.eye(3))
+    with pytest.raises(ValueError, match="does not match register size"):
+        apply_to_register(DenseOperator(2, np.eye(2)), basis_state(2, 2, [0, 0]))
 
 
 def test_register_state_rejects_nan_amplitudes():
@@ -260,14 +273,19 @@ def test_a_deferred_output_equals_its_read_copy(rng):
 def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     # A run keeps the program's tile (8 N^2 amplitudes) on the program and the
     # bra's nonzero span on the bra; an operator keeps its expansion and
-    # Tr(A†A), an expansion its support size, a network its layout and
-    # compiled index. A copy derives them again when it is used.
+    # Tr(A†A), an expansion its support size, program and support
+    # measurement, a network its layout and compiled index. A copy derives
+    # them again when it is used.
     dim = 64
     program, bra = random_state(dim, 2, rng), random_state(dim, 2, rng)
     partial_inner_product(bra, apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), program))
     op = random_operator(dim, rng)
     op.gram_trace()
     hs_expand(op).support_size()
+    # a two-label support, so the kept measurement is not the shared full one
+    held = hs_expand(example2_operator(0.3, dim))
+    program_from_expansion(held)
+    measurement_restricted(held)
     network = QuditShiftNetwork(8)
     apply_processor(network, random_state(8, 1, rng), random_state(8, 2, rng))
     used = [
@@ -275,6 +293,8 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
         (bra, "_nonzero_span", {"dim", "arity", "amplitudes"}),
         (op, "_hs_expansion", {"dim", "entries", "label"}),
         (hs_expand(op), "_support_size", {"dim", "coeffs", "gram_norm"}),
+        (held, "_program", {"dim", "coeffs", "gram_norm"}),
+        (held, "_support_measurement", {"dim", "coeffs", "gram_norm"}),
         (network, "_source_index", {"dim", "width", "gates"}),
     ]
     for value, derived, names in used:
@@ -284,6 +304,7 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
         assert set(vars(made)) == names
     assert len(pickle.dumps(program)) < program.amplitudes.nbytes + 1024
     assert len(pickle.dumps(op)) < op.entries.nbytes + 1024
+    assert len(pickle.dumps(held)) < held.coeffs.nbytes + 1024
     assert len(pickle.dumps(network)) < 1024
     # a gate array's fields are hashable, so it keeps the dataclass hash
     assert hash(clone(network)) == hash(network)
