@@ -152,7 +152,9 @@ def conjugate_vector(v: QuditRegisterState) -> QuditRegisterState:
 # `programs.measurement_full`). A traced `paper-claims` run touches nine
 # dimensions (2-8, 16, 32, 64), so 16 never evicts there; a sweep over more
 # dimensions recomputes as if uncached. At MAX_DIM = 256 an entry is 0.5 MiB
-# here and 1 MiB in `measurement_full`: 24 MiB for both caches full.
+# here and 1 MiB in `measurement_full`, plus 0.5 MiB for the index that a
+# post-selection through the qudit network keeps on the measurement: 32 MiB
+# for both caches full.
 _PER_DIM_CACHE_SIZE = 16
 
 

@@ -43,27 +43,36 @@ SCENARIO_KEYS = frozenset(
 # Largest qudit dimension a config or `describe` may ask for. How a network
 # runs is the `processor` docstring's; what that costs at this bound is here.
 # From N = 9 a run that is only post-selected never makes its N^3 joint state:
-# it allocates a tile of 3 N data amplitudes plus the columns it contracts, N^2
-# products under the full measurement (and the support measurement of every
-# Haar or Ginibre draw) and at most N^3 amplitudes (16 N^3 bytes) for a bra
-# whose span covers every column. A live operator keeps, besides its own
-# 16 N^2 bytes, its expansion (16 N^2), its program (16 N^2), the program's
-# tile of 8 N^2 amplitudes (128 N^2) and, when its support is partial, that
-# support's measurement (16 N^2): at most 176 N^2 bytes, 11 MiB at N = 256.
+# its overlap is K ψ, one N x N matvec by the program's success map K, which
+# the program keeps (16 N^2 bytes) for the last network and bra it served.
+# Building K takes O(N nnz) time for a bra of nnz nonzero amplitudes and
+# walks them N at a time, so its transient memory is O(N^2) for any bra: the
+# first post-selection of `example2` under the support measurement peaks at
+# 72 N^2 bytes, 4.5 MiB at N = 256, index included. A bra of at most 2 N
+# nonzeros, as the full and every catalog support measurement but a dense
+# partial one, keeps its index into K: at most 16 N^2 bytes. A whole read of
+# a deferred output makes, besides its 16 N^3 bytes, fresh tiles of 3 N data
+# and 8 N^2 program amplitudes and keeps neither. A live operator keeps,
+# besides its own 16 N^2 bytes, its expansion (16 N^2), its program (16 N^2),
+# the program's K (16 N^2) and, when its support is partial, that support's
+# measurement (16 N^2) and the measurement's index (at most 16 N^2): at most
+# 96 N^2 bytes, 6 MiB at N = 256.
 # `run_scenario` holds one operator and one data state's run at a time, so a
 # row's memory does not grow with its trial count. `parse_config` builds one
 # network per (processor, dim), and only those below N = 9 keep a compiled
 # index (8 N^3 bytes): at most 10 KB over N = 2..8, whatever the config's
 # length. Two per-dimension caches keep up to 16 entries each for the life of
-# the process: the full measurement (16 N^2 bytes) and the (i - j) mod N
-# gather index (8 N^2 bytes), at most 24 MiB.
-# Rows with the full measurement, time and peak RSS: N = 128, one Haar trial,
-# 0.014-0.015 s at 41 MB; N = 255, one Haar trial, 0.029-0.030 s at 52-53 MB;
-# N = 256, one Haar trial, 0.028-0.030 s at 52 MB, a row of four,
-# 0.065-0.066 s at 52-53 MB, and a draw-free row of 256 `example2` trials,
-# whose one program is tiled once, 0.16-0.20 s at 51 MB. Timed through
-# `run_config` in a fresh process on a 2-core Xeon with Python 3.11.7, numpy
-# 2.4.6 and one BLAS thread.
+# the process: the full measurement (16 N^2 bytes, and 8 N^2 for its index
+# once the qudit network has post-selected against it) and the (i - j) mod N
+# gather index (8 N^2 bytes), at most 32 MiB.
+# Rows, time and peak RSS: with the full measurement, N = 128, one Haar
+# trial, 0.017-0.018 s at 39-40 MB; N = 255, one Haar trial, 0.037-0.046 s at
+# 46 MB; N = 256, one Haar trial, 0.036-0.054 s at 47 MB, a row of four,
+# 0.095-0.112 s at 50 MB, and a draw-free row of 256 `example2` trials, whose
+# one program builds its K once, 0.062-0.064 s at 45 MB; the same row under
+# the support measurement, 0.068-0.089 s at 46 MB. Timed through `run_config`
+# in a fresh process on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one
+# BLAS thread.
 MAX_DIM = 256
 # Largest trial count a config or `--trials` may ask for. `run_scenario` keeps
 # the simulated probabilities, predictions and fidelities in three float64

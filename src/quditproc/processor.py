@@ -8,19 +8,19 @@ per value. It runs one of two ways, chosen by `_layout`:
 
 - a one-data-qudit array whose tiles of data and program fit in N^3
   amplitudes (the qudit network from N = 9) returns a deferred output
-  (`registers._deferred`): a `QuditRegisterState` whose amplitudes are the
-  product of two strided views of the tiles (`_strided_columns`), output
-  (d, a, b) being
-  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)]. ψ is
-  tiled on each run; P's tile is made on the program's first run and kept on
-  the program value, so a program run on many data states is tiled once, as
-  a stored program is prepared once. Nothing is multiplied until the output
-  is read. Reading `.amplitudes` makes the whole
-  product, the output's only joint-sized allocation; a post-selection of the
-  unread output makes only the columns of its bra's nonzero span, N^2
-  products under the full measurement |0> ⊗ |+> instead of N^3, at every N,
-  because `programs` builds every full Bell column of a measurement exactly,
-  with one nonzero. It is the whole network, not a second path for one gate;
+  (`registers._deferred`), whose amplitudes nothing makes until they are read.
+  Output (d, a, b) is
+  ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)] (mod N).
+  Reading `.amplitudes` makes the whole output as the product of two strided
+  views of fresh tiles of ψ and P (`_strided_output`), its only joint-sized
+  allocation. A post-selection of the unread output against a bra M on the
+  program register never makes it: a successful measurement leaves the data
+  acted on by one N x N map, K = (1 ⊗ <M|) U (1 ⊗ |P>), and the overlap is
+  K ψ. K is built from G^-1, P's amplitudes and M's nonzero labels
+  (`_success_map`), O(N nnz) for nnz nonzero amplitudes in M, and kept on the
+  program in one slot for the last (network, bra) it served, so a stored
+  program costs one N x N matvec per data state. It is the whole network,
+  not a second path for one gate;
 - any other array (such as the qudit network at N <= 8 or the CNOT network) is
   compiled once per value by running its gates through `conditional_shift`
   on the int64 index ramp, and the index is kept on the value; each run is
@@ -226,48 +226,106 @@ def _strided_layout(spec: GateArray):
     return _kept(spec, "_strided_layout", _layout)
 
 
-def _program_tile(rows: int, cols: int, program: QuditRegisterState) -> np.ndarray:
-    """P as a read-only (rows, N, cols, N) array: row a of P is repeated cols times, the whole rows times."""
-    dim = program.dim
-    tile = np.empty((rows, dim, cols, dim), dtype=complex)
-    tile[:] = program.amplitudes.reshape(dim, 1, dim)
-    return _locked(tile)
+def _strided_output(dim: int, layout, data: QuditRegisterState, program: QuditRegisterState) -> np.ndarray:
+    """The whole output of a width-1 array, as one multiply of two strided (N, N, N) views.
 
-
-def _strided_columns(
-    dim: int, layout, data: QuditRegisterState, program: QuditRegisterState, width: int, lo: int, hi: int
-) -> np.ndarray:
-    """Columns [lo, hi) of a width-1 array's output seen as a (N^3 / width, width) matrix.
-
-    The output (d, a, b) is the product of two strided (N, N, N) views of
-    tiles of ψ and P; the ndarray constructor checks that each view stays
-    inside its tile. ψ's tile, 3 N amplitudes for the qudit network, is made
-    fresh on each call. P's, 8 N^2 for it (128 N^2 bytes), is made on the
-    first call for each tile shape and kept on the program value through
-    `_kept` under a name that carries its tile counts, so a program run on
-    many data states is tiled once. For `width` = N^k the
-    columns are the trailing k digits, so only the slices of the views along
-    digit 3 - k that cover [lo, hi) are multiplied, into a fresh C-ordered
-    array that is the only other allocation: N^3 products for the whole output
-    (`width` = N, [0, N)), N^2 for the span [0, N) of the full measurement.
-    Each product is the same multiply of the same two amplitudes either way,
-    so the columns equal the whole output's bit for bit.
+    The views index fresh tiles of ψ (3 N amplitudes for the qudit network)
+    and P (8 N^2, 128 N^2 bytes, for it), repeated as `_layout` counts; the
+    ndarray constructor checks that each view stays inside its tile. The
+    tiles are dropped once the C-ordered product, the only other allocation,
+    is made.
     """
     reps, ((psi_offset, psi_strides), (prog_offset, prog_strides)) = layout
     psi = np.empty((reps[0], dim), dtype=complex)
     psi[:] = data.amplitudes
-    prog = _kept(program, f"_program_tile_{reps[1]}x{reps[2]}", partial(_program_tile, reps[1], reps[2]))
-    # Digit 3 - k, the leading column digit, steps through the columns
-    # N^(k-1) at a time.
-    step = width // dim
-    first, last = lo // step, -(-hi // step)
-    cover = (slice(None),) * (2 if step == 1 else 1) + (slice(first, last),)
+    prog = np.empty((reps[1], dim, reps[2], dim), dtype=complex)
+    prog[:] = program.amplitudes.reshape(dim, 1, dim)
     shape = (dim,) * 3
-    psi_view = np.ndarray(shape, complex, psi, psi_offset, psi_strides)[cover]
-    prog_view = np.ndarray(shape, complex, prog, prog_offset, prog_strides)[cover]
-    out = np.empty(psi_view.shape, dtype=complex)
-    np.multiply(psi_view, prog_view, out=out)
-    return out.reshape(dim**3 // width, (last - first) * step)[:, lo - first * step : hi - first * step]
+    out = np.empty(shape, dtype=complex)
+    np.multiply(
+        np.ndarray(shape, complex, psi, psi_offset, psi_strides),
+        np.ndarray(shape, complex, prog, prog_offset, prog_strides),
+        out=out,
+    )
+    return out.reshape(-1)
+
+
+# A bra with at most this many times N nonzero amplitudes keeps the index
+# that `_success_map` reads it through (see `_label_chunks`).
+_KEPT_LABELS_PER_N = 2
+
+
+def _label_index(inverse: tuple, dim: int, labels: np.ndarray) -> tuple:
+    """Where each (output digit d, bra label (a, b)) adds to K, and which P amplitude it reads.
+
+    Output (d, a, b) reads ψ[g_0·(d, a, b)] and P[g_1·(d, a, b), g_2·(d, a, b)]
+    (mod N), g_i the rows of G^-1, so label (a, b) adds
+    conj M[a, b] · P[g_1·(d, a, b), g_2·(d, a, b)] to K[d, g_0·(d, a, b)].
+    Returns the flat K indices and the flat P indices, both (N, len(labels))
+    in C order, int32 while N^2 fits.
+    """
+    a, b = np.divmod(labels, dim)
+    d = np.arange(dim)[:, None]
+    e, row, col = (((g0 % dim) * d + (g1 % dim) * a + (g2 % dim) * b) % dim for g0, g1, g2 in inverse)
+    dtype = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
+    return _locked((d * dim + e).astype(dtype).reshape(-1)), _locked((row * dim + col).astype(dtype))
+
+
+def _label_chunks(spec: GateArray, bra: QuditRegisterState):
+    """(K indices, P indices, conj M) of the bra's nonzero labels, N labels at a time.
+
+    A chunk holds 2 N^2 indices, so a build's transient memory is O(N^2)
+    whatever the bra. A bra of at most 2 N nonzeros, such as every measurement
+    of a paper example, keeps its chunks under a name that carries G^-1: at
+    most 16 N^2 bytes (1 MiB at N = 256), made once per (G^-1, bra value),
+    which the shared `measurement_full(N)` holds once per N. A denser bra
+    makes each chunk anew on each build.
+    """
+    dim, inverse = spec.dim, _compose_inverse(spec)
+    name = f"_label_index_{inverse}"
+    if name in vars(bra):
+        return vars(bra)[name]
+    (labels,) = bra.amplitudes.nonzero()
+    weights = _locked(bra.amplitudes[labels].conj())
+    chunks = (
+        (*_label_index(inverse, dim, labels[lo : lo + dim]), weights[lo : lo + dim])
+        for lo in range(0, labels.size, dim)
+    )
+    if labels.size > _KEPT_LABELS_PER_N * dim:
+        return chunks
+    return _kept(bra, name, lambda _: tuple(chunks))
+
+
+def _build_success_map(spec: GateArray, program: QuditRegisterState, bra: QuditRegisterState) -> np.ndarray:
+    amps = program.amplitudes
+    k = np.zeros(spec.dim**2, dtype=complex)
+    for k_index, p_index, weights in _label_chunks(spec, bra):
+        terms = amps.take(p_index)
+        terms *= weights
+        np.add.at(k, k_index, terms.reshape(-1))
+    return _locked(k.reshape(spec.dim, spec.dim))
+
+
+def _success_map(spec: GateArray, program: QuditRegisterState, bra: QuditRegisterState) -> np.ndarray:
+    """K = (1 ⊗ <bra|) U (1 ⊗ |P>), the N x N map a successful post-selection applies to ψ.
+
+    Built from G^-1, P's amplitudes and the bra's nonzero labels, never from
+    an expansion, in O(N nnz) time and 16 N^2 bytes. The program keeps it in
+    one slot, with the network and the bra it was built for: a run with an
+    equal network and the same bra object reuses it, any other pair replaces
+    it. The slot holds the bra, so its identity cannot be taken by another
+    value; racing threads may each build K, to the same bits.
+    """
+    slot = vars(program).get("_success_map")
+    if slot is None or slot[1] is not bra or slot[0] != spec:
+        slot = (spec, bra, _build_success_map(spec, program, bra))
+        vars(program)["_success_map"] = slot
+    return slot[2]
+
+
+def _project(spec: GateArray, data: QuditRegisterState, program: QuditRegisterState, bra) -> np.ndarray:
+    # <bra| on the program register of the unread output: K ψ.
+    return _success_map(spec, program, bra) @ data.amplitudes
 
 
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
@@ -275,8 +333,9 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
 
     A shift network with a strided layout (`_layout`) returns a deferred
     output: its amplitudes, one product of strided views of the two inputs
-    (`_strided_columns`), are made when first read, and a post-selection of
-    the unread output makes only the columns it contracts. Any other shift
+    (`_strided_output`), are made when first read, and a post-selection of
+    the unread output on the program register is K ψ (`_success_map`),
+    with K kept on the program. Any other shift
     network runs at once as `tensor` and one gather by its permutation, which
     the first call on each `GateArray` value compiles and keeps on the value.
     Gate order for the shift networks: data controls shifts onto both program
@@ -297,7 +356,13 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
         )
     # Either way a permutation of the checked product state: it keeps its norm.
     if (layout := _strided_layout(spec)) is not None:
-        return _deferred(QuditRegisterState, spec.dim, 3, partial(_strided_columns, spec.dim, layout, data, program))
+        return _deferred(
+            QuditRegisterState,
+            spec.dim,
+            3,
+            partial(_strided_output, spec.dim, layout, data, program),
+            partial(_project, spec, data, program),
+        )
     out = tensor(data, program).amplitudes[_compiled(spec)]
     return _adopt(QuditRegisterState, spec.dim, 3 * spec.width, out)
 

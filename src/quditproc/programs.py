@@ -136,7 +136,7 @@ def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
 
     The Bell-basis FFT, then each full column (every m set) in its closed form,
     sqrt(N / S) at k = 0 and +0.0 where the FFT leaves round-off that would
-    widen the span `partial_inner_product` contracts.
+    add nonzeros for post-selection to read.
     """
     size = np.count_nonzero(mask)
     if not size:

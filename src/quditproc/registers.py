@@ -11,11 +11,14 @@ threads or processes. Every array a value exposes, in a dict field too, goes
 through `_locked`: a read-only view whose owner is locked too, so
 it cannot be made writable again. `_kept` writes a value derived on first use
 (an operator's Tr(A†A) or expansion, an expansion's support size, program
-and support measurement, a bra's nonzero span, a program's strided-network
-tile, a gate array's layout or compiled index) onto the instance once;
-threads that race there only compute the same value twice. `_Value` gives
-copies and pickles the fields alone, their arrays locked again, and exact,
-unhashable equality: the same class and fields, arrays by `np.array_equal`.
+and support measurement, a bra's nonzero span or its index into a network's
+success map, a gate array's layout or compiled index) onto the instance once;
+threads that race there only compute the same value twice. One value is kept
+in a slot that a later use may replace: a program's success map K, for the
+last (network, bra) it was post-selected against (`processor`). `_Value`
+gives copies and pickles the fields alone, their arrays locked again, and
+exact, unhashable equality: the same class and fields, arrays by
+`np.array_equal`.
 `programs.measurement_full(N)` and the gather index
 in `gates` are built once per N and shared through a bounded, thread-safe
 `functools.lru_cache`.
@@ -26,12 +29,14 @@ the dimension, arity and size (and, for a state, the norm). `_adopt` wraps,
 without a copy or a check, only a fresh vector that a norm-preserving
 operation (a permutation of amplitudes, or the product of two states) has just
 made, or the int64 index ramp that a gate array is compiled on. `_deferred`
-wraps, on the same terms, a function that makes such a vector's columns: the
-value's amplitudes are made the first time anything reads them, and
-`partial_inner_product` on an unread value makes only the columns it
-contracts. The first read writes the amplitudes onto the instance through
-`_kept`, so racing first reads are as safe as `_kept`'s; copies, pickles,
-`repr` and equality read them, so a deferred value behaves like any other.
+wraps, on the same terms, a function that makes such a vector and one that
+contracts a bra against it without making it: the value's amplitudes are
+made the first time anything reads them, and `partial_inner_product` of an
+unread value against a bra on all but its leading qudit calls the second
+(for a network output, K ψ). The first read writes the amplitudes onto the
+instance through `_kept`, so racing first reads are as safe as `_kept`'s;
+copies, pickles, `repr` and equality read them, so a deferred value behaves
+like any other, and once read it is contracted as any other.
 """
 
 from __future__ import annotations
@@ -67,17 +72,19 @@ def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     return value
 
 
-def _deferred(cls, dim: int, arity: int, columns):
-    """A `cls` value whose amplitudes `columns` makes the first time they are read.
+def _deferred(cls, dim: int, arity: int, read, project):
+    """A `cls` value whose amplitudes `read()` makes the first time they are read.
 
-    `columns(width, lo, hi)` returns columns [lo, hi) of the amplitudes seen as
-    a (dim**arity // width, width) matrix, for `width` a power of `dim`, in a
-    fresh C-ordered array; the whole vector is `columns(dim, 0, dim)`. The same
-    terms as `_adopt`'s hold for what it makes: a norm-preserving operation on
-    checked values, no copy and no check.
+    `read()` returns the whole fresh vector; the same terms as `_adopt`'s hold
+    for it: a norm-preserving operation on checked values, no copy and no
+    check. `project(bra)` returns, while the amplitudes are unread, <bra|
+    contracted against the trailing arity - 1 qudits as a fresh vector of
+    `dim` amplitudes; `partial_inner_product` reads a bra of any other arity
+    through the whole vector.
     """
     value = _bare(cls, dim, arity)
-    object.__setattr__(value, "_columns", columns)
+    object.__setattr__(value, "_read", read)
+    object.__setattr__(value, "_project", project)
     return value
 
 
@@ -98,7 +105,7 @@ def _locked(amps: np.ndarray) -> np.ndarray:
 
 
 def _read_deferred(value) -> np.ndarray:
-    return _locked(value._columns(value.dim, 0, value.dim).reshape(-1))
+    return _locked(value._read())
 
 
 def _kept(value, name: str, compute):
@@ -177,7 +184,7 @@ class _Register(_Value):
     def __getattr__(self, name):
         # Reached only for a name missing from the instance dict: the
         # amplitudes of an unread `_deferred` value.
-        if name == "amplitudes" and "_columns" in vars(self):
+        if name == "amplitudes" and "_read" in vars(self):
             return _kept(self, "amplitudes", _read_deferred)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -308,34 +315,31 @@ def inner_product(a, b) -> complex:
 def partial_inner_product(bra, joint) -> UnnormalizedVector:
     """Contract <bra| against the trailing `bra.arity` subsystems of `joint`.
 
-    With big-endian indexing the trailing subsystems are the fast digits, so
-    this is one reshape to (rest, bra size) and one matrix-vector product over
-    the columns of the bra's nonzero span [lo, hi), the first and one past the
-    last nonzero amplitude, found once per bra value. For a dense bra that is
-    every column. Every full Bell column of a measurement is built exactly,
-    one nonzero and exact zeros, so the full measurement |0> ⊗ |+> spans
-    [0, N) at every N and the product reads N^2 of the joint state's N^3
-    amplitudes. When `joint` is
-    an unread `_deferred` value, only those columns are made. The result lives
-    on the leading subsystems in their original order; its squared norm is the
-    probability of projecting the trailing subsystems onto |bra>.
+    When `joint` is an unread `_deferred` value and `bra` covers all but its
+    leading qudit, the overlap is the value's own contraction: for a network
+    output, one N x N matvec K ψ by the success map kept on the program
+    (`processor`), whatever the bra. Otherwise, with big-endian indexing the
+    trailing subsystems are the fast digits, so this is one reshape to (rest,
+    bra size) and one matrix-vector product over the columns of the bra's
+    nonzero span [lo, hi), the first and one past the last nonzero amplitude,
+    found once per bra value. For a dense bra that is every column. Every full
+    Bell column of a measurement is built exactly, one nonzero and exact
+    zeros, so the full measurement |0> ⊗ |+> spans [0, N) at every N and the
+    product reads N^2 of the joint state's N^3 amplitudes. The result lives
+    on the leading subsystems in their original order; its squared norm is
+    the probability of projecting the trailing subsystems onto |bra>.
     """
     if bra.dim != joint.dim:
         raise ValueError("dimension mismatch in partial inner product")
     if bra.arity >= joint.arity:
         raise ValueError("partial projection must leave at least one subsystem")
-    lo, hi = _kept(bra, "_nonzero_span", _nonzero_span)
-    overlap = _column_block(joint, bra.amplitudes.size, lo, hi) @ bra.amplitudes[lo:hi].conj()
-    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, overlap)
-
-
-def _column_block(joint, width: int, lo: int, hi: int) -> np.ndarray:
-    # Columns [lo, hi) of the amplitudes as a (size // width, width) matrix,
-    # made alone when the amplitudes of a deferred `joint` are still unread.
     cache = vars(joint)
-    if "amplitudes" in cache:
-        return cache["amplitudes"].reshape(-1, width)[:, lo:hi]
-    return cache["_columns"](width, lo, hi)
+    if "_project" in cache and "amplitudes" not in cache and bra.arity == joint.arity - 1:
+        overlap = cache["_project"](bra)
+    else:
+        lo, hi = _kept(bra, "_nonzero_span", _nonzero_span)
+        overlap = joint.amplitudes.reshape(-1, bra.amplitudes.size)[:, lo:hi] @ bra.amplitudes[lo:hi].conj()
+    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, overlap)
 
 
 def _nonzero_span(bra) -> tuple[int, int]:

@@ -26,6 +26,24 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def assert_close(got, want, rel: float = 1e-14) -> None:
+    """Entrywise |got - want| at most `rel` times the largest |want|; exact when `want` is all zero."""
+    want = np.asarray(want)
+    assert max_abs_diff(got, want) <= rel * float(np.max(np.abs(want), initial=0.0))
+
+
+def assert_outcomes_close(got, want, rel: float = 1e-14) -> None:
+    """Two post-selection outcomes of one run agree to `rel`: probability, data state, fidelity and phase."""
+    assert abs(got.probability - want.probability) <= rel * want.probability
+    assert (got.data_state is None) == (want.data_state is None)
+    if want.data_state is not None:
+        assert_close(got.data_state.amplitudes, want.data_state.amplitudes, rel)
+    assert abs(got.oracle_fidelity - want.oracle_fidelity) <= rel
+    assert (got.global_phase is None) == (want.global_phase is None)
+    if want.global_phase is not None:
+        assert abs(got.global_phase - want.global_phase) <= rel
+
+
 def index_to_digits(index: int, dim: int, arity: int) -> tuple[int, ...]:
     """Big-endian base-`dim` digits of a flat index, `arity` digits long."""
     digits = []

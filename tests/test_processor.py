@@ -45,7 +45,7 @@ from quditproc import (
     u_mn,
 )
 
-from conftest import max_abs_diff, reference_shift
+from conftest import assert_outcomes_close, max_abs_diff, reference_partial_inner_product, reference_shift
 
 # Smallest N whose qudit network runs as one strided product: the first whose
 # tiles, 3 N + 8 N^2 amplitudes, fit in N^3.
@@ -475,8 +475,7 @@ def test_negative_row_tile_holds_its_whole_view(rng):
     assert np.array_equal(read.amplitudes, expected)
     got, want = post_select(unread, meas), post_select(read, meas)
     assert "amplitudes" not in vars(unread)
-    assert got.probability == want.probability
-    assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes)
+    assert_outcomes_close(got, want)
     assert "_source_index" not in vars(spec)
     assert processor_module._strided_layout(spec)[0] == (2, 1, 2)
 
@@ -611,20 +610,19 @@ def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
 
 @pytest.mark.parametrize("dim", [127, 128, 129])
 def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
-    # Under the full measurement, post-selecting an unread output makes only
-    # the N^2 products of the measurement's span [0, N): the tiles, that block
-    # and the data state, all O(N^2). The whole output would be 16 N^3 bytes,
-    # 33.5 MB at N = 128. N = 127 and 129 are not of the form 2^a 3^b: there
-    # a measurement with FFT round-off past index N would span almost every
-    # column and make nearly the whole output. The program's first run makes
-    # its tile of 8 N^2 amplitudes and keeps it; a repeat makes only ψ's tile
-    # of 3 N and the block.
-    psi_bytes, prog_bytes, block_bytes = 16 * 3 * dim, 16 * 8 * dim**2, 16 * dim**2
-    buffer_bytes = 2 * 16 * np.getbufsize()
+    # Under the full measurement, post-selecting an unread output makes no
+    # tile and no joint-sized array. A program's first post-selection builds
+    # its success map K (16 N^2 B) from the measurement's index, which the
+    # warm-up run keeps on the shared measurement: one N x N block of P's
+    # amplitudes (16 N^2 B), added into K by the block's index widened to
+    # intp (8 N^2 B). A repeat is one matvec. The whole output would be
+    # 16 N^3 B, 33.5 MB at N = 128. N = 127 and 129 are not of the form
+    # 2^a 3^b: there a measurement with FFT round-off would have nearly N^2
+    # nonzeros and its K would be built in N chunks.
     slack = 16 * 1024  # Python objects made along the way
     spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
-    post_select(apply_processor(spec, data, random_state(dim, 2, rng)), meas)  # keeps the layout and the span
+    post_select(apply_processor(spec, data, random_state(dim, 2, rng)), meas)  # keeps the layout and the index
     tracemalloc.start()
     try:
         post_select(apply_processor(spec, data, prog), meas)
@@ -635,8 +633,8 @@ def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first_peak < psi_bytes + prog_bytes + block_bytes + buffer_bytes + slack
-    assert peak - before < psi_bytes + block_bytes + buffer_bytes + slack
+    assert first_peak < (16 + 16 + 8) * dim**2 + slack
+    assert peak - before < 16 * 4 * dim + slack
     assert outcome.data_state is not None
 
 
@@ -645,9 +643,9 @@ def test_support_measurement_with_a_full_column_post_selects_one_column(rng):
     # (S = N for N >= 3), so its support bra is sqrt(N / S) |0>|0>: one
     # nonzero, span [0, 1), and post-selection makes N products. Built by the
     # FFT alone, the column's round-off left nonzeros across up to N^2 columns
-    # at N = 255, and the same run peaked at 240 MiB. The program's tile,
-    # 128 N^2 B, is made on its first run and kept, so the traced run is a
-    # stored program's.
+    # at N = 255, and the same run peaked at 240 MiB. The program's success
+    # map is built on its first run and kept, so the traced run is a stored
+    # program's.
     dim = 255
     op = reflection_operator(basis_state(dim, 1, [1]))
     expansion = hs_expand(op)
@@ -667,19 +665,14 @@ def test_support_measurement_with_a_full_column_post_selects_one_column(rng):
     assert outcome.oracle_fidelity >= 1 - 1e-10
 
 
-def _tile_name(spec) -> str:
-    reps = processor_module._strided_layout(spec)[0]
-    return f"_program_tile_{reps[1]}x{reps[2]}"
-
-
 @pytest.mark.parametrize("dim", [CROSSOVER, 28, 64, 127])
-def test_a_reused_program_is_tiled_once_and_runs_as_the_gatewise_run(dim, rng):
-    # The program's tile is made on its first run and kept on it; each later
-    # run, on other data, reads whole and post-selects unread exactly as the
-    # gate-by-gate run.
+def test_a_reused_program_keeps_its_success_map_and_runs_as_the_gatewise_run(dim, rng):
+    # The program's success map is built on its first post-selection and
+    # kept on it; each later run, on other data, reads whole exactly as the
+    # gate-by-gate run and post-selects unread as that run's contraction.
     spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
     program = random_state(dim, 2, rng)
-    tiles = []
+    maps = []
     for _ in range(2):
         psi = random_state(dim, 1, rng)
         expected = _gatewise(spec, psi, program)
@@ -687,34 +680,20 @@ def test_a_reused_program_is_tiled_once_and_runs_as_the_gatewise_run(dim, rng):
         got, want = post_select(unread, meas), post_select(read, meas)
         assert np.array_equal(read.amplitudes, expected)
         assert "amplitudes" not in vars(unread)
-        assert got.probability == want.probability
-        assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes)
-        tiles.append(vars(program)[_tile_name(spec)])
-    assert tiles[0] is tiles[1] and tiles[0].shape == (2, dim, 4, dim)
-
-
-def test_each_network_keeps_its_own_tile_on_a_shared_program(rng):
-    # The qudit network tiles P 2 x 4 times, the negative-row array 1 x 2
-    # times: the name of each kept tile carries its counts, so runs of the two
-    # on one program, in turn, each read their own.
-    dim = 28
-    specs = (QuditShiftNetwork(dim), GateArray(dim, 1, _NEGATIVE_ROW_GATES))
-    program, psi = random_state(dim, 2, rng), random_state(dim, 1, rng)
-    for _ in range(2):
-        for spec in specs:
-            assert np.array_equal(apply_processor(spec, psi, program).amplitudes, _gatewise(spec, psi, program))
-    tiles = {name: tile.shape for name, tile in vars(program).items() if name.startswith("_program_tile_")}
-    assert tiles == {"_program_tile_2x4": (2, dim, 4, dim), "_program_tile_1x2": (1, dim, 2, dim)}
-    assert [_tile_name(spec) for spec in specs] == list(tiles)
+        assert_outcomes_close(got, want)
+        maps.append(vars(program)["_success_map"][2])
+    assert maps[0] is maps[1] and maps[0].shape == (dim, dim)
+    # a whole read tiles the program afresh and keeps no tile
+    assert [name for name in vars(program) if name.startswith("_")] == ["_success_map"]
 
 
 def test_threads_racing_a_programs_first_run_agree(rng):
-    # `_kept` takes no lock: threads that race on a fresh program may each
-    # tile it, but every run must equal the gate-by-gate run, and the tile
-    # kept afterwards must not change
+    # `_kept` and the success-map slot take no lock: threads that race on a
+    # fresh program may each build its K, but every post-selection must give
+    # the same bits, within 1e-14 of the gate-by-gate run's contraction, every
+    # read must equal that run, and the K kept afterwards must not change
     dim = 28
     spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
-    name = _tile_name(spec)
     psi = random_state(dim, 1, rng)
     programs = [random_state(dim, 2, rng) for _ in range(20)]
     fresh = [_gatewise(spec, psi, program) for program in programs]
@@ -739,14 +718,17 @@ def test_threads_racing_a_programs_first_run_agree(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for program, got, amps in zip(programs, seen, fresh):
-        overlap = amps.reshape(-1, dim**2)[:, :dim] @ meas.amplitudes[:dim].conj()
+        overlap = reference_partial_inner_product(meas, QuditRegisterState(dim, 3, amps), (2, 3))
         state = overlap / np.linalg.norm(overlap)
-        assert len(got) == 6
-        assert all(np.array_equal(a, amps if a.size == amps.size else state) for a in got)
-        tile = vars(program)[name]
+        states = [a for a in got if a.size == dim]
+        assert len(got) == 6 and len(states) == 2
+        assert all(np.array_equal(a, amps) for a in got if a.size == amps.size)
+        assert np.array_equal(states[0], states[1])
+        assert max_abs_diff(states[0], state) <= 1e-14 * np.max(np.abs(state))
+        k = vars(program)["_success_map"][2]
         post_select(apply_processor(spec, psi, program), meas)
-        assert vars(program)[name] is tile
-        assert np.array_equal(tile, processor_module._program_tile(2, 4, copy.copy(program)))
+        assert vars(program)["_success_map"][2] is k
+        assert np.array_equal(k, processor_module._build_success_map(spec, copy.copy(program), meas))
 
 
 @pytest.mark.parametrize("dim", [8, 64], ids=["gather", "deferred"])
@@ -796,12 +778,14 @@ def test_post_select_of_an_unread_output_equals_the_read_one(dim, rng):
         unread, read = apply_processor(spec, psi, program), apply_processor(spec, psi, program)
         assert np.array_equal(read.amplitudes, expected), name
         got, want = post_select(unread, bra, oracle), post_select(read, bra, oracle)
-        assert "amplitudes" not in vars(unread), name
-        assert got.probability == want.probability, name
-        assert got.oracle_fidelity == want.oracle_fidelity and got.global_phase == want.global_phase, name
         assert (got.data_state is None) == (want.data_state is None) == (name == "all-zero")
-        if want.data_state is not None:
-            assert np.array_equal(got.data_state.amplitudes, want.data_state.amplitudes), name
+        if bra.arity == 2:
+            # the success map's overlap, left unread, against the contraction of the read output
+            assert "amplitudes" not in vars(unread), name
+            assert_outcomes_close(got, want)
+        else:
+            # a bra on one qudit reads the output whole, and is contracted as the read one
+            assert got == want, name
         # read afterwards, the output is the gate-by-gate run, read once
         assert np.array_equal(unread.amplitudes, expected), name
         assert unread.amplitudes is unread.amplitudes
@@ -822,7 +806,7 @@ def test_unread_output_is_read_where_a_value_is_copied_shown_or_compared(clone, 
     if isinstance(made, bytes):
         made = pickle.loads(made)
     if isinstance(made, QuditRegisterState):
-        assert type(made) is QuditRegisterState and "_columns" not in vars(made)
+        assert type(made) is QuditRegisterState and not {"_read", "_project"} & set(vars(made))
         assert (made.dim, made.arity) == (CROSSOVER, 3)
         assert np.array_equal(made.amplitudes, expected)
     elif isinstance(made, str):

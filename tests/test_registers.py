@@ -38,7 +38,7 @@ from quditproc import (
 from quditproc import processor
 from quditproc.gates import _difference_index
 from quditproc.processor import QuditShiftNetwork, apply_processor
-from quditproc.programs import measurement_full, measurement_restricted
+from quditproc.programs import measurement_for_labels, measurement_full, measurement_restricted
 
 from conftest import index_to_digits, max_abs_diff, reference_partial_inner_product
 
@@ -265,20 +265,28 @@ def test_a_deferred_output_equals_its_read_copy(rng):
     assert apply_processor(spec, random_state(dim, 1, rng), prog) != read
 
 
+# The name under which a bra keeps its index into the qudit network's success
+# map: it carries the network's G^-1.
+QUDIT_NETWORK_INDEX = "_label_index_((1, 1, -1), (-1, 0, 1), (-1, -1, 2))"
+
+
 @pytest.mark.parametrize(
     "clone",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_and_pickles_carry_only_the_fields(clone, rng):
-    # A run keeps the program's tile (8 N^2 amplitudes) on the program and the
-    # bra's nonzero span on the bra; an operator keeps its expansion and
-    # Tr(A†A), an expansion its support size, program and support
-    # measurement, a network its layout and compiled index. A copy derives
-    # them again when it is used.
+    # A post-selection of a deferred output keeps the success map (N^2
+    # amplitudes) on the program and the index into it on a sparse bra, one
+    # of an eager output the nonzero span on its bra; an operator keeps its
+    # expansion and Tr(A†A), an expansion its support size, program and
+    # support measurement, a network its layout and compiled index. A copy
+    # derives them again when it is used.
     dim = 64
-    program, bra = random_state(dim, 2, rng), random_state(dim, 2, rng)
+    program, bra = random_state(dim, 2, rng), measurement_for_labels(dim, [(1, 2)])
     partial_inner_product(bra, apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), program))
+    span_bra = random_state(8, 2, rng)
+    partial_inner_product(span_bra, apply_processor(QuditShiftNetwork(8), random_state(8, 1, rng), random_state(8, 2, rng)))
     op = random_operator(dim, rng)
     op.gram_trace()
     hs_expand(op).support_size()
@@ -289,8 +297,9 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     network = QuditShiftNetwork(8)
     apply_processor(network, random_state(8, 1, rng), random_state(8, 2, rng))
     used = [
-        (program, "_program_tile_2x4", {"dim", "arity", "amplitudes"}),
-        (bra, "_nonzero_span", {"dim", "arity", "amplitudes"}),
+        (program, "_success_map", {"dim", "arity", "amplitudes"}),
+        (bra, QUDIT_NETWORK_INDEX, {"dim", "arity", "amplitudes"}),
+        (span_bra, "_nonzero_span", {"dim", "arity", "amplitudes"}),
         (op, "_hs_expansion", {"dim", "entries", "label"}),
         (hs_expand(op), "_support_size", {"dim", "coeffs", "gram_norm"}),
         (held, "_program", {"dim", "coeffs", "gram_norm"}),
@@ -303,6 +312,7 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
         assert type(made) is type(value) and made == value
         assert set(vars(made)) == names
     assert len(pickle.dumps(program)) < program.amplitudes.nbytes + 1024
+    assert len(pickle.dumps(bra)) < bra.amplitudes.nbytes + 1024
     assert len(pickle.dumps(op)) < op.entries.nbytes + 1024
     assert len(pickle.dumps(held)) < held.coeffs.nbytes + 1024
     assert len(pickle.dumps(network)) < 1024
@@ -517,11 +527,11 @@ def _run(dim, rng):
     return apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), random_state(dim, 2, rng))
 
 
-def _tile(rng) -> np.ndarray:
-    # the tile that a program's first strided run keeps on it
-    program = random_state(28, 2, rng)
-    apply_processor(QuditShiftNetwork(28), random_state(28, 1, rng), program).amplitudes
-    return vars(program)["_program_tile_2x4"]
+def _post_selected(rng):
+    # a program and a sparse bra after a post-selection of a deferred output
+    program, bra = random_state(28, 2, rng), measurement_for_labels(28, [(1, 2)])
+    partial_inner_product(bra, apply_processor(QuditShiftNetwork(28), random_state(28, 1, rng), program))
+    return vars(program), vars(bra)
 
 
 # Every array that a value exposes, keeps or shares, by how it was made; the
@@ -538,7 +548,9 @@ FROZEN = {
     "difference-index": lambda rng: _difference_index(5),
     "measurement_full": lambda rng: measurement_full(5).amplitudes,
     "compiled-index": lambda rng: processor._compiled(QuditShiftNetwork(3)),
-    "program-tile": _tile,
+    "success-map": lambda rng: _post_selected(rng)[0]["_success_map"][2],
+    # the P index of the bra's one chunk
+    "label-index": lambda rng: _post_selected(rng)[1][QUDIT_NETWORK_INDEX][0][1],
     "deep-copied": lambda rng: copy.deepcopy(random_operator(3, rng)).entries,
     "unpickled": lambda rng: pickle.loads(pickle.dumps(random_state(3, 2, rng))).amplitudes,
 }
@@ -588,7 +600,10 @@ def test_racing_first_reads_of_a_deferred_output_agree(rng):
     # a strided network output is made on its first read, through `_kept`:
     # threads that race there, or on a post-selection of the unread output,
     # may each make it, but every read must equal the gather's, and the
-    # amplitudes kept afterwards must not change
+    # amplitudes kept afterwards must not change. A post-selection that ran
+    # before the first read is the program's success map applied to ψ, one
+    # after it the contraction of the read output: each has the bits of its
+    # path, and the two agree to 1e-14
     dim = 28
     spec = QuditShiftNetwork(dim)
     source = processor._compiled(QuditShiftNetwork(dim))
@@ -615,8 +630,12 @@ def test_racing_first_reads_of_a_deferred_output_agree(rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for out, got, amps in zip(outs, seen, fresh):
-        overlap = amps.reshape(dim, -1) @ bra.amplitudes.conj()
-        assert len(got) == 6
-        assert all(np.array_equal(a, amps if a.size == amps.size else overlap) for a in got)
+    for (data, prog), out, got, amps in zip(inputs, outs, seen, fresh):
+        read = amps.reshape(dim, -1) @ bra.amplitudes.conj()
+        unread = partial_inner_product(bra, apply_processor(spec, data, prog)).amplitudes
+        assert max_abs_diff(unread, read) <= 1e-14 * np.max(np.abs(read))
+        overlaps = [a for a in got if a.size == dim]
+        assert len(got) == 6 and len(overlaps) == 2
+        assert all(np.array_equal(a, amps) for a in got if a.size == amps.size)
+        assert all(np.array_equal(a, unread) or np.array_equal(a, read) for a in overlaps)
         assert out.amplitudes is out.amplitudes and not out.amplitudes.flags.writeable
