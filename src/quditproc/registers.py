@@ -12,7 +12,7 @@ through `_locked`: a read-only view whose owner is locked too, so
 it cannot be made writable again. `_kept` writes a value derived on first use
 (an operator's Tr(A†A) or expansion, an expansion's support size, program
 and support measurement, a bra's nonzero span or its index into a network's
-success map, a gate array's layout or compiled index) onto the instance once;
+success map, a gate array's G^-1 or compiled index) onto the instance once;
 threads that race there only compute the same value twice. One value is kept
 in a slot that a later use may replace: a program's success map K, for the
 last (network, bra) it was post-selected against (`processor`). `_Value`

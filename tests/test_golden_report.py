@@ -6,13 +6,13 @@ tests/data holds those runs' reports and the describe documents. In the
 paper-claims reports and the describe documents, strings, ints, bools and
 nulls must match exactly; floats may differ by 1e-12, so that another LAPACK
 build or a change that moves a last ulp still passes. The strided-sizes report
-(N = 9, 27, 28 and 32, which run the deferred strided network output) must
+(N = 9, 27, 28 and 32, which run the deferred network output) must
 match byte for byte: post-selecting only the columns a measurement reads must
 not move a bit against the whole output. It was regenerated when the full
 measurement became the closed form |0> ⊗ |+> in place of the FFT of N^2 equal
-weights, which moved 8 floats by at most 4.4e-16 and nothing else. Its N = 9
-and 27 rows were made by the gather, before the strided layout alone chose
-the path, so matching them shows that the switch moves no bit. It was generated
+weights, which moved 8 floats by at most 4.4e-16 and nothing else, and again
+when a deferred output came to be post-selected as K ψ by the program's
+success map, which moved 14 floats by at most 4.4e-16. It was generated
 with numpy 2.4.6; another FFT or LAPACK build may move a last ulp, and then
 needs a report of its own.
 A change that means to alter an output replaces these files and says why.

@@ -171,7 +171,7 @@ def test_a_draw_free_row_makes_its_program_and_measurement_once(monkeypatch):
 
 
 def test_a_draw_free_row_peaks_the_same_at_any_trial_count():
-    # A draw-free row keeps one operator, with its program and tile, and runs
+    # A draw-free row keeps one operator, with its program and K, and runs
     # one data state at a time; only its four float64 arrays grow with trials.
     def row(trials):
         raw = {"id": "s", "dim": 32, "operator": {"name": "example2", "theta": 0.3}, "trials": trials}
@@ -209,7 +209,7 @@ def test_each_network_is_built_and_compiled_once(monkeypatch, tmp_path):
     assert len({id(network) for network in (a, c, d, f)}) == 4
     assert all(run_scenario(scn, seed, i).passed for i, scn in enumerate(scenarios))
     assert all("_source_index" in vars(network) for network in (a, c, d))
-    # from N = 9 on a run is the strided product, which compiles nothing
+    # from N = 9 on a run is deferred, which compiles nothing
     assert "_source_index" not in vars(f)
 
     # the bundled config holds 7 distinct networks, each compiled by its 4 gates

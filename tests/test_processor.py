@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quditproc.processor as processor_module
+from quditproc import harness
 from quditproc import (
     DenseOperator,
     GateArray,
@@ -47,12 +49,10 @@ from quditproc import (
 
 from conftest import assert_outcomes_close, max_abs_diff, reference_partial_inner_product, reference_shift
 
-# Smallest N whose qudit network runs as one strided product: the first whose
-# tiles, 3 N + 8 N^2 amplitudes, fit in N^3.
-CROSSOVER = next(
-    n for n in itertools.count(2) if processor_module._strided_layout(QuditShiftNetwork(n)) is not None
-)
+# Smallest N whose qudit network returns a deferred output.
+CROSSOVER = processor_module._DEFERRED_MIN_DIM
 SEEDS = st.integers(0, 2**32 - 1)
+DATA = Path(__file__).resolve().parent / "data"
 _F, _B = ShiftDirection.FORWARD, ShiftDirection.BACKWARD
 
 
@@ -429,8 +429,7 @@ def test_network_match_equals_the_index_comparison(dim):
     assert qubit_network_matches_shift_network(dim) == np.array_equal(forward, mixed)
 
 
-# Alternating shifts grow G^-1's entries like Fibonacci numbers: the program
-# tile would far exceed N^3 amplitudes at the crossover, so the gather runs.
+# Alternating shifts grow G^-1's entries like Fibonacci numbers.
 _LONG_GATES = ((1, 2, _F), (2, 1, _F)) * 8
 
 
@@ -449,23 +448,34 @@ def _network_sized_arrays(draw):
 def test_strided_run_equals_the_gatewise_run(spec, seed):
     rng = np.random.default_rng(seed)
     data, prog = random_state(spec.dim, 1, rng), random_state(spec.dim, 2, rng)
-    out = apply_processor(spec, data, prog)
-    assert type(out) is QuditRegisterState and out.arity == 3
+    meas = measurement_full(spec.dim)
+    out, unread = apply_processor(spec, data, prog), apply_processor(spec, data, prog)
+    assert type(out) is QuditRegisterState and out.arity == 3 and "_read" in vars(out)
     assert np.array_equal(out.amplitudes, _gatewise(spec, data, prog))
-    # the gather ran, and left its index, exactly when the tiles were too big
-    assert ("_source_index" in vars(spec)) == (processor_module._strided_layout(spec) is None)
+    assert_outcomes_close(post_select(unread, meas), post_select(out, meas))
+    assert "amplitudes" not in vars(unread)
+    # the gather never ran: every width-1 array from the crossover defers
+    assert "_source_index" not in vars(spec)
 
 
-def test_long_gate_list_falls_back_to_the_gather():
+def test_long_gate_list_defers(rng):
+    # G^-1's entries far exceed N: each is taken mod N, and the array defers
+    # as the qudit network does
     spec = GateArray(CROSSOVER, 1, _LONG_GATES)
-    reps = [sum(map(abs, row)) for row in processor_module._compose_inverse(spec)]
-    assert reps[1] * reps[2] * CROSSOVER**2 > CROSSOVER**3
-    assert processor_module._strided_layout(spec) is None
+    assert max(abs(g) for row in processor_module._compose_inverse(spec) for g in row) > CROSSOVER**3
+    data, prog = random_state(CROSSOVER, 1, rng), random_state(CROSSOVER, 2, rng)
+    meas = measurement_full(CROSSOVER)
+    unread, read = apply_processor(spec, data, prog), apply_processor(spec, data, prog)
+    assert np.array_equal(read.amplitudes, _gatewise(spec, data, prog))
+    got, want = post_select(unread, meas), post_select(read, meas)
+    assert "amplitudes" not in vars(unread)
+    assert_outcomes_close(got, want)
+    assert "_source_index" not in vars(spec)
 
 
-def test_negative_row_tile_holds_its_whole_view(rng):
-    # G^-1's first row has no positive entry: its view reads ψ's tile from
-    # index 1 to N, one past a tile of one copy per negative entry.
+def test_negative_row_inverse_reads_the_whole_output(rng):
+    # G^-1's first row has no positive entry: each digit it gives is a
+    # negative sum taken mod N.
     dim = 28
     spec = GateArray(dim, 1, _NEGATIVE_ROW_GATES)
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
@@ -477,22 +487,21 @@ def test_negative_row_tile_holds_its_whole_view(rng):
     assert "amplitudes" not in vars(unread)
     assert_outcomes_close(got, want)
     assert "_source_index" not in vars(spec)
-    assert processor_module._strided_layout(spec)[0] == (2, 1, 2)
+    assert processor_module._compose_inverse(spec)[0] == (0, 0, -1)
 
 
-def test_the_layout_alone_chooses_the_path(rng):
-    # The qudit network's tiles, 3 N + 8 N^2 amplitudes, first fit in N^3 at
-    # N = 9: below it the network gathers and keeps its index, from it on it
-    # keeps only its layout. The CNOT network's tiles never fit.
+def test_the_dimension_alone_chooses_the_path(rng):
+    # Below N = 9 the qudit network gathers and keeps its index; from it on
+    # its output is deferred and it keeps only G^-1. The CNOT network and the
+    # tensor array gather.
     for dim in range(2, 13):
         spec = QuditShiftNetwork(dim)
-        apply_processor(spec, random_state(dim, 1, rng), random_state(dim, 2, rng))
+        out = apply_processor(spec, random_state(dim, 1, rng), random_state(dim, 2, rng))
         assert ("_source_index" in vars(spec)) == (dim <= 8), dim
-        assert (processor_module._strided_layout(spec) is None) == (dim <= 8), dim
-    assert processor_module._strided_layout(QuditShiftNetwork(9))[0] == (3, 2, 4)
-    spec = QubitCnotNetwork()
-    apply_processor(spec, random_state(2, 1, rng), random_state(2, 2, rng))
-    assert processor_module._strided_layout(spec) is None and "_source_index" in vars(spec)
+        assert ("_read" in vars(out)) == (dim >= 9), dim
+    for spec in (QubitCnotNetwork(), TensorQubitArray(2)):
+        out = apply_processor(spec, random_state(2, spec.width, rng), random_state(2, 2 * spec.width, rng))
+        assert "_source_index" in vars(spec) and "_read" not in vars(out)
 
 
 def _spy_on_the_gather(monkeypatch) -> list:
@@ -556,14 +565,13 @@ def test_each_gate_array_is_compiled_once(monkeypatch, rng):
 def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     # Compiled after `tensor`, with each gate's input freed once its output
     # exists: tensor's output and two ramps while it compiles, then no more
-    # than tensor's output, the gather's and the kept index. At N = 27 the
-    # long gate list's tiles exceed N^3 amplitudes, so it still gathers.
-    dim = 27
-    joint_bytes, index_bytes = 16 * dim**3, 8 * dim**3
+    # than tensor's output, the gather's and the kept index. Five qubit
+    # processors make a joint state of 2^15 amplitudes.
+    spec = TensorQubitArray(5)
+    size = spec.dim ** (3 * spec.width)
+    joint_bytes, index_bytes = 16 * size, 8 * size
     slack = 16 * 1024  # Python objects made along the way
-    spec = GateArray(dim, 1, _LONG_GATES)
-    assert processor_module._strided_layout(spec) is None
-    data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+    data, prog = random_state(spec.dim, spec.width, rng), random_state(spec.dim, 2 * spec.width, rng)
     tracemalloc.start()
     try:
         first = apply_processor(spec, data, prog)
@@ -580,14 +588,14 @@ def test_first_call_peaks_at_two_joint_states_and_the_index(rng):
     assert second.amplitudes.nbytes == joint_bytes
 
 
-def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
+def test_whole_read_peaks_at_one_joint_state_and_a_chunk(rng):
     # The first read of the deferred output makes it, the only joint-sized
-    # allocation; ψ and P are tiled 3 and 2 x 4 times, and the multiply may
-    # stage each strided input through a buffer of getbufsize() elements,
-    # whatever N is. Nothing is kept on the network but its layout.
+    # allocation. Besides it live ψ tiled N times (16 N^2 B) and one chunk of
+    # N labels: its int64 digits and their int32 indices, and the ψ and P
+    # amplitudes they take (2 x 16 N^2 B). Nothing is kept on the network but
+    # G^-1.
     dim = 32
-    joint_bytes, tile_bytes = 16 * dim**3, 16 * (3 * dim + 8 * dim**2)
-    buffer_bytes = 2 * 16 * np.getbufsize()
+    joint_bytes, chunk_bytes = 16 * dim**3, 128 * dim**2
     slack = 16 * 1024  # Python objects made along the way
     spec = QuditShiftNetwork(dim)
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
@@ -602,16 +610,69 @@ def test_strided_run_peaks_at_one_joint_state_and_its_tiles(rng):
         _, second_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first_peak < joint_bytes + tile_bytes + buffer_bytes + slack
-    assert second_peak - before < joint_bytes + tile_bytes + buffer_bytes + slack
+    assert first_peak < joint_bytes + chunk_bytes + slack
+    assert second_peak - before < joint_bytes + chunk_bytes + slack
     assert second.nbytes == joint_bytes
     assert "_source_index" not in vars(spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dim", [127, 128, 129])
+def test_whole_reads_at_large_n_equal_the_gatewise_run(dim, rng):
+    for spec in (QuditShiftNetwork(dim), GateArray(dim, 1, _NEGATIVE_ROW_GATES)):
+        data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
+        assert np.array_equal(apply_processor(spec, data, prog).amplitudes, _gatewise(spec, data, prog))
+
+
+def test_no_run_path_reads_a_deferred_output_whole(monkeypatch, rng):
+    # The whole read serves `.amplitudes` alone: with it made to raise, the
+    # bundled configs, a Haar row at N = 64, a support row at N = 128 and a
+    # stored program at N = 64 all run, each outcome through its success map.
+    def whole_read(*args):
+        raise AssertionError("a run path read a deferred output whole")
+
+    outcomes = []
+
+    def recorded(*args):
+        outcomes.append(run_experiment(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(processor_module, "_whole_read", whole_read)
+    monkeypatch.setattr(harness, "run_experiment", recorded)
+    large = {
+        "schema": 1,
+        "seed": 7,
+        "scenarios": [
+            {"id": "haar-n64", "dim": 64, "operator": {"name": "random_unitary"}, "trials": 3},
+            {
+                "id": "example2-n128-support",
+                "dim": 128,
+                "operator": {"name": "example2", "theta": 0.3},
+                "measurement": "support",
+                "trials": 4,
+            },
+        ],
+    }
+    for doc in (
+        harness.load_bundled_config("paper-claims"),
+        harness.load_config_file(DATA / "strided-sizes.json"),
+        large,
+    ):
+        _, rows = harness.run_config(doc)
+        assert all(row.passed for row in rows)
+    assert outcomes and all(outcome.data_state is not None for outcome in outcomes)
+    op, spec, meas = random_unitary(64, rng), QuditShiftNetwork(64), measurement_full(64)
+    program = program_from_expansion(hs_expand(op)).state
+    for _ in range(5):
+        psi = random_state(64, 1, rng)
+        outcome = post_select(apply_processor(spec, psi, program), meas, oracle_apply(op, psi))
+        assert outcome.data_state is not None and outcome.oracle_fidelity >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("dim", [127, 128, 129])
 def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
     # Under the full measurement, post-selecting an unread output makes no
-    # tile and no joint-sized array. A program's first post-selection builds
+    # joint-sized array. A program's first post-selection builds
     # its success map K (16 N^2 B) from the measurement's index, which the
     # warm-up run keeps on the shared measurement: one N x N block of P's
     # amplitudes (16 N^2 B), added into K by the block's index widened to
@@ -622,7 +683,7 @@ def test_post_selected_strided_run_peaks_at_its_tiles(dim, rng):
     slack = 16 * 1024  # Python objects made along the way
     spec, meas = QuditShiftNetwork(dim), measurement_full(dim)
     data, prog = random_state(dim, 1, rng), random_state(dim, 2, rng)
-    post_select(apply_processor(spec, data, random_state(dim, 2, rng)), meas)  # keeps the layout and the index
+    post_select(apply_processor(spec, data, random_state(dim, 2, rng)), meas)  # keeps G^-1 and the index
     tracemalloc.start()
     try:
         post_select(apply_processor(spec, data, prog), meas)
@@ -683,7 +744,7 @@ def test_a_reused_program_keeps_its_success_map_and_runs_as_the_gatewise_run(dim
         assert_outcomes_close(got, want)
         maps.append(vars(program)["_success_map"][2])
     assert maps[0] is maps[1] and maps[0].shape == (dim, dim)
-    # a whole read tiles the program afresh and keeps no tile
+    # a whole read keeps nothing on the program
     assert [name for name in vars(program) if name.startswith("_")] == ["_success_map"]
 
 
@@ -734,7 +795,7 @@ def test_threads_racing_a_programs_first_run_agree(rng):
 @pytest.mark.parametrize("dim", [8, 64], ids=["gather", "deferred"])
 def test_copied_and_unpickled_values_run_as_the_originals(dim, rng):
     # Each value is used first, so that it keeps what it derived (the
-    # network's index or layout, the program's tile, the operator's
+    # network's index or G^-1, the program's success map, the operator's
     # expansion); its copy carries the fields alone and derives them again.
     op, spec = random_unitary(dim, rng), QuditShiftNetwork(dim)
     program = program_from_expansion(hs_expand(op)).state

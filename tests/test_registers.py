@@ -280,11 +280,12 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     # amplitudes) on the program and the index into it on a sparse bra, one
     # of an eager output the nonzero span on its bra; an operator keeps its
     # expansion and Tr(A†A), an expansion its support size, program and
-    # support measurement, a network its layout and compiled index. A copy
+    # support measurement, a network its G^-1 or compiled index. A copy
     # derives them again when it is used.
     dim = 64
     program, bra = random_state(dim, 2, rng), measurement_for_labels(dim, [(1, 2)])
-    partial_inner_product(bra, apply_processor(QuditShiftNetwork(dim), random_state(dim, 1, rng), program))
+    deferring = QuditShiftNetwork(dim)
+    partial_inner_product(bra, apply_processor(deferring, random_state(dim, 1, rng), program))
     span_bra = random_state(8, 2, rng)
     partial_inner_product(span_bra, apply_processor(QuditShiftNetwork(8), random_state(8, 1, rng), random_state(8, 2, rng)))
     op = random_operator(dim, rng)
@@ -305,6 +306,7 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
         (held, "_program", {"dim", "coeffs", "gram_norm"}),
         (held, "_support_measurement", {"dim", "coeffs", "gram_norm"}),
         (network, "_source_index", {"dim", "width", "gates"}),
+        (deferring, "_inverse", {"dim", "width", "gates"}),
     ]
     for value, derived, names in used:
         assert derived in vars(value)
@@ -535,7 +537,7 @@ def _post_selected(rng):
 
 
 # Every array that a value exposes, keeps or shares, by how it was made; the
-# qudit network runs as the strided product at N = 28, and the gather at N = 3.
+# qudit network defers its output at N = 28, and gathers at N = 3.
 FROZEN = {
     "constructed": lambda rng: random_state(3, 2, rng).amplitudes,
     "tensor": lambda rng: tensor(random_state(3, 1, rng), random_state(3, 2, rng)).amplitudes,
@@ -597,7 +599,7 @@ def test_racing_threads_read_equal_derived_values(rng):
 
 
 def test_racing_first_reads_of_a_deferred_output_agree(rng):
-    # a strided network output is made on its first read, through `_kept`:
+    # a deferred network output is made on its first read, through `_kept`:
     # threads that race there, or on a post-selection of the unread output,
     # may each make it, but every read must equal the gather's, and the
     # amplitudes kept afterwards must not change. A post-selection that ran
