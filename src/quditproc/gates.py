@@ -149,12 +149,13 @@ def conjugate_vector(v: QuditRegisterState) -> QuditRegisterState:
 
 
 # Entries kept by each per-dimension cache (`_difference_index` here,
-# `programs.measurement_full`). A traced `paper-claims` run touches nine
-# dimensions (2-8, 16, 32, 64), so 16 never evicts there; a sweep over more
-# dimensions recomputes as if uncached. At MAX_DIM = 256 an entry is 0.5 MiB
-# here and 1 MiB in `measurement_full`, plus 0.5 MiB for the index that a
-# post-selection through the qudit network keeps on the measurement: 32 MiB
-# for both caches full.
+# `programs.measurement_full` and `programs._program_index`). A traced
+# `paper-claims` run touches nine dimensions (2-8, 16, 32, 64), so 16 never
+# evicts there; a sweep over more dimensions recomputes as if uncached. At
+# MAX_DIM = 256 an entry is 0.5 MiB here, 0.5 MiB in `_program_index` and
+# 1 MiB in `measurement_full`, plus 0.5 MiB for the index that a
+# post-selection through the qudit network keeps on the measurement: 40 MiB
+# for the three caches full.
 _PER_DIM_CACHE_SIZE = 16
 
 
@@ -164,10 +165,11 @@ def _difference_index(dim: int) -> np.ndarray:
 
     F[i, j] is the flat index of entry (i, (i - j) mod N) of an N x N array,
     so one `take` by F is the gather of both N^2 FFT layouts:
-    `bell_basis_matrix` reads column n = (k - j) mod N of row k, and
-    `programs.hs_expand` reads A[(s - n) mod N, s], which is that entry of
-    the transpose. A flat `take` at N = 64 runs in a quarter of the time of
-    the same gather by two broadcast index arrays.
+    `bell_basis_matrix` reads column n = (k - j) mod N of row k, and an
+    expansion's coefficient table (`programs.hs_expand`, made when read)
+    reads A[(s - n) mod N, s], which is that entry of the transpose. A flat
+    `take` at N = 64 runs in a quarter of the time of the same gather by two
+    broadcast index arrays.
     """
     k = np.arange(dim)
     return _locked(k[:, None] * dim + (k[:, None] - k) % dim)

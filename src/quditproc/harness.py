@@ -54,18 +54,23 @@ SCENARIO_KEYS = frozenset(
 # a deferred output makes, besides its 16 N^3 bytes, ψ tiled N times
 # (16 N^2 bytes) and the index and amplitudes of N labels at a time, and
 # keeps none of them. A live operator keeps,
-# besides its own 16 N^2 bytes, its expansion (16 N^2), its program (16 N^2),
-# the program's K (16 N^2) and, when its support is partial, that support's
+# besides its own 16 N^2 bytes, its program (16 N^2) and the program's K
+# (16 N^2): 48 N^2 bytes, 3 MiB at N = 256, under the full measurement. Its
+# expansion holds the operator's own entries and keeps its coefficient table
+# (16 N^2) only once something reads it: the support measurement, the support
+# prediction or `describe`. Under the support measurement it is read, and
+# when the support is partial the operator also keeps that support's
 # measurement (16 N^2) and the measurement's index (at most 16 N^2): at most
 # 96 N^2 bytes, 6 MiB at N = 256.
 # `run_scenario` holds one operator and one data state's run at a time, so a
 # row's memory does not grow with its trial count. `parse_config` builds one
 # network per (processor, dim), and only those below N = 9 keep a compiled
 # index (8 N^3 bytes): at most 10 KB over N = 2..8, whatever the config's
-# length. Two per-dimension caches keep up to 16 entries each for the life of
-# the process: the full measurement (16 N^2 bytes, and 8 N^2 for its index
-# once the qudit network has post-selected against it) and the (i - j) mod N
-# gather index (8 N^2 bytes), at most 32 MiB.
+# length. Three per-dimension caches keep up to 16 entries each for the life
+# of the process: the full measurement (16 N^2 bytes, and 8 N^2 for its index
+# once the qudit network has post-selected against it), the (i - j) mod N
+# gather index (8 N^2 bytes) and the program's gather index (8 N^2 bytes), at
+# most 40 MiB.
 # Rows, time and peak RSS: with the full measurement, N = 128, one Haar
 # trial, 0.017-0.018 s at 39-40 MB; N = 255, one Haar trial, 0.037-0.046 s at
 # 46 MB; N = 256, one Haar trial, 0.036-0.054 s at 47 MB, a row of four,
@@ -88,9 +93,10 @@ MAX_TRIALS = 10**6
 MAX_SEED = 2**64 - 1
 # Range of Tr(A†A) an inline matrix may have; the outcome does not depend on
 # the scale. Inside it, at every N <= MAX_DIM, N Tr(A†A) and the predicted
-# probabilities and `describe`'s scales stay finite and nonzero, and the
-# expansion's sum |q|^2 = Tr(A†A) / N is summed from normal squares, so the
-# program meets NORM_TOL.
+# probabilities and `describe`'s scales stay finite and nonzero, and Tr(A†A)
+# is summed from normal squares, so the program, A's entries over
+# sqrt(Tr(A†A)), meets NORM_TOL. So is the expansion's
+# sum |q|^2 = Tr(A†A) / N, which the support and `describe` read.
 GRAM_RANGE = (1e-200, 1e200)
 
 

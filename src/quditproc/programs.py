@@ -4,10 +4,13 @@ Any operator A on one qudit expands over the phase-and-shift basis as
 A = sum_mn q_mn u(m,n) with q_mn = Tr[u(m,n)† A] / N. The normalized vector of
 those coefficients over the Bell basis is the program state that makes the
 processor apply A (up to normalization) after a successful program-register
-measurement. This module provides the expansion, the program and measurement
-vectors, and the named operators that `harness.CATALOG` builds. Every
-measurement vector comes from one rule, `_uniform_bell`, over a mask of Bell
-labels; `measurement_full(N)` is built once per N and shared.
+measurement. That vector is a fixed permutation of A's entries, so the
+program is one gather of them; the coefficient table is an FFT that the
+expansion makes only when something reads it (the support, `describe`).
+This module provides the expansion, the program and measurement vectors, and
+the named operators that `harness.CATALOG` builds. Every measurement vector
+comes from one rule, `_uniform_bell`, over a mask of Bell labels;
+`measurement_full(N)` is built once per N and shared.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ TRACELESS_QUBIT_LABELS = (BellLabel(0, 1), BellLabel(1, 1), BellLabel(1, 0))
 
 @dataclass(frozen=True, eq=False)
 class HsExpansion(_Value):
-    """Expansion coefficients q[m, n] of one operator over the u(m,n) basis."""
+    """Expansion coefficients q[m, n] of one operator over the u(m,n) basis.
+
+    Made from a table, it checks and keeps the table. Made by `hs_expand`, it
+    holds the operator's entries and Tr(A†A) and makes `coeffs` and
+    `gram_norm` the first time each is read, through `_kept`. Copies, pickles,
+    `repr` and equality read both, so an unread expansion behaves like a read one.
+    """
 
     dim: int
     coeffs: np.ndarray
@@ -63,10 +72,9 @@ class HsExpansion(_Value):
         q = np.array(self.coeffs, dtype=complex)
         if q.shape != (self.dim, self.dim):
             raise ValueError(f"coefficient array must be {self.dim}x{self.dim}")
-        # Neither table has a program state; the zero operator reaches here
-        # from `hs_expand` as an all-zero table. One pass of |q| serves both
-        # checks and the norm: its maximum is NaN or inf when an entry is not
-        # finite (or its magnitude overflows), and 0 only when all are zero.
+        # Neither table has a program state. One pass of |q| serves both checks
+        # and the norm: its maximum is NaN or inf when an entry is not finite
+        # (or its magnitude overflows), and 0 only when all are zero.
         mags = np.abs(q)
         peak = mags.max()
         if not np.isfinite(peak):
@@ -75,6 +83,13 @@ class HsExpansion(_Value):
             raise ValueError("cannot expand the zero operator")
         object.__setattr__(self, "coeffs", _locked(q))
         object.__setattr__(self, "gram_norm", float(np.sum(mags**2)))
+
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance dict: a field of
+        # an unread expansion that `hs_expand` made.
+        if name in ("coeffs", "gram_norm") and "_source" in vars(self):
+            return _kept(self, name, _table if name == "coeffs" else _gram_norm)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _support_mask(self) -> np.ndarray:
         mags = np.abs(self.coeffs)
@@ -91,24 +106,41 @@ class HsExpansion(_Value):
 
 
 def hs_expand(op: DenseOperator) -> HsExpansion:
-    """Expansion coefficients q_mn = Tr[u(m,n)† A] / N.
+    """Expansion coefficients q_mn = Tr[u(m,n)† A] / N, the table made the first time it is read.
 
     Tr[u(m,n)† A] = sum_s exp(2 pi i s m / N) A[(s - n) mod N, s], so with
     D[s, n] = A[(s - n) mod N, s] the table is q = ifft(D, axis=0): one FFT
-    per column, O(N^2 log N). It is computed once per operator value and kept
-    on it, so every call with the same `op` returns the same HsExpansion.
-    Raises ValueError for the zero operator (its table is all zero, which
-    `HsExpansion` refuses) or anything non-finite: neither has a program state.
+    per column, O(N^2 log N). The program does not read it, so a run under
+    the full measurement makes none. The expansion is kept on the operator,
+    so every call with the same `op` returns the same HsExpansion. Raises
+    ValueError for the zero operator or anything non-finite: neither has a
+    program state.
     """
     return _kept(op, "_hs_expansion", _expand)
 
 
 def _expand(op: DenseOperator) -> HsExpansion:
-    n = op.dim
-    if not np.all(np.isfinite(op.entries)):
+    entries = op.entries
+    if not np.isfinite(entries).all():
         raise ValueError("operator entries must be finite")
+    if not entries.any():
+        raise ValueError("cannot expand the zero operator")
+    expansion = object.__new__(HsExpansion)
+    object.__setattr__(expansion, "dim", op.dim)
+    # The entries, not the operator, so that the operator and the expansion
+    # kept on it form no reference cycle.
+    object.__setattr__(expansion, "_source", (entries, op.gram_trace()))
+    return expansion
+
+
+def _table(expansion: HsExpansion) -> np.ndarray:
+    entries, _ = expansion._source
     # D[s, n] = A[(s - n) mod N, s] is entry (s, (s - n) mod N) of A's transpose.
-    return HsExpansion(n, np.fft.ifft(op.entries.T.take(_difference_index(n)), axis=0))
+    return _locked(np.fft.ifft(entries.T.take(_difference_index(expansion.dim)), axis=0))
+
+
+def _gram_norm(expansion: HsExpansion) -> float:
+    return float(np.sum(np.abs(expansion.coeffs) ** 2))
 
 
 # Kept as a wrapper because quditbench/workload.py reads `.state` from it.
@@ -120,15 +152,35 @@ class ProgramVector(_Value):
 
 
 def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
-    """Program state sqrt(N / Tr(A†A)) sum_mn q_mn |Xi_mn>, built once per expansion and kept on it."""
+    """Program state sum_mn q_mn |Xi_mn> / sqrt(sum |q|^2), built once per expansion and kept on it.
+
+    Summing q_mn's definition over m leaves one entry of A in each amplitude:
+    (k, j) is A[(j - 2k) mod N, (-k) mod N] / sqrt(Tr(A†A)), the paper's
+    (A ⊗ 1)|Xi_00> in this package's sign conventions. So the program is one
+    O(N^2) gather of the entries that `hs_expand` keeps, and reads no table.
+    An expansion made from a table, a copy included, has no operator to
+    gather from: it is a ValueError.
+    """
     return _kept(expansion, "_program", _program)
 
 
 def _program(expansion: HsExpansion) -> ProgramVector:
-    scale = 1.0 / np.sqrt(expansion.gram_norm)
-    weights = (expansion.coeffs * scale).reshape(-1)
-    amps = bell_basis_matrix(expansion.dim, weights)
+    source = vars(expansion).get("_source")
+    if source is None:
+        raise ValueError("only an operator's own expansion, hs_expand(op), has a program")
+    entries, gram = source
+    amps = entries.take(_program_index(expansion.dim)) * (1 / np.sqrt(gram))
     return ProgramVector(QuditRegisterState(expansion.dim, 2, amps))
+
+
+@functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)
+def _program_index(dim: int) -> np.ndarray:
+    """Read-only int64 table G[k, j] = ((j - 2k) mod N) N + (-k) mod N, built once per N and shared.
+
+    G[k, j] is the flat index of the entry of A that program amplitude (k, j) reads.
+    """
+    k = np.arange(dim)
+    return _locked((k - 2 * k[:, None]) % dim * dim + (-k[:, None]) % dim)
 
 
 def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:

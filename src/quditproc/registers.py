@@ -10,17 +10,18 @@ constructed and every function here is pure, so all are safe to share across
 threads or processes. Every array a value exposes, in a dict field too, goes
 through `_locked`: a read-only view whose owner is locked too, so
 it cannot be made writable again. `_kept` writes a value derived on first use
-(an operator's Tr(A†A) or expansion, an expansion's support size, program
-and support measurement, a bra's nonzero span or its index into a network's
-success map, a gate array's G^-1 or compiled index) onto the instance once;
-threads that race there only compute the same value twice. One value is kept
-in a slot that a later use may replace: a program's success map K, for the
-last (network, bra) it was post-selected against (`processor`). `_Value`
+(an operator's Tr(A†A) or expansion, an expansion's coefficient table,
+sum |q|^2, support size, program and support measurement, a bra's nonzero
+span or its index into a network's success map, a gate array's G^-1 or
+compiled index) onto the instance once; threads that race there only compute
+the same value twice. One value is kept in a slot that a later use may
+replace: a program's success map K, for the last (network, bra) it was
+post-selected against (`processor`). `_Value`
 gives copies and pickles the fields alone, their arrays locked again, and
 exact, unhashable equality: the same class and fields, arrays by
 `np.array_equal`.
-`programs.measurement_full(N)` and the gather index
-in `gates` are built once per N and shared through a bounded, thread-safe
+`programs.measurement_full(N)` and the gather indices in `gates` and
+`programs` are built once per N and shared through a bounded, thread-safe
 `functools.lru_cache`.
 
 A register value is built one of three ways. The constructors of

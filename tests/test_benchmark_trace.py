@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from quditproc import harness
+from quditproc import harness, measurement_full
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "quditbench"
@@ -45,6 +45,10 @@ def test_every_traced_function_is_called():
         "scenarios": [
             {"id": "haar", "dim": 3, "operator": {"name": "random_unitary"}, "measurement": "full"},
             {"id": "reflection", "dim": 3, "operator": {"name": "reflection"}, "measurement": "support"},
+            # A partial support builds its measurement through the Bell-basis
+            # FFT whatever the full measurement's cache holds, as the CLI
+            # `paper-claims` run does; no program reads that FFT.
+            {"id": "example2", "dim": 4, "operator": {"name": "example2", "theta": 0.3}, "measurement": "support"},
         ],
     }
     tracer = tracing.Tracer()
@@ -54,6 +58,31 @@ def test_every_traced_function_is_called():
     called = {span.name for span in tracer.spans}
     missing = [f"{m}.{f}" for m, f in tracing.TRACED if f"{m}.{f}" not in called]
     assert not missing
+
+
+def test_a_traced_haar_row_records_one_expansion_and_one_program_per_trial():
+    # `programs.cost_order` takes the median of the program spans at each
+    # rung of the Haar ladder, and `SpanStats.ms_per_call` refuses a traced
+    # name that no scope called: both stay on the run path, cheap or not.
+    tracing = _load_tracing()
+    trials = 3
+    doc = {
+        "schema": 1,
+        "seed": 3,
+        "scenarios": [{"id": "haar", "dim": 16, "operator": {"name": "random_unitary"}, "measurement": "full",
+                       "trials": trials}],
+    }
+    # the full measurement is built once per N and shared, before any trial
+    measurement_full(16)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _, rows = harness.run_config(doc)
+    assert rows[0].passed
+    names = [span.name for span in tracer.spans]
+    assert names.count("programs.hs_expand") == trials
+    assert names.count("programs.program_from_expansion") == trials
+    assert names.count("gates.bell_basis_matrix") == 0
+    assert {span.dim for span in tracer.spans if span.name.startswith("programs.")} == {16}
 
 
 @pytest.fixture

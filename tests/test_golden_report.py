@@ -12,7 +12,11 @@ not move a bit against the whole output. It was regenerated when the full
 measurement became the closed form |0> ⊗ |+> in place of the FFT of N^2 equal
 weights, which moved 8 floats by at most 4.4e-16 and nothing else, and again
 when a deferred output came to be post-selected as K ψ by the program's
-success map, which moved 14 floats by at most 4.4e-16. It was generated
+success map, which moved 14 floats by at most 4.4e-16, and again when the
+program came to be gathered from the operator's entries in place of the
+Bell-basis FFT of its coefficient table, which moved 15 floats by at most
+2.2e-16 (the paper-claims report moved 27 floats by at most 4.4e-16, within
+FLOAT_TOL, and was kept). It was generated
 with numpy 2.4.6; another FFT or LAPACK build may move a last ulp, and then
 needs a report of its own.
 A change that means to alter an output replaces these files and says why.

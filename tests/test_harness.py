@@ -162,12 +162,34 @@ def test_expansion_and_gram_trace_run_once_per_operator(scn, operators, derived_
 
 def test_a_draw_free_row_makes_its_program_and_measurement_once(monkeypatch):
     # family(l=1) has a two-label support, so its support measurement is a
-    # Bell-basis FFT of its own, as its program is.
+    # Bell-basis FFT of its own; its program is a gather of the operator's
+    # entries, built by `_program`.
     scn = scenario({"name": "family", "l": 1, "phi": 0.43}, measurement="support")
-    calls = []
+    calls, builds = [], []
     monkeypatch.setattr(programs, "bell_basis_matrix", spy(calls, programs.bell_basis_matrix))
+    monkeypatch.setattr(programs, "_program", spy(builds, programs._program))
     assert run_scenario(scn, 5, 0).passed
-    assert calls == [2, 2]
+    assert calls == [2]
+    assert [expansion.dim for expansion in builds] == [2]
+
+
+@pytest.mark.parametrize(
+    "scn, tables",
+    [
+        # the gathered program and the full measurement read no table
+        pytest.param(scenario({"name": "random_unitary"}, dim=3, trials=3), 0, id="haar-full-n3"),
+        pytest.param(scenario({"name": "random_unitary"}, dim=16, trials=3), 0, id="haar-full-n16"),
+        # the support measurement and prediction read it, once per operator
+        pytest.param(scenario({"name": "example2", "theta": 0.3}, dim=6, measurement="support"), 1, id="draw-free-support"),
+        pytest.param(scenario({"name": "random_unitary"}, dim=16, trials=3, measurement="support"), 3, id="haar-support"),
+    ],
+)
+def test_the_coefficient_table_is_made_only_when_read(scn, tables, monkeypatch):
+    made = []
+    monkeypatch.setattr(programs, "_table", spy(made, programs._table))
+    assert run_scenario(scn, 5, 0).passed
+    assert len(made) == tables
+    assert len({id(expansion) for expansion in made}) == tables
 
 
 def test_a_draw_free_row_peaks_the_same_at_any_trial_count():

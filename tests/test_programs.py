@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from quditproc import (
     u_mn,
 )
 from quditproc import programs
+from quditproc.harness import CATALOG
 from quditproc.registers import _kept, _nonzero_span
 
 from conftest import max_abs_diff, reconstruct, reconstruct_reference
@@ -128,8 +131,11 @@ def test_support_matches_label_loop(dim, rng):
 
 
 def test_expand_rejects_zero_operator():
-    with pytest.raises(ValueError):
-        hs_expand(DenseOperator(2, np.zeros((2, 2))))
+    # refused before anything reads the table, and nothing is kept
+    op = DenseOperator(2, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="cannot expand the zero operator"):
+        hs_expand(op)
+    assert "_hs_expansion" not in vars(op)
 
 
 @pytest.mark.parametrize(
@@ -152,8 +158,11 @@ def test_expansion_without_a_program_is_refused_at_construction(table, message):
 
 
 def test_expand_rejects_a_non_finite_operator():
-    with pytest.raises(ValueError, match="operator entries must be finite"):
-        hs_expand(DenseOperator(2, [[np.nan, 0], [0, 1]]))
+    for entries in ([[np.nan, 0], [0, 1]], [[1, np.inf], [0, 1]], [[1, 0], [0, complex(0, -np.inf)]]):
+        op = DenseOperator(2, entries)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            hs_expand(op)
+        assert "_hs_expansion" not in vars(op)
 
 
 @pytest.mark.parametrize(
@@ -542,3 +551,80 @@ def test_unitary_program_norm_and_support_count(rng):
         assert abs(np.linalg.norm(prog.state.amplitudes) - 1) < 1e-12
         above = np.count_nonzero(np.abs(exp.coeffs) > 1e-10 * np.abs(exp.coeffs).max())
         assert len(exp.support()) == above
+
+
+# Dimensions at which the gathered program is held to the Bell-basis FFT.
+GATHER_DIMS = [*range(2, 10), 16, 64, 127, 256]
+
+
+def catalog_operators(dim: int, rng) -> dict:
+    """Every catalog operator that exists at `dim`, built by its catalog entry, by name."""
+    params = {
+        "identity": {},
+        "u_mn": {"m": 1, "n": -1},
+        "reflection": {"phi": "random"},
+        "random_unitary": {},
+        "random_operator": {},
+        # unequal scales over the entries, far from 1 overall
+        "inline": {"matrix": 1e-40 * rng.normal(size=(dim, dim)) * np.exp(1j * rng.uniform(0, 7, (dim, dim)))
+                   * np.arange(1, dim + 1), "label": "inline"},
+    }
+    if dim == 2:
+        params["exchange"] = {"phi": "random"}
+    if dim == 4:
+        params["example1"] = {"phi": 0.7}
+    if dim & (dim - 1) == 0:
+        params["family"] = {"l": dim.bit_length() - 1, "phi": 0.4}
+    if dim % 2 == 0:
+        params["example2"] = {"theta": 0.3}
+    assert params.keys() <= CATALOG.keys()
+    return {name: CATALOG[name].build(p, dim, rng) for name, p in params.items()}
+
+
+def bell_fft_program(expansion) -> np.ndarray:
+    """Reference: sum_mn q_mn |Xi_mn> / ||q||, the Bell-basis FFT of the normalized table."""
+    q = expansion.coeffs.reshape(-1)
+    return bell_basis_matrix(expansion.dim, q / np.linalg.norm(q))
+
+
+@pytest.mark.parametrize("dim", GATHER_DIMS)
+def test_gathered_program_equals_the_bell_fft_of_the_table(dim):
+    ops = catalog_operators(dim, np.random.default_rng(dim))
+    assert {"identity", "u_mn", "reflection", "random_unitary", "random_operator", "inline"} <= ops.keys()
+    for name, op in ops.items():
+        exp = hs_expand(op)
+        got = program_from_expansion(exp).state.amplitudes
+        assert max_abs_diff(got, bell_fft_program(exp)) < 1e-12, name
+
+
+def test_every_catalog_operator_is_held_to_the_bell_fft():
+    names = set()
+    for dim in GATHER_DIMS:
+        names |= catalog_operators(dim, np.random.default_rng(dim)).keys()
+    assert names == CATALOG.keys()
+
+
+def test_the_program_reads_no_coefficient_table_and_runs_no_fft(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the program must not run an FFT")
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    op = random_operator(16, rng)
+    exp = hs_expand(op)
+    prog = program_from_expansion(exp)
+    assert {"coeffs", "gram_norm"}.isdisjoint(vars(exp))
+    assert program_from_expansion(hs_expand(op)) is prog
+    k = np.arange(16)
+    expected = op.entries[(k - 2 * k[:, None]) % 16, -k[:, None] % 16] / np.sqrt(op.gram_trace())
+    assert np.array_equal(prog.state.amplitudes, expected.reshape(-1))
+
+
+def test_an_expansion_without_its_operator_has_no_program(rng):
+    # made from a table, or a copy (which carries the table alone)
+    exp = hs_expand(random_unitary(3, rng))
+    for tabled in (HsExpansion(3, exp.coeffs), copy.copy(exp)):
+        assert tabled == exp
+        with pytest.raises(ValueError, match="only an operator's own expansion"):
+            program_from_expansion(tabled)
+        assert "_program" not in vars(tabled)

@@ -281,7 +281,9 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     # of an eager output the nonzero span on its bra; an operator keeps its
     # expansion and Tr(A†A), an expansion its support size, program and
     # support measurement, a network its G^-1 or compiled index. A copy
-    # derives them again when it is used.
+    # derives them again when it is used, but for an expansion's program: a
+    # copy of an expansion carries its table, not the operator's entries that
+    # the program is gathered from.
     dim = 64
     program, bra = random_state(dim, 2, rng), measurement_for_labels(dim, [(1, 2)])
     deferring = QuditShiftNetwork(dim)
@@ -297,6 +299,10 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     measurement_restricted(held)
     network = QuditShiftNetwork(8)
     apply_processor(network, random_state(8, 1, rng), random_state(8, 2, rng))
+    # an expansion nothing has read holds its operator's entries, not its table
+    fresh = random_operator(dim, rng)
+    unread = hs_expand(fresh)
+    assert {"coeffs", "gram_norm"}.isdisjoint(vars(unread))
     used = [
         (program, "_success_map", {"dim", "arity", "amplitudes"}),
         (bra, QUDIT_NETWORK_INDEX, {"dim", "arity", "amplitudes"}),
@@ -307,6 +313,7 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
         (held, "_support_measurement", {"dim", "coeffs", "gram_norm"}),
         (network, "_source_index", {"dim", "width", "gates"}),
         (deferring, "_inverse", {"dim", "width", "gates"}),
+        (unread, "_source", {"dim", "coeffs", "gram_norm"}),
     ]
     for value, derived, names in used:
         assert derived in vars(value)
@@ -318,6 +325,11 @@ def test_copies_and_pickles_carry_only_the_fields(clone, rng):
     assert len(pickle.dumps(op)) < op.entries.nbytes + 1024
     assert len(pickle.dumps(held)) < held.coeffs.nbytes + 1024
     assert len(pickle.dumps(network)) < 1024
+    # a clone reads an unread expansion's table and equals a read one's clone
+    read, twin = hs_expand(DenseOperator(dim, fresh.entries)), hs_expand(DenseOperator(dim, fresh.entries))
+    read.coeffs
+    assert clone(twin) == clone(read) == unread
+    assert len(pickle.dumps(hs_expand(DenseOperator(dim, fresh.entries)))) < unread.coeffs.nbytes + 1024
     # a gate array's fields are hashable, so it keeps the dataclass hash
     assert hash(clone(network)) == hash(network)
 

@@ -37,7 +37,10 @@ from quditproc import (
     partial_inner_product,
     post_select,
     program_from_expansion,
+    random_operator,
     random_state,
+    random_unitary,
+    run_experiment,
     u_mn,
 )
 from quditproc.registers import _adopt
@@ -101,6 +104,18 @@ def test_success_map_equals_the_bell_diagonal_form_and_the_read_output(dim, netw
                 for e in range(dim)
             ]
             assert_close(k, np.array(columns).T)
+
+
+@pytest.mark.parametrize("draw", [random_unitary, random_operator], ids=["haar", "ginibre"])
+@pytest.mark.parametrize("dim", [9, 64, 256])
+def test_a_run_under_the_full_measurement_keeps_k_equal_to_the_scaled_operator(dim, draw, rng):
+    # The paper's claim in operator form: post-selecting the program of A onto
+    # every Bell state applies K = A / sqrt(N Tr(A†A)), with no extra phase.
+    op = draw(dim, rng)
+    outcome = run_experiment(QuditShiftNetwork(dim), op, random_state(dim, 1, rng), "full")
+    assert outcome.oracle_fidelity > 1 - 1e-12
+    k = vars(program_from_expansion(hs_expand(op)).state)["_success_map"][2]
+    assert_close(k, op.entries / np.sqrt(dim * op.gram_trace()))
 
 
 def test_a_program_keeps_one_success_map_for_its_last_network_and_bra(rng):
