@@ -72,9 +72,9 @@ SCENARIO_KEYS = frozenset(
 # gather index (8 N^2 bytes) and the program's gather index (8 N^2 bytes), at
 # most 40 MiB.
 # Rows, time and peak RSS: with the full measurement, N = 128, one Haar
-# trial, 0.017-0.018 s at 39-40 MB; N = 255, one Haar trial, 0.037-0.046 s at
-# 46 MB; N = 256, one Haar trial, 0.036-0.054 s at 47 MB, a row of four,
-# 0.095-0.112 s at 50 MB, and a draw-free row of 256 `example2` trials, whose
+# trial, 0.018-0.027 s at 39 MB; N = 255, one Haar trial, 0.034-0.048 s at
+# 46 MB; N = 256, one Haar trial, 0.037-0.048 s at 46 MB, a row of four,
+# 0.077-0.099 s at 49 MB, and a draw-free row of 256 `example2` trials, whose
 # one program builds its K once, 0.062-0.064 s at 45 MB; the same row under
 # the support measurement, 0.068-0.089 s at 46 MB. Timed through `run_config`
 # in a fresh process on a 2-core Xeon with Python 3.11.7, numpy 2.4.6 and one
@@ -85,9 +85,9 @@ MAX_DIM = 256
 # arrays of one slot per trial and takes the deviations as a fourth at the end:
 # 40 B per trial under tracemalloc at dim 2 (Python 3.11.7, numpy 2.4.6), so
 # 10^6 trials take 40 MB. What bounds it is time: a dim 2 trial takes
-# 0.07-0.10 ms in a draw-free row and 0.19-0.34 ms in a drawing one (rows of
+# 0.07-0.10 ms in a draw-free row and 0.10-0.12 ms in a Haar one (rows of
 # 20,000 trials through `run_config`, 2-core Xeon, one BLAS thread), so a row
-# at the bound runs for one to six minutes.
+# at the bound runs for one to two minutes.
 MAX_TRIALS = 10**6
 # Largest seed a config or `--seed` may give: seeds are unsigned 64-bit.
 MAX_SEED = 2**64 - 1

@@ -48,6 +48,9 @@ from .registers import (
 # deciding support membership.
 SUPPORT_THRESHOLD = 1e-10
 
+# Smallest normal float64: an operator whose Tr(A†A) is below it has no program.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 # Labels of the three traceless qubit basis operators (sigma_x, -i sigma_y,
 # sigma_z). The fixed qubit reflection/exchange measurement is the uniform
 # superposition of these three Bell states.
@@ -113,23 +116,31 @@ def hs_expand(op: DenseOperator) -> HsExpansion:
     per column, O(N^2 log N). The program does not read it, so a run under
     the full measurement makes none. The expansion is kept on the operator,
     so every call with the same `op` returns the same HsExpansion. Raises
-    ValueError for the zero operator or anything non-finite: neither has a
-    program state.
+    ValueError for the zero operator, anything non-finite, and a Tr(A†A)
+    that underflows (zero or subnormal) or overflows: none has a program
+    state.
     """
     return _kept(op, "_hs_expansion", _expand)
 
 
 def _expand(op: DenseOperator) -> HsExpansion:
-    entries = op.entries
-    if not np.isfinite(entries).all():
-        raise ValueError("operator entries must be finite")
-    if not entries.any():
-        raise ValueError("cannot expand the zero operator")
+    # The program divides by sqrt(Tr(A†A)), so the sum must be a finite normal
+    # float; the entries are read again only to say why it is not.
+    with np.errstate(over="ignore", under="ignore"):
+        gram = op.gram_trace()
+    if not _SMALLEST_NORMAL <= gram < np.inf:
+        entries = op.entries
+        if not np.isfinite(entries).all():
+            raise ValueError("operator entries must be finite")
+        if not entries.any():
+            raise ValueError("cannot expand the zero operator")
+        fault = "overflows" if gram == np.inf else "underflows"
+        raise ValueError(f"Tr(A†A) {fault} to {gram!r}; rescale the operator")
     expansion = object.__new__(HsExpansion)
     object.__setattr__(expansion, "dim", op.dim)
     # The entries, not the operator, so that the operator and the expansion
     # kept on it form no reference cycle.
-    object.__setattr__(expansion, "_source", (entries, op.gram_trace()))
+    object.__setattr__(expansion, "_source", (op.entries, gram))
     return expansion
 
 

@@ -166,6 +166,36 @@ def test_expand_rejects_a_non_finite_operator():
 
 
 @pytest.mark.parametrize(
+    "entries, message",
+    [
+        # Tr(A†A) is 0.0: a subnormal entry squares to zero
+        pytest.param([[5e-324, 0], [0, 0]], r"Tr\(A†A\) underflows to 0.0", id="zero-sum"),
+        # Tr(A†A) = 1e-320 is subnormal: the program would miss NORM_TOL
+        pytest.param([[1e-160, 0], [0, 0]], r"Tr\(A†A\) underflows to 1e-320", id="subnormal-sum"),
+        pytest.param([[1e-155, 0], [0, 1e-155j]], r"Tr\(A†A\) underflows", id="subnormal-sum-of-two"),
+        # finite entries whose squares overflow
+        pytest.param([[1e200, 0], [0, 1e200]], r"Tr\(A†A\) overflows to inf", id="overflow"),
+        # each square is finite, their sum is not
+        pytest.param([[1e154, 1e154], [1e154, 1e154]], r"Tr\(A†A\) overflows to inf", id="overflowing-sum"),
+    ],
+)
+def test_expand_rejects_a_sum_of_squares_that_is_not_a_normal_float(entries, message):
+    # refused by hs_expand with no RuntimeWarning first (the suite makes one an
+    # error), and nothing is kept
+    op = DenseOperator(2, entries)
+    with pytest.raises(ValueError, match=message):
+        hs_expand(op)
+    assert "_hs_expansion" not in vars(op)
+
+
+def test_expand_accepts_a_tiny_normal_sum_of_squares():
+    # Tr(A†A) = 2e-300 is normal: the program is exact and its norm checks pass
+    op = DenseOperator(2, [[1e-150, 0], [0, 1e-150]])
+    state = program_from_expansion(hs_expand(op)).state.amplitudes
+    assert np.allclose(np.abs(state[state != 0]), 1 / np.sqrt(2), atol=1e-15)
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         pytest.param(lambda: orthogonal_qubit_state(basis_state(3, 1, [0])), "single-qubit", id="partner-of-a-qutrit"),

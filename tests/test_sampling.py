@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditproc import random_operator, random_state, random_unitary
+from quditproc import random_operator, random_state, random_unitary, sampling
 
 
 def test_random_state_is_normalized():
@@ -37,13 +37,42 @@ def reference_random_unitary(dim, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 64, 127])
-def test_random_unitary_equals_the_two_draw_formula_bit_for_bit(dim):
-    # one draw of both blocks, scaled into z's parts: the same stream and bits
-    for seed in range(30):
+def assert_equals_the_reference(dim, seeds):
+    # one draw of both blocks, factored by zgeqrf and zungqr: the stream and bits
+    # of the two-draw formula through np.linalg.qr
+    for seed in seeds:
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(random_unitary(dim, fast).entries, reference_random_unitary(dim, slow))
+        entries = random_unitary(dim, fast).entries
+        assert np.array_equal(entries, reference_random_unitary(dim, slow))
         assert fast.bit_generator.state == slow.bit_generator.state
+        assert entries.flags.c_contiguous and not entries.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 64, 127, 128, 256])
+def test_random_unitary_equals_the_two_draw_formula_bit_for_bit(dim):
+    assert_equals_the_reference(dim, range(30 if dim < 128 else 5))
+
+
+@pytest.mark.slow
+def test_random_unitary_equals_the_two_draw_formula_bit_for_bit_at_n1024():
+    assert_equals_the_reference(1024, range(3))
+
+
+@pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
+@pytest.mark.parametrize("query", [True, False], ids=["work-size-query", "factorization"])
+def test_a_nonzero_lapack_info_raises_linalg_error(monkeypatch, routine, query):
+    binding = getattr(sampling.lapack_lite, routine)
+
+    def failing(*args):
+        result = binding(*args)
+        if (args[-2] == -1) == query:
+            result["info"] = -4
+        return result
+
+    failing.__name__ = routine
+    monkeypatch.setattr(sampling.lapack_lite, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {routine} returned info = -4"):
+        random_unitary(8, np.random.default_rng(0))
 
 
 def test_random_operator_nonzero_and_generically_nonunitary():
