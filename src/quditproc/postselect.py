@@ -8,6 +8,7 @@ the relating global phase reported for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ from .programs import hs_expand, measurement_full, measurement_restricted, progr
 from .registers import (
     DenseOperator,
     QuditRegisterState,
+    _adopt_checked,
+    _locked,
+    _norm,
     _Value,
     inner_product,
     partial_inner_product,
@@ -55,17 +59,20 @@ def post_select(
     """Project the trailing subsystems of `joint` onto the measurement vector.
 
     The measurement lives on the program register (the last subsystems of the
-    joint state); whatever leads it is the data register. The overlap's norm is
-    taken once: its square is the success probability, and the overlap divided
-    by it is the data state. A probability at or below ZERO_PROBABILITY_CUTOFF
-    leaves no data state; it is reported, not raised.
+    joint state); whatever leads it is the data register. The overlap is
+    `partial_inner_product`'s, and its norm is taken once, by
+    `np.linalg.norm`'s arithmetic: its square is the success probability, and
+    the overlap divided by it is the data state, a fresh vector that takes the
+    constructor's checks without its copy (`registers._adopt_checked`). A
+    probability at or below ZERO_PROBABILITY_CUTOFF leaves no data state; it
+    is reported, not raised.
     """
     overlap = partial_inner_product(meas, joint).amplitudes
-    norm = float(np.linalg.norm(overlap))
+    norm = _norm(overlap)
     probability = norm**2
     data_state = None
     if probability > ZERO_PROBABILITY_CUTOFF:
-        data_state = QuditRegisterState(joint.dim, joint.arity - meas.arity, overlap / norm)
+        data_state = _adopt_checked(QuditRegisterState, joint.dim, joint.arity - meas.arity, overlap / norm)
     fidelity = 0.0
     phase: complex | None = None
     if data_state is not None and oracle_state is not None:
@@ -77,17 +84,37 @@ def post_select(
 
 
 def oracle_apply(op: DenseOperator, psi: QuditRegisterState) -> QuditRegisterState:
-    """Ground truth: |psi> -> A|psi> / ||A psi||, by direct matrix application."""
+    """Ground truth: |psi> -> A|psi> / ||A psi||, by direct matrix application.
+
+    A psi is made once per (operator, state) and shared with
+    `predicted_probability`. The scale ||A psi|| is `np.linalg.norm`'s
+    arithmetic, and the state takes the constructor's checks without its copy
+    (`registers._adopt_checked`).
+    """
     if op.dim != psi.amplitudes.size:
         raise ValueError(
             f"operator dimension {op.dim} does not match register size {psi.amplitudes.size}"
         )
-    image = op.entries @ psi.amplitudes
-    norm = float(np.linalg.norm(image))
+    image = _image(op, psi)
+    norm = _norm(image)
     # Relative to the operator's scale: ||A psi|| <= sqrt(Tr(A†A)) for a unit psi.
-    if norm <= 1e-14 * np.sqrt(op.gram_trace()):
+    if norm <= 1e-14 * math.sqrt(op.gram_trace()):
         raise StateAnnihilatedError("operator annihilates this state")
-    return QuditRegisterState(psi.dim, psi.arity, image / norm)
+    return _adopt_checked(QuditRegisterState, psi.dim, psi.arity, image / norm)
+
+
+def _image(op: DenseOperator, psi: QuditRegisterState) -> np.ndarray:
+    """A psi, kept on the operator in one slot for the last state it was applied to.
+
+    The oracle and the closed form of one run read the same product, so the
+    run makes it once. The slot holds psi, so its identity cannot be taken by
+    another value; racing threads may each make the product, to the same bits.
+    """
+    slot = vars(op).get("_image")
+    if slot is None or slot[0] is not psi:
+        slot = (psi, _locked(op.entries @ psi.amplitudes))
+        vars(op)["_image"] = slot
+    return slot[1]
 
 
 def predicted_probability(op: DenseOperator, psi: QuditRegisterState, meas_kind: str = "full") -> float:
@@ -101,8 +128,8 @@ def predicted_probability(op: DenseOperator, psi: QuditRegisterState, meas_kind:
     """
     if op.dim != psi.amplitudes.size:
         raise ValueError("operator and state dimensions do not match")
-    image = op.entries @ psi.amplitudes
-    image_sq = float(np.real(np.vdot(image, image)))
+    image = _image(op, psi)
+    image_sq = float(np.vdot(image, image).real)
     gram = op.gram_trace()
     if meas_kind == "full":
         return image_sq / (op.dim * gram)

@@ -43,6 +43,7 @@ from .registers import (
     QuditRegisterState,
     UnnormalizedVector,
     _adopt,
+    _adopt_checked,
     _deferred,
     _kept,
     _locked,
@@ -288,7 +289,7 @@ def _success_map(spec: GateArray, program: QuditRegisterState, bra: QuditRegiste
     value; racing threads may each build K, to the same bits.
     """
     slot = vars(program).get("_success_map")
-    if slot is None or slot[1] is not bra or slot[0] != spec:
+    if slot is None or slot[1] is not bra or (slot[0] is not spec and slot[0] != spec):
         slot = (spec, bra, _build_success_map(spec, program, bra))
         vars(program)["_success_map"] = slot
     return slot[2]
@@ -355,7 +356,7 @@ def _general_diagonal_apply(
     for c, op, y in zip(coeffs, spec.operators, spec.basis):
         out += c * np.kron(op.entries @ data.amplitudes, y.amplitudes)
     # Renormalize away the (bounded) float residue outside the span.
-    return UnnormalizedVector(data.dim, data.arity + program.arity, out).normalized()
+    return _adopt_checked(UnnormalizedVector, data.dim, data.arity + program.arity, out).normalized()
 
 
 def qubit_network_matches_shift_network(dim: int = 2) -> bool:

@@ -38,6 +38,7 @@ from .registers import (
     DenseOperator,
     QuditRegisterState,
     UnnormalizedVector,
+    _adopt_checked,
     _kept,
     _locked,
     _Value,
@@ -151,7 +152,7 @@ def program_from_expansion(expansion: HsExpansion) -> ProgramVector:
 
 def _program(expansion: HsExpansion) -> ProgramVector:
     amps = expansion.entries.take(_program_index(expansion.dim)) * (1 / np.sqrt(expansion.gram_trace))
-    return ProgramVector(QuditRegisterState(expansion.dim, 2, amps))
+    return ProgramVector(_adopt_checked(QuditRegisterState, expansion.dim, 2, amps.reshape(-1)))
 
 
 @functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)
@@ -179,7 +180,7 @@ def _uniform_bell(dim: int, mask: np.ndarray) -> QuditRegisterState:
     full = _difference_index(dim)[:, mask.all(axis=0)]
     amps[full] = 0.0
     amps[full[0]] = 1 / np.sqrt(size / dim)
-    return QuditRegisterState(dim, 2, amps)
+    return _adopt_checked(QuditRegisterState, dim, 2, amps)
 
 
 @functools.lru_cache(maxsize=_PER_DIM_CACHE_SIZE, typed=True)

@@ -14,9 +14,10 @@ it cannot be made writable again. `_kept` writes a value derived on first use
 support size, program and support measurement, a bra's nonzero
 span or its index into a network's success map, a gate array's G^-1 or
 compiled index) onto the instance once; threads that race there only compute
-the same value twice. One value is kept in a slot that a later use may
+the same value twice. Two values are kept in a slot that a later use may
 replace: a program's success map K, for the last (network, bra) it was
-post-selected against (`processor`). `_Value`
+post-selected against (`processor`), and an operator's image A psi, for the
+last state it was applied to (`postselect`). `_Value`
 gives copies and pickles the fields alone, their arrays locked again, and
 exact, unhashable equality: the same class and fields, arrays by
 `np.array_equal`.
@@ -24,10 +25,17 @@ exact, unhashable equality: the same class and fields, arrays by
 `programs` are built once per N and shared through a bounded, thread-safe
 `functools.lru_cache`.
 
-A register value is built one of three ways. The constructors of
-`QuditRegisterState` and `UnnormalizedVector` copy their amplitudes and check
-the dimension, arity and size (and, for a state, the norm). `_adopt` wraps,
-without a copy or a check, only a fresh vector that a norm-preserving
+A register value is built one of four ways, and one function, `_check`,
+holds the rule for its dimension, arity and size (and, for a state, its
+norm). The constructors of `QuditRegisterState` and `UnnormalizedVector` copy
+their amplitudes and check them. `_adopt_checked` checks, without a copy, a
+fresh complex vector that the caller has just made and holds no other
+reference to: every per-state value a run makes (a drawn state, an overlap, a
+post-selected state, an oracle state, a program, an operator's image of a
+register) is built this way, so each is refused for the constructor's
+reasons. `DenseOperator` has the same pair: its constructor copies, and
+`_adopt_operator` takes a fresh matrix after the same shape check. `_adopt`
+wraps, without a copy or a check, only a fresh vector that a norm-preserving
 operation (a permutation of amplitudes, or the product of two states) has just
 made, or the int64 index ramp that a gate array is compiled on. `_deferred`
 wraps, on the same terms, a function that makes such a vector and one that
@@ -42,6 +50,7 @@ like any other, and once read it is contracted as any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,18 +68,67 @@ def digits_to_index(digits, dim: int) -> int:
     return index
 
 
+def _check(cls, dim: int, arity: int, amps: np.ndarray) -> None:
+    """The rule for a `cls` register of flat amplitudes `amps`; a ValueError says what it breaks.
+
+    The dimension is at least 2, the arity at least 1 and the size dim**arity;
+    a `QuditRegisterState`'s squared norm is within NORM_TOL of 1.
+    """
+    if dim < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {dim}")
+    if arity < 1:
+        raise ValueError(f"register needs at least one qudit, got arity {arity}")
+    if amps.size != dim**arity:
+        raise ValueError(
+            f"amplitude vector has length {amps.size}, expected {dim**arity} "
+            f"for {arity} qudit(s) of dimension {dim}"
+        )
+    if issubclass(cls, QuditRegisterState):
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"state is not normalized: squared norm is {norm_sq!r} "
+                "(use UnnormalizedVector for intermediate results)"
+            )
+
+
+def _adopt_checked(cls, dim: int, arity: int, amps: np.ndarray):
+    """Wrap a fresh 1-D complex128 vector as a `cls` value, after the constructor's checks.
+
+    The caller has just made `amps` and holds no other reference to it. The
+    value is refused for the constructor's reasons, with its errors, and is
+    locked as the constructor locks its copy; only the copy is skipped.
+    """
+    _check(cls, dim, arity, amps)
+    return _adopt(cls, dim, arity, amps)
+
+
 def _adopt(cls, dim: int, arity: int, amps: np.ndarray):
     """Wrap a fresh vector of length dim**arity as a `cls` value.
 
     No copy and no check: the caller made `amps` by a norm-preserving operation
-    on checked values and holds no other reference to it. The vector is
-    complex128, except the int64 index ramp that `processor` runs a gate array
-    on, which never leaves its compile. A vector of any other origin goes
-    through the constructor, which copies and checks it.
+    on checked values (a permutation of amplitudes, or the product of two
+    states) and holds no other reference to it. The vector is complex128,
+    except the int64 index ramp that `processor` runs a gate array on, which
+    never leaves its compile. Any other fresh vector goes through
+    `_adopt_checked`; a vector the caller may still hold goes through the
+    constructor, which copies it.
     """
     value = _bare(cls, dim, arity)
-    object.__setattr__(value, "amplitudes", _locked(amps))
+    vars(value)["amplitudes"] = _locked(amps)
     return value
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a 1-D complex vector: `np.linalg.norm`'s own arithmetic, without its dispatch.
+
+    sqrt(re·re + im·im) over the real and imaginary views of v laid out as
+    `np.linalg.norm` lays it out (`ravel(order="K")`, a view of a contiguous
+    v), so the bits are its bits.
+    """
+    v = v.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _deferred(cls, dim: int, arity: int, read, project):
@@ -84,15 +142,17 @@ def _deferred(cls, dim: int, arity: int, read, project):
     through the whole vector.
     """
     value = _bare(cls, dim, arity)
-    object.__setattr__(value, "_read", read)
-    object.__setattr__(value, "_project", project)
+    vars(value).update(_read=read, _project=project)
     return value
 
 
 def _bare(cls, dim: int, arity: int):
+    # The fields go straight into the instance dict, as `_kept` writes it,
+    # past the frozen dataclass's guard and its per-field setattr.
     value = object.__new__(cls)
-    object.__setattr__(value, "dim", dim)
-    object.__setattr__(value, "arity", arity)
+    attrs = vars(value)
+    attrs["dim"] = dim
+    attrs["arity"] = arity
     return value
 
 
@@ -171,15 +231,7 @@ class _Register(_Value):
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             amps = amps.reshape(-1)
-        if self.dim < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.dim}")
-        if self.arity < 1:
-            raise ValueError(f"register needs at least one qudit, got arity {self.arity}")
-        if amps.size != self.dim**self.arity:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {self.dim**self.arity} "
-                f"for {self.arity} qudit(s) of dimension {self.dim}"
-            )
+        _check(type(self), self.dim, self.arity, amps)
         object.__setattr__(self, "amplitudes", _locked(amps))
 
     def __getattr__(self, name):
@@ -194,15 +246,6 @@ class _Register(_Value):
 class QuditRegisterState(_Register):
     """Normalized pure state of `arity` qudits, each of dimension `dim`."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(
-                f"state is not normalized: squared norm is {norm_sq!r} "
-                "(use UnnormalizedVector for intermediate results)"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class UnnormalizedVector(_Register):
@@ -213,13 +256,13 @@ class UnnormalizedVector(_Register):
     """
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def normalized(self) -> QuditRegisterState:
         n = self.norm()
         if not n > 1e-14:
             raise ValueError("cannot normalize a numerically zero vector")
-        return QuditRegisterState(self.dim, self.arity, self.amplitudes / n)
+        return _adopt_checked(QuditRegisterState, self.dim, self.arity, self.amplitudes / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +279,7 @@ class DenseOperator(_Value):
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex, order="C")
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"operator entries must be {self.dim}x{self.dim}, got shape {mat.shape}"
-            )
+        _check_entries(self.dim, mat)
         object.__setattr__(self, "entries", _locked(mat))
 
     def gram_trace(self) -> float:
@@ -249,6 +289,23 @@ class DenseOperator(_Value):
     def is_unitary(self, tol: float = 1e-12) -> bool:
         delta = self.entries.conj().T @ self.entries - np.eye(self.dim)
         return bool(np.max(np.abs(delta)) <= tol)
+
+
+def _check_entries(dim: int, mat: np.ndarray) -> None:
+    if mat.shape != (dim, dim):
+        raise ValueError(f"operator entries must be {dim}x{dim}, got shape {mat.shape}")
+
+
+def _adopt_operator(dim: int, mat: np.ndarray, label: str | None = None) -> DenseOperator:
+    """Wrap a fresh C-ordered complex128 matrix as a `DenseOperator`, after the constructor's shape check.
+
+    The terms of `_adopt_checked`: the caller has just made `mat` and holds no
+    other reference to it, and only the copy is skipped.
+    """
+    _check_entries(dim, mat)
+    op = object.__new__(DenseOperator)
+    vars(op).update(dim=dim, entries=_locked(mat), label=label)
+    return op
 
 
 def _gram_trace(op: DenseOperator) -> float:
@@ -265,7 +322,7 @@ def basis_state(dim: int, arity: int, digits) -> QuditRegisterState:
             raise ValueError(f"digit {d} out of range for dimension {dim}")
     amps = np.zeros(dim**arity, dtype=complex)
     amps[digits_to_index(digits, dim)] = 1.0
-    return QuditRegisterState(dim, arity, amps)
+    return _adopt_checked(QuditRegisterState, dim, arity, amps)
 
 
 def tensor(a, b):
@@ -291,7 +348,7 @@ def apply_to_subsystem(op: DenseOperator, target: int, state) -> UnnormalizedVec
     cube = state.amplitudes.reshape((n,) * k)
     moved = np.tensordot(op.entries, cube, axes=([1], [target - 1]))
     out = np.moveaxis(moved, 0, target - 1).reshape(-1)
-    return UnnormalizedVector(n, k, out)
+    return _adopt_checked(UnnormalizedVector, n, k, out)
 
 
 def apply_to_register(op: DenseOperator, state) -> UnnormalizedVector:
@@ -303,7 +360,7 @@ def apply_to_register(op: DenseOperator, state) -> UnnormalizedVector:
     size = state.amplitudes.size
     if op.dim != size:
         raise ValueError(f"operator dimension {op.dim} does not match register size {size}")
-    return UnnormalizedVector(state.dim, state.arity, op.entries @ state.amplitudes)
+    return _adopt_checked(UnnormalizedVector, state.dim, state.arity, op.entries @ state.amplitudes)
 
 
 def inner_product(a, b) -> complex:
@@ -340,7 +397,7 @@ def partial_inner_product(bra, joint) -> UnnormalizedVector:
     else:
         lo, hi = _kept(bra, "_nonzero_span", _nonzero_span)
         overlap = joint.amplitudes.reshape(-1, bra.amplitudes.size)[:, lo:hi] @ bra.amplitudes[lo:hi].conj()
-    return UnnormalizedVector(joint.dim, joint.arity - bra.arity, overlap)
+    return _adopt_checked(UnnormalizedVector, joint.dim, joint.arity - bra.arity, overlap)
 
 
 def _nonzero_span(bra) -> tuple[int, int]:

@@ -14,14 +14,23 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .registers import DenseOperator, QuditRegisterState
+from .registers import DenseOperator, QuditRegisterState, _adopt_checked, _adopt_operator, _norm
 
 
 def random_state(dim: int, arity: int, rng: np.random.Generator) -> QuditRegisterState:
-    """Haar-induced random pure state: a normalized complex-normal vector."""
+    """Haar-induced random pure state: a normalized complex-normal vector.
+
+    Both normal blocks are one draw, a before b, written into the real and
+    imaginary parts of one fresh vector, which is divided in place by its
+    norm and takes the constructor's checks without its copy. The bits and
+    the rng state are those of (a + 1j b) / np.linalg.norm(a + 1j b).
+    """
     size = dim**arity
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return QuditRegisterState(dim, arity, v / np.linalg.norm(v))
+    x = rng.standard_normal((2, size))
+    v = np.empty(size, dtype=complex)
+    v.real, v.imag = x
+    v /= _norm(v)
+    return _adopt_checked(QuditRegisterState, dim, arity, v)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> DenseOperator:
@@ -30,8 +39,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> DenseOperator:
     Both normal blocks are one draw, scaled into the parts of a C-ordered
     buffer that holds z's transpose, which is z in LAPACK's column order.
     zgeqrf factors it in place, diag(R) is copied before zungqr overwrites it
-    with Q, Q's columns are scaled by d/|d| in place, and the operator's
-    constructor copies Q diag(d/|d|) out in C order. These are the LAPACK
+    with Q, and one multiply writes Q diag(d/|d|) into a fresh C-ordered
+    array, which the operator takes without a copy. These are the LAPACK
     calls `np.linalg.qr` makes, so the bits and the rng state equal
     (a + 1j b) / sqrt 2, with a drawn before b, through `np.linalg.qr`
     (Mezzadri's recipe). Each call asks LAPACK for its work size and makes its
@@ -47,8 +56,9 @@ def random_unitary(dim: int, rng: np.random.Generator) -> DenseOperator:
     d = a.diagonal().copy()
     _lapack(lapack_lite.zungqr, dim, dim, dim, a, dim, tau)
     # Row j of the buffer is column j of Q.
-    a *= (d / np.abs(d))[:, None]
-    return DenseOperator(dim, a.T, label="random_unitary")
+    q = np.empty((dim, dim), dtype=complex)
+    np.multiply(a.T, d / np.abs(d), out=q)
+    return _adopt_operator(dim, q, "random_unitary")
 
 
 def _lapack(routine, *args) -> None:
@@ -65,4 +75,4 @@ def _lapack(routine, *args) -> None:
 def random_operator(dim: int, rng: np.random.Generator) -> DenseOperator:
     """Generic complex-normal matrix; almost surely non-unitary and nonzero."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return DenseOperator(dim, z, label="random_operator")
+    return _adopt_operator(dim, z, "random_operator")

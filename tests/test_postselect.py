@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ from quditproc import (
     random_unitary,
     reflection_operator,
     run_experiment,
+    tensor,
     u_mn,
 )
 
+from quditproc import registers
 from quditproc.registers import _adopt
 
 from conftest import bell_coefficients, k_bell, max_abs_diff
@@ -251,6 +254,41 @@ def test_post_select_zero_probability_reports_not_raises(rng):
     assert outcome.data_state is None
 
 
+def _post_selected_onto(data: np.ndarray, oracle: QuditRegisterState):
+    # A joint state whose post-selection on |00> leaves `data`, unit-norm and
+    # exact: the overlap is `data` itself, so the data state is its bits.
+    meas = basis_state(oracle.dim, 2, [0, 0])
+    joint = tensor(QuditRegisterState(oracle.dim, 1, data), meas)
+    return post_select(joint, meas, oracle)
+
+
+@pytest.mark.parametrize("dim", [2, 9, 64])
+def test_an_oracle_at_half_overlap_has_fidelity_one_quarter_and_its_phase(dim):
+    # <o|d> = conj(i / 2) = -i / 2 exactly: fidelity |<o|d>|^2 = 0.25 (a cube
+    # would read 0.125) and the phase <o|d> / |<o|d>| = -i
+    data = np.zeros(dim, dtype=complex)
+    data[0] = 1.0
+    amps = np.zeros(dim, dtype=complex)
+    amps[0], amps[-1] = 0.5j, np.sqrt(0.75)
+    outcome = _post_selected_onto(data, QuditRegisterState(dim, 1, amps))
+    assert outcome.probability == 1.0
+    assert np.array_equal(outcome.data_state.amplitudes, data)
+    assert outcome.oracle_fidelity == 0.25
+    assert outcome.global_phase == -1j
+
+
+@pytest.mark.parametrize("dim", [2, 9, 64])
+def test_an_oracle_orthogonal_to_the_data_state_has_fidelity_zero_and_no_phase(dim):
+    data = np.zeros(dim, dtype=complex)
+    data[0] = 1.0
+    oracle = basis_state(dim, 1, [dim - 1])
+    outcome = _post_selected_onto(data, oracle)
+    assert outcome.probability == 1.0
+    assert outcome.data_state is not None
+    assert outcome.oracle_fidelity == 0.0
+    assert outcome.global_phase is None
+
+
 def test_global_phase_relates_data_to_oracle(rng):
     dim = 3
     op = random_unitary(dim, rng)
@@ -315,9 +353,9 @@ def _assert_constructed_like(value, expected):
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_outputs_are_built_by_the_public_constructors(dim, seed):
-    # oracle_apply, post_select and partial_inner_product build their outputs
-    # with the public constructors; each must be what the constructor makes
+def test_outputs_equal_what_the_public_constructors_make(dim, seed):
+    # oracle_apply, post_select and partial_inner_product adopt fresh vectors
+    # after the constructors' checks; each must be what the constructor makes
     rng = np.random.default_rng(seed)
     op = random_operator(dim, rng)
     psi = random_state(dim, 1, rng)
@@ -393,3 +431,74 @@ def test_network_success_branch_is_the_bell_diagonal_operator(network, rng):
         outcome = post_select(apply_processor(net, psi, program), meas, expected)
         assert abs(outcome.probability - norm**2) < 1e-12
         assert outcome.oracle_fidelity >= 1 - 1e-12
+
+
+# --- per-state values are adopted, not copied ------------------------------------
+
+
+def _refuse_the_copying_constructor(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} went through the copying constructor")
+
+    monkeypatch.setattr(registers._Register, "__post_init__", refuse)
+
+
+def _stored_program_runs(dim: int):
+    # what a run of a stored program does per data state
+    op = random_unitary(dim, np.random.default_rng([dim, 0]))
+    program = program_from_expansion(hs_expand(op)).state
+    meas, net = measurement_full(dim), QuditShiftNetwork(dim)
+
+    def runs():
+        out = []
+        for seed in range(4):
+            psi = random_state(dim, 1, np.random.default_rng([dim, 1, seed]))
+            joint = apply_processor(net, psi, program)
+            outcome = post_select(joint, meas, oracle_apply(op, psi))
+            out.append((psi, outcome, predicted_probability(op, psi, "full")))
+        return out
+
+    return runs
+
+
+@pytest.mark.parametrize("dim", [4, 64], ids=["gather", "deferred"])
+def test_a_stored_program_runs_a_data_state_without_copying_a_register(dim, monkeypatch):
+    runs = _stored_program_runs(dim)
+    expected = runs()
+    _refuse_the_copying_constructor(monkeypatch)
+    got = runs()
+    assert got == expected
+    assert pickle.dumps(got) == pickle.dumps(expected)
+
+
+def test_a_haar_trial_makes_no_register_through_the_copying_constructor(monkeypatch):
+    def trials():
+        out = []
+        for seed in range(3):
+            rng = np.random.default_rng([64, 2, seed])
+            op, psi = random_unitary(64, rng), random_state(64, 1, rng)
+            out.append((run_experiment(QuditShiftNetwork(64), op, psi, "full"), predicted_probability(op, psi)))
+        return out
+
+    expected = trials()
+    _refuse_the_copying_constructor(monkeypatch)
+    got = trials()
+    assert got == expected
+    assert pickle.dumps(got) == pickle.dumps(expected)
+
+
+def test_the_oracle_and_the_closed_form_share_one_image_per_state(rng):
+    # A psi is kept on the operator for the last state only; every state,
+    # in any order of calls, still gets its own product, and a copy of the
+    # operator carries none
+    op = random_operator(5, rng)
+    states = [random_state(5, 1, rng) for _ in range(3)]
+    for psi in (*states, states[0]):
+        image = op.entries @ psi.amplitudes
+        expected = float(np.vdot(image, image).real) / (5 * op.gram_trace())
+        assert predicted_probability(op, psi) == expected
+        assert np.array_equal(oracle_apply(op, psi).amplitudes, image / float(np.linalg.norm(image)))
+        kept_for, kept = vars(op)["_image"]
+        assert kept_for is psi and np.array_equal(kept, image)
+        assert not kept.flags.writeable
+    assert "_image" not in vars(copy.copy(op)) and "_image" not in vars(pickle.loads(pickle.dumps(op)))

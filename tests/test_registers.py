@@ -39,6 +39,7 @@ from quditproc import processor
 from quditproc.gates import _difference_index
 from quditproc.processor import QuditShiftNetwork, apply_processor
 from quditproc.programs import measurement_for_labels, measurement_full, measurement_restricted
+from quditproc.registers import NORM_TOL, _adopt_checked, _adopt_operator, _norm
 
 from conftest import index_to_digits, max_abs_diff, reference_partial_inner_product
 
@@ -85,6 +86,101 @@ def test_register_state_requires_exact_length():
         for dim, arity, amps, message in cases:
             with pytest.raises(ValueError, match=message):
                 kind(dim, arity, np.array(amps))
+
+
+def _construct_and_adopt(kind, dim, arity, amps):
+    """What the constructor and the checked adoption each do with one vector: a value or a ValueError's text."""
+    outcomes = []
+    for make in (kind, lambda *args: _adopt_checked(kind, *args)):
+        try:
+            outcomes.append(make(dim, arity, np.array(amps, dtype=complex)))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _scaled_to(norm_sq: float, size: int) -> np.ndarray:
+    amps = np.zeros(size, dtype=complex)
+    amps[0] = np.sqrt(norm_sq)
+    return amps
+
+
+@pytest.mark.parametrize("kind", [QuditRegisterState, UnnormalizedVector])
+@pytest.mark.parametrize(
+    "dim, arity, amps",
+    [
+        pytest.param(1, 1, [1.0], id="dim-1"),
+        pytest.param(2, 0, [1.0], id="arity-0"),
+        pytest.param(3, 2, _scaled_to(1.0, 8), id="size-one-short"),
+        pytest.param(3, 2, _scaled_to(1.0, 10), id="size-one-over"),
+        pytest.param(2, 3, _scaled_to(1 + 2 * NORM_TOL, 8), id="norm-over-by-2-tol"),
+        pytest.param(2, 3, _scaled_to(1 - 2 * NORM_TOL, 8), id="norm-under-by-2-tol"),
+        pytest.param(2, 3, _scaled_to(1 + 0.5 * NORM_TOL, 8), id="norm-over-by-half-tol"),
+        pytest.param(2, 3, _scaled_to(1 - 0.5 * NORM_TOL, 8), id="norm-under-by-half-tol"),
+    ],
+)
+def test_the_checked_adoption_refuses_and_accepts_what_the_constructor_does(kind, dim, arity, amps):
+    constructed, adopted = _construct_and_adopt(kind, dim, arity, amps)
+    assert type(constructed) is type(adopted)
+    if isinstance(constructed, str):
+        assert constructed == adopted
+    else:
+        assert constructed == adopted
+        assert not adopted.amplitudes.flags.writeable
+    # a state off its norm by 2 NORM_TOL is refused, by half of it kept; any
+    # vector of the right shape is an UnnormalizedVector
+    refused = dim < 2 or arity < 1 or len(amps) != dim**arity
+    off_by = abs(float(np.vdot(amps, amps).real) - 1)
+    assert isinstance(adopted, str) == (refused or (kind is QuditRegisterState and off_by > NORM_TOL))
+
+
+def _assert_taken_and_locked(exposed: np.ndarray, handed: np.ndarray) -> None:
+    # no copy: the value exposes the memory it was handed, as a view that
+    # cannot be made writable; the handed array and its owner are read-only
+    assert np.shares_memory(exposed, handed)
+    for array in (exposed, handed):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+    assert not handed.base.flags.writeable
+    with pytest.raises(ValueError):
+        exposed[(0,) * exposed.ndim] = 0
+
+
+@pytest.mark.parametrize("kind", [QuditRegisterState, UnnormalizedVector])
+def test_an_adopted_vector_and_its_owner_cannot_be_made_writable(kind):
+    # a fresh vector that is a view of a larger owner, as a reshape makes
+    handed = np.zeros((2, 4), dtype=complex).reshape(-1)
+    handed[0] = 1.0
+    value = _adopt_checked(kind, 2, 3, handed)
+    assert value == kind(2, 3, handed)
+    _assert_taken_and_locked(value.amplitudes, handed)
+
+
+def test_an_adopted_operator_is_checked_and_locked_like_a_constructed_one():
+    with pytest.raises(ValueError, match="must be 2x2"):
+        _adopt_operator(2, np.eye(3, dtype=complex))
+    handed = np.arange(4, dtype=complex).reshape(2, 2)
+    op = _adopt_operator(2, handed, "ramp")
+    assert op == DenseOperator(2, np.arange(4).reshape(2, 2), label="ramp")
+    _assert_taken_and_locked(op.entries, handed)
+
+
+def _vectors_and_steps():
+    parts = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    return st.tuples(st.lists(st.tuples(parts, parts), min_size=1, max_size=300), st.sampled_from([1, 2, 3, -1, -2]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_vectors_and_steps())
+@example(([(3.0, 4.0)], 1))
+@example(([(1e-3, -2.5)] * 65, 2))
+def test_the_norm_helper_equals_np_linalg_norm_bit_for_bit(case):
+    # contiguous and strided views, reversed ones too
+    pairs, step = case
+    v = np.array([complex(re, im) for re, im in pairs])[::step]
+    norm = _norm(v)
+    assert type(norm) is float
+    assert norm == float(np.linalg.norm(v))
 
 
 def test_a_register_from_a_2d_array_equals_the_flat_one():

@@ -80,3 +80,33 @@ def test_random_operator_nonzero_and_generically_nonunitary():
     op = random_operator(3, rng)
     assert np.max(np.abs(op.entries)) > 0
     assert not op.is_unitary(1e-6)
+
+
+def reference_random_state(dim, arity, rng) -> np.ndarray:
+    """The drawn state written as two draws, a complex sum and a division by `np.linalg.norm`."""
+    size = dim**arity
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return v / np.linalg.norm(v)
+
+
+# Every arity from 1 to 3 at N = 2-69 and 128, and N = 256 to arity 2: three
+# qudits of 256 would be 268 MB a vector. Three of 128 (2M amplitudes) is slow.
+STATE_SHAPES = [
+    pytest.param(dim, arity, marks=[pytest.mark.slow] if dim**arity > 2**19 else [])
+    for dim in [*range(2, 70), 128, 256]
+    for arity in (1, 2, 3)
+    if dim**arity <= 2**21
+]
+
+
+@pytest.mark.parametrize("dim, arity", STATE_SHAPES)
+def test_random_state_equals_the_two_draw_formula_bit_for_bit(dim, arity):
+    # one draw of both blocks, normalized in place: the stream and bits of
+    # (a + 1j b) / np.linalg.norm(a + 1j b), a drawn before b
+    for seed in range(5):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = random_state(dim, arity, fast)
+        assert np.array_equal(state.amplitudes, reference_random_state(dim, arity, slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert (state.dim, state.arity) == (dim, arity)
+        assert not state.amplitudes.flags.writeable
